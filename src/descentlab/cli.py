@@ -18,6 +18,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import abcd, cyclo, descent, numbers, qsym
@@ -147,9 +148,13 @@ def cmd_factors(cfg: RunConfig) -> int:
             return 2
         golden = rows[cfg.n]
     else:
-        golden = cyclo.parse_report_line(
-            open(cfg.golden, encoding="utf-8").read().strip()
-        )
+        try:
+            text = Path(cfg.golden).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractViolationError(
+                f"cannot read golden file {cfg.golden}: {exc}"
+            ) from exc
+        golden = cyclo.parse_report_line(text.strip())
     # golden rows were recorded with bound 10000
     cap = min(cfg.max_index, golden.bound or 10_000)
     mine = tuple((m, k) for m, k in report.factors if m <= cap)
@@ -335,11 +340,7 @@ def _suite_modp(cfg: RunConfig) -> list[CheckResult]:
         pairs = [(n, q) for n, q in pairs if n == cfg.n]
     out = []
     for n, q in pairs:
-        p = q
-        for f in range(2, q):
-            if q % f == 0:
-                p = f
-                break
+        p = numbers.prime_divisors(q)[0]
         table = descent.beta_table(n)
         bad = sum(
             1
@@ -719,15 +720,8 @@ def _suite_cyclounit(cfg: RunConfig) -> list[CheckResult]:
     bad_units = []
     for m in range(2, 200):
         value = cyclo.cyclotomic(m)(1)
-        p = m
-        for f in range(2, m + 1):
-            if m % f == 0:
-                p = f
-                break
-        rest = m
-        while rest % p == 0:
-            rest //= p
-        expected = p if rest == 1 else 1
+        primes = numbers.prime_divisors(m)
+        expected = primes[0] if len(primes) == 1 else 1
         if value != expected:
             bad_units.append(m)
     out.append(
@@ -804,10 +798,12 @@ def cmd_verify(cfg: RunConfig) -> int:
             print(f"{status} {result.name}: {result.detail}")
             if not result.ok:
                 failures += 1
+    if ran == 0:
+        raise ContractViolationError(
+            f"no checks selected (suite={cfg.suite}, n={cfg.n})"
+        )
     scale = "desk" if cfg.desk_scale else "full"
     print(f"verify: {ran - failures}/{ran} checks passed ({scale} scale)")
-    if ran == 0:
-        print("verify: no checks selected", file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -855,18 +851,13 @@ def cmd_observations(cfg: RunConfig) -> int:
         else f"odd indexes {odd_hits}",
     )
 
-    rough = []
-    for r in every:
-        for m in indexes(r):
-            f = 2
-            rest = m
-            while f <= rest:
-                if rest % f == 0:
-                    if f > r.n:
-                        rough.append((r.n, r.signed, m, f))
-                    while rest % f == 0:
-                        rest //= f
-                f += 1
+    rough = [
+        (r.n, r.signed, m, p)
+        for r in every
+        for m in indexes(r)
+        for p in numbers.prime_divisors(m)
+        if p > r.n
+    ]
     _obs_line(
         "ii",
         "holds" if not rough else "fails",

@@ -3,14 +3,19 @@
 The descent set polynomial sum_S t**beta(S) is never materialized: with
 beta values as large as n! it would have astronomically sparse degree.  All
 questions asked of it factor through residue data mod t**m - 1, which a
-Counter over the table values produces directly, so deciding whether the
-m-th cyclotomic polynomial divides it (and to what order) costs one exact
-polynomial remainder per question.
+Counter over the table values produces directly.  Whether the m-th
+cyclotomic polynomial divides it (and to what order) is then decided without
+building Phi_m: Q[t]/(t**m - 1) splits as the product of the fields Q(zeta_d)
+over d | m, and multiplying the residues by (1 - t**(m/p)) for every prime
+p | m zeroes every factor but Q(zeta_m), where it is a unit.  The product is
+zero exactly when Phi_m divides, at m * omega(m) integer subtractions.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,7 +29,7 @@ from .descent import (
     residue_histogram,
 )
 from .errors import ContractViolationError
-from .numbers import euler_number, is_prime
+from .numbers import euler_number, is_prime, prime_divisors
 
 __all__ = [
     "IntPoly",
@@ -210,29 +215,12 @@ def cyclotomic(k: int) -> IntPoly:
         raise ContractViolationError(f"index must be >= 1, got {k}")
     if k == 1:
         return IntPoly((-1, 1))
-    rad = 1
-    rest = k
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            rad *= f
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    rad *= rest if rest > 1 else 1
+    primes = prime_divisors(k)
+    rad = math.prod(primes)
     if rad != k:
         return cyclotomic(rad).substitute_power(k // rad)
     # k squarefree: peel off its largest prime p via Phi_k = Phi_m(t^p)/Phi_m
-    p = 2
-    rest = k
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            p = f
-            rest //= f
-        f += 1
-    if rest > 1:
-        p = rest
+    p = primes[-1]
     m = k // p
     if m == 1:
         return IntPoly((1,) * p)
@@ -242,6 +230,16 @@ def cyclotomic(k: int) -> IntPoly:
     if not remainder.is_zero:
         raise ArithmeticError(f"cyclotomic recursion failed at {k}")
     return quotient
+
+
+def _phi_divides(counts: Sequence[int], m: int) -> bool:
+    """Whether Phi_m divides sum_r counts[r] * t**r, a residue mod t**m - 1."""
+    c = list(counts)
+    for p in prime_divisors(m):
+        # multiply by 1 - t**s: c[i] -= c[(i - s) % m]
+        s = m // p
+        c = [a - b for a, b in zip(c, c[-s:] + c[:-s])]
+    return not any(c)
 
 
 def _as_histogram(source, m: int, order: int) -> ResidueHistogram:
@@ -264,13 +262,12 @@ def divides_order(source, m: int, order: int = 0) -> bool:
 
     Phi_m to the power j + 1 divides sum_S t**beta(S) exactly when this holds
     for every order from 0 through j.  ``source`` is a descent table or a
-    residue histogram already taken at (m, order).
+    residue histogram already taken at (m, order).  Phi_m itself is never
+    built; see the module docstring for the test.
     """
     if m < 2:
         raise ContractViolationError(f"cyclotomic index must be >= 2, got {m}")
-    hist = _as_histogram(source, m, order)
-    _, rem = divmod_poly(IntPoly(hist.counts), cyclotomic(m))
-    return rem.is_zero
+    return _phi_divides(_as_histogram(source, m, order).counts, m)
 
 
 def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
@@ -384,21 +381,10 @@ def heuristic_candidates(n: int, bound: int) -> list[int]:
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
-    out = []
-    for m in range(2, bound + 1, 2):
-        rest = m
-        f = 2
-        while f <= n and f * f <= rest:
-            while rest % f == 0:
-                rest //= f
-            f += 1
-        if rest == 1 or rest <= n:
-            out.append(m)
-    return out
+    return [m for m in range(2, bound + 1, 2) if prime_divisors(m)[-1] <= n]
 
 
 def _candidate_multiplicity(pairs, m: int, max_mult: int) -> int:
-    phi = cyclotomic(m)
     mult = 0
     while mult < max_mult:
         counts = [0] * m
@@ -408,7 +394,7 @@ def _candidate_multiplicity(pairs, m: int, max_mult: int) -> int:
         else:
             for v, c in pairs:
                 counts[v % m] += c * _falling_factorial(v, mult)
-        if not divmod_poly(IntPoly(counts), phi)[1].is_zero:
+        if not _phi_divides(counts, m):
             break
         mult += 1
     return mult
@@ -436,9 +422,9 @@ def factor_scan(
     """Find every cyclotomic factor Phi_m, m up to max_index, of the table's
     descent polynomial, with multiplicities (capped at max_multiplicity).
 
-    Divisibility is decided by exact integer polynomial remainders only.
-    ``workers`` parallelizes over candidate indices without changing the
-    result or its order.
+    Divisibility is decided in exact integer arithmetic by the same test as
+    :func:`divides_order`.  ``workers`` parallelizes over candidate indices,
+    at most one process per CPU, without changing the result or its order.
     """
     if policy not in ("heuristic", "exhaustive"):
         raise ContractViolationError(
@@ -452,6 +438,7 @@ def factor_scan(
         )
     if workers < 1:
         raise ContractViolationError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     pairs = tuple(sorted(Counter(table.values).items()))
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)

@@ -18,7 +18,7 @@ from itertools import permutations
 from pathlib import Path
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
-from .numbers import SubsetMask, as_mask, multinomial
+from .numbers import SubsetMask, as_mask, multinomial, prime_divisors
 
 __all__ = [
     "DEFAULT_LIMITS",
@@ -334,19 +334,10 @@ def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHis
 def _prime_power_base(q: int) -> int:
     if q < 2:
         raise ContractViolationError(f"need a prime power >= 2, got {q}")
-    p = q
-    for f in range(2, q + 1):
-        if f * f > q:
-            break
-        if q % f == 0:
-            p = f
-            break
-    rest = q
-    while rest % p == 0:
-        rest //= p
-    if rest != 1:
+    primes = prime_divisors(q)
+    if len(primes) != 1:
         raise ContractViolationError(f"{q} is not a prime power")
-    return p
+    return primes[0]
 
 
 def mod_p_prediction(n: int, q: int, S) -> int:

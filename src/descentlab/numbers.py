@@ -21,6 +21,7 @@ __all__ = [
     "as_mask",
     "multinomial",
     "is_prime",
+    "prime_divisors",
     "carries_base_p",
     "is_multinomial_odd",
     "subset_to_composition",
@@ -204,6 +205,23 @@ def is_prime(m: int) -> bool:
             return False
         f += 2
     return True
+
+
+def prime_divisors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m, ascending; empty for m = 1."""
+    if m < 1:
+        raise ContractViolationError(f"need a positive integer, got {m}")
+    out = []
+    f = 2
+    while f * f <= m:
+        if m % f == 0:
+            out.append(f)
+            while m % f == 0:
+                m //= f
+        f += 1
+    if m > 1:
+        out.append(m)
+    return tuple(out)
 
 
 def _digit_sum(value: int, p: int) -> int:

@@ -131,6 +131,18 @@ def test_factors_golden_file_mismatch(tmp_path, capsys):
     assert "computed: n=8" in err and "recorded: n=8" in err
 
 
+def test_factors_golden_file_unreadable(tmp_path, capsys):
+    missing = tmp_path / "absent.txt"
+    code, _, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(missing))
+    assert code == 2
+    assert err.startswith("usage error: cannot read golden file")
+    binary = tmp_path / "row.bin"
+    binary.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(binary))
+    assert code == 2
+    assert err.startswith("usage error: cannot read golden file")
+
+
 def test_factors_golden_missing_row(capsys):
     # recorded unsigned rows start at n=3
     code, _, err = run(capsys, "factors", "--n", "2", "--max-index", "4", "--golden", "builtin")
@@ -157,8 +169,12 @@ def test_verify_desk_scale_suite(capsys):
 
 def test_verify_empty_selection(capsys):
     code, out, err = run(capsys, "verify", "--suite", "table1", "--n", "2")
-    assert code == 0
-    assert "verify: 0/0 checks passed" in out
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: no checks selected")
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--n", "99")
+    assert code == 2
+    assert "checks passed" not in out
     assert "no checks selected" in err
 
 

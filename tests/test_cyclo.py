@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from descentlab import cyclo
 from descentlab.cyclo import (
     FactorReport,
     IntPoly,
@@ -22,7 +23,7 @@ from descentlab.cyclo import (
     report_to_json_dict,
     signed_derivative_theorem_check,
 )
-from descentlab.descent import beta_table, residue_histogram, rho
+from descentlab.descent import ResidueHistogram, beta_table, residue_histogram, rho
 from descentlab.errors import ContractViolationError
 from descentlab.numbers import euler_number
 
@@ -138,6 +139,27 @@ def test_divides_order_examples():
         divides_order(t5, 1, 0)
 
 
+@st.composite
+def residue_vectors(draw):
+    """A residue vector mod t**m - 1, about half of them multiples of Phi_m."""
+    m = draw(st.integers(min_value=2, max_value=400))
+    coeff = st.integers(min_value=-30, max_value=30)
+    if draw(st.booleans()):
+        return m, draw(st.lists(coeff, min_size=m, max_size=m))
+    multiple = IntPoly(draw(st.lists(coeff, max_size=m))) * cyclotomic(m)
+    c = [0] * m
+    for e, a in enumerate(multiple.coeffs):
+        c[e % m] += a
+    return m, c
+
+
+@given(residue_vectors())
+def test_divides_order_agrees_with_division(case):
+    m, c = case
+    by_division = divmod_poly(IntPoly(c), cyclotomic(m))[1].is_zero
+    assert divides_order(ResidueHistogram(m, 0, tuple(c)), m) == by_division
+
+
 def test_divides_order_accepts_prepared_histogram():
     t = beta_table(6)
     h = residue_histogram(t, 6, 0)
@@ -229,6 +251,32 @@ def test_factor_scan_workers_do_not_change_output():
     assert one == four
 
 
+def test_factor_scan_caps_workers_at_cpu_count(monkeypatch):
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes, initializer, initargs):
+            requested.append(processes)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(cyclo.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cyclo.multiprocessing, "Pool", SerialPool)
+    report = factor_scan(beta_table(9), max_index=300, workers=10**9)
+    assert requested == [2]
+    assert report == factor_scan(beta_table(9), max_index=300)
+    with pytest.raises(ContractViolationError):
+        factor_scan(beta_table(9), workers=0)
+
+
 def test_report_serialization_round_trip():
     r = factor_scan(beta_table(6, signed=True), max_index=200)
     line = format_report(r)
@@ -272,3 +320,11 @@ def test_factor_scan_matches_golden_signed(n):
     want = load_golden(True)[n].factors
     got = factor_scan(beta_table(n, signed=True), max_index=600).factors
     assert got == tuple((m, k) for m, k in want if m <= 600)
+
+
+@pytest.mark.parametrize(
+    "n,signed", [(17, False), (18, False)] + [(n, True) for n in range(11, 17)]
+)
+def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
+    got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
+    assert got == load_golden(signed)[n].factors

@@ -16,6 +16,7 @@ from descentlab.numbers import (
     euler_number,
     is_multinomial_odd,
     is_prime,
+    prime_divisors,
     multinomial,
     signed_euler_number,
     subset_to_composition,
@@ -94,6 +95,20 @@ def test_multinomial_matches_factorials(parts):
 def test_is_prime_small():
     assert [m for m in range(2, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_prime_divisors():
+    assert prime_divisors(1) == ()
+    assert [prime_divisors(p) for p in (2, 3, 97, 9973)] == [(2,), (3,), (97,), (9973,)]
+    assert prime_divisors(64) == (2,)
+    assert prime_divisors(3**7) == (3,)
+    assert prime_divisors(2860) == (2, 5, 11, 13)
+    assert prime_divisors(2 * 9973) == (2, 9973)
+    for m in range(1, 500):
+        primes = prime_divisors(m)
+        assert list(primes) == [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+    with pytest.raises(ContractViolationError):
+        prime_divisors(0)
 
 
 @given(
