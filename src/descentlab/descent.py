@@ -1,20 +1,32 @@
 """Descent set statistics of unsigned and signed permutations.
 
 The central objects are the full tables beta_n(S) (number of permutations
-with descent set exactly S) over every subset S, built by exact dynamic
-programming plus a subset Moebius inversion, and a mod-2 fast path that gets
-the parity of every beta_n(S) for n up to the low thirties without ever
+with descent set exactly S) over every subset S, and a mod-2 fast path that
+gets the parity of every beta_n(S) for n up to the low thirties without ever
 materializing the exact table.
+
+An exact table is built packed: slot k of one byte buffer holds the value
+for mask k in a fixed number of bytes, enough for n! (times 2**n when
+signed).  The alpha values (permutations with descent set inside S) are
+written block by block, one big-int multiply per pair of top elements, and
+the subset Moebius inversion then runs as big-int subtractions over
+cache-sized chunks of slots.  No slot ever borrows from the next: after the
+passes over any set P of elements, slot S counts the permutations whose
+descent set agrees with S on P and lies inside S off P, a number between 0
+and alpha(S).  The slots are unpacked once into the table's tuple of ints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import compress, permutations
 from pathlib import Path
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
@@ -37,12 +49,16 @@ __all__ = [
     "load_table",
 ]
 
-# Soft ceilings: beta_table refuses larger n unless the caller raises max_n.
-DEFAULT_LIMITS = {"unsigned": 24, "signed": 18}
+# Ceilings on n.  beta_table refuses a larger n unless the caller raises
+# max_n.  The parity route (beta_parity_bitset, rho) has no override: at
+# n = 31 its 2**30-bit tables already take about 750 MB.
+DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 
 CACHE_FORMAT = "descentlab-table v1"
+# Values per write in save_table.
+_SAVE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -133,70 +149,129 @@ def alpha_signed(n: int, S) -> int:
     return multinomial(n, rest) << (n + 1 - first)
 
 
-def _alpha_values_unsigned(n: int) -> list[int]:
-    # V[m] depends only on the largest element s of m:
-    # V[m] = C(s, s - s') V[m - top] with s' the next element, so the whole
-    # table costs one small binomial multiply per mask.
-    size = 1 << (n - 1)
-    comb = math.comb
-    vals = [1] * size
-    for m in range(1, size):
-        s = m.bit_length()
-        rest = m ^ (1 << (s - 1))
-        vals[m] = comb(s, s - rest.bit_length()) * vals[rest]
-    for m in range(1, size):
-        s = m.bit_length()
-        vals[m] *= comb(n, n - s)
-    return vals
+def _subset_transform(vals: list, sign: int) -> None:
+    """vals[S] <- sum over T subset of S of sign**|S - T| vals[T], in place.
 
-
-def _alpha_values_signed(n: int) -> list[int]:
-    size = 1 << n
-    comb = math.comb
-    w = [1] * size
-    for m in range(1, size):
-        s = m.bit_length()
-        rest = m ^ (1 << (s - 1))
-        prev = rest.bit_length() if rest else 1
-        w[m] = comb(s - 1, s - prev) * w[rest]
-    for m in range(1, size):
-        s = m.bit_length()
-        first = (m & -m).bit_length()
-        w[m] = (comb(n, n + 1 - s) * w[m]) << (n + 1 - first)
-    return w
-
-
-def _subset_mobius_inplace(vals: list[int]) -> None:
-    """vals[S] <- sum over T subset of S of (-1)^|S - T| vals[T], in place."""
+    Sign 1 is the subset zeta transform, sign -1 its inverse, the subset
+    Moebius inversion.
+    """
+    op = operator.add if sign > 0 else operator.sub
     size = len(vals)
     step = 1
     while step < size:
         for lo in range(0, size, step * 2):
             mid = lo + step
-            vals[mid : mid + step] = [
-                h - l for h, l in zip(vals[mid : mid + step], vals[lo:mid])
-            ]
+            vals[mid : mid + step] = map(op, vals[mid : mid + step], vals[lo:mid])
         step *= 2
 
 
-def _subset_zeta_inplace(vals: list[int]) -> None:
-    """vals[S] <- sum over T subset of S of vals[T], in place."""
-    size = len(vals)
-    step = 1
-    while step < size:
-        for lo in range(0, size, step * 2):
-            mid = lo + step
-            vals[mid : mid + step] = [
-                h + l for h, l in zip(vals[mid : mid + step], vals[lo:mid])
-            ]
-        step *= 2
+def _tile(run: int, total: int) -> int:
+    """``total`` bits of alternating runs of ``run`` ones and ``run`` zeros,
+    starting with ones at bit 0.
+
+    When ``run`` spans 2**b packed slots, the ones cover the slots whose mask
+    lacks bit b: the partners that a subset transform pass moves up by 2**b.
+    """
+    tile = (1 << run) - 1
+    span = 2 * run
+    while span < total:
+        tile |= tile << span
+        span *= 2
+    return tile
+
+
+# The Moebius passes run over chunks of 2**_CHUNK_BITS slots, small enough
+# that a chunk and its temporaries stay in the processor's cache.
+_CHUNK_BITS = 12
+
+
+def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
+    """alpha over every mask, mask k in bytes [k * width, (k + 1) * width).
+
+    The masks with top element s are {s} followed by, for each t < s, the
+    masks with top t with s added; adding s multiplies alpha by one binomial
+    that depends on s and t only, so each such block is one big-int multiply
+    of the packed block for t.  The factor 2**(n + 1 - first element) of the
+    signed count is set by the seed alpha({s}) and rides along.
+    """
+    universe = n if signed else n - 1
+    total = n + 1 if signed else n  # the gap compositions are of total
+    buf = bytearray(width << universe)
+    buf[0] = 1
+    bits = 8 * width
+    blocks: list[int] = []  # blocks[t - 1]: the masks with top t, packed
+    for s in range(1, universe + 1):
+        block = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
+        for t, prev in enumerate(blocks, 1):
+            block |= math.comb(total - t, s - t) * prev << (bits << (t - 1))
+        blocks.append(block)
+        start = width << (s - 1)
+        buf[start : 2 * start] = block.to_bytes(start, "little")
+    return buf
+
+
+def _mobius_packed(buf: bytearray, universe: int, width: int) -> None:
+    """Subset Moebius inversion of the slots of ``buf``, in place.
+
+    Each pass subtracts, in every slot S holding element b, the slot S - {b}.
+    After the passes over a set P of elements, slot S counts the permutations
+    whose descent set agrees with S on P and lies inside S off P, so every
+    slot stays in [0, its alpha] and no subtraction borrows from the next
+    slot: a whole run of slots is one big-int subtraction.
+    """
+    low = min(universe, _CHUNK_BITS)
+    chunk = width << low
+    shifts = [(8 * width) << b for b in range(low)]
+    passes = [(_tile(shift, 8 * chunk), shift) for shift in shifts]
+    view = memoryview(buf)
+    chunks = []
+    for lo in range(0, len(buf), chunk):
+        x = int.from_bytes(view[lo : lo + chunk], "little")
+        for tile, shift in passes:
+            x -= (x & tile) << shift
+        chunks.append(x)
+    # The elements above the chunk size pair whole chunks.
+    _subset_transform(chunks, -1)
+    for i, x in enumerate(chunks):
+        view[i * chunk : (i + 1) * chunk] = x.to_bytes(chunk, "little")
+
+
+def _unpack(buf: bytearray, width: int) -> list[int]:
+    """The slots of ``buf`` as Python ints, read eight bytes at a time.
+
+    Slot bytes that are zero in every slot are skipped, so a table whose
+    values all fit in 64 bits takes one pass of 64-bit words.
+    """
+    count = len(buf) // width
+    used = width
+    while used > 1 and buf[used - 1 :: width].count(0) == count:
+        used -= 1
+    values: list[int] = []
+    for lo in range(0, used, 8):
+        limb = bytearray(8 * count)
+        for b in range(lo, min(lo + 8, used)):
+            at = b - lo if sys.byteorder == "little" else lo + 7 - b
+            limb[at::8] = buf[b::width]
+        words = memoryview(limb).cast("Q")
+        if lo == 0:
+            values = words.tolist()
+            continue
+        for i in compress(range(count), words):
+            values[i] += words[i] << 8 * lo
+    return values
 
 
 @lru_cache(maxsize=8)
 def _table(n: int, signed: bool) -> DescentTable:
-    vals = _alpha_values_signed(n) if signed else _alpha_values_unsigned(n)
-    _subset_mobius_inplace(vals)
-    return DescentTable(n=n, signed=signed, values=tuple(vals))
+    universe = n if signed else n - 1
+    # Every slot, before and after the Moebius passes, is at most the number
+    # of (signed) permutations.
+    width = ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
+    buf = _packed_alpha(n, signed, width)
+    _mobius_packed(buf, universe, width)
+    values = _unpack(buf, width)
+    del buf  # before the tuple doubles the list's pointers
+    return DescentTable(n=n, signed=signed, values=tuple(values))
 
 
 def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> DescentTable:
@@ -260,12 +335,7 @@ def _xor_subset_zeta(bits: int, universe: int) -> int:
     width = 1 << universe
     for b in range(universe):
         step = 1 << b
-        tile = (1 << step) - 1
-        span = 2 * step
-        while span < width:
-            tile |= tile << span
-            span *= 2
-        bits ^= (bits & tile) << step
+        bits ^= (bits & _tile(step, width)) << step
     return bits
 
 
@@ -293,10 +363,14 @@ def beta_parity_bitset(n: int) -> int:
     """Parities of beta_n over all subsets, packed into one integer.
 
     Bit k is beta_n(S) mod 2 for the subset S with mask k.  Runs in time and
-    memory proportional to 2**n bits, so n around 31 stays practical.
+    memory proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]``
+    is refused.
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
+    limit = DEFAULT_LIMITS["parity"]
+    if n > limit:
+        raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
     packed = int.from_bytes(_chain_positions(n), "little")
     return _xor_subset_zeta(packed, n - 1)
 
@@ -364,11 +438,37 @@ def mod_p_prediction(n: int, q: int, S) -> int:
     return (sign * small) % p
 
 
+def _write_lines(table: DescentTable, f) -> None:
+    f.write(f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
+    values = table.values
+    for lo in range(0, len(values), _SAVE_BLOCK):
+        f.write("\n".join(map(str, values[lo : lo + _SAVE_BLOCK])))
+        f.write("\n")
+
+
 def save_table(table: DescentTable, path) -> None:
-    """Write a table cache file: a header line then one decimal per subset."""
-    lines = [f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)}"]
-    lines.extend(str(v) for v in table.values)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write a table cache file: a header line then one decimal per subset.
+
+    The lines are written in blocks to a new file beside ``path`` that then
+    replaces it, so ``path`` never holds part of a table.  A symbolic link
+    is followed, and a ``path`` that exists but is not a regular file, such
+    as /dev/stdout, is written in place.
+    """
+    path = Path(path)
+    if path.exists() and not path.is_file():
+        with open(path, "w") as f:
+            _write_lines(table, f)
+        return
+    path = path.resolve()
+    tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            _write_lines(table, f)
+        os.replace(tmp, path)
+    except BaseException:
+        if tmp.exists():
+            tmp.unlink()
+        raise
 
 
 def load_table(path) -> DescentTable:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import _subset_mobius_inplace, _subset_zeta_inplace, _xor_subset_zeta
+from .descent import _subset_transform, _xor_subset_zeta
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import Composition
 
@@ -148,7 +148,7 @@ def m_to_l(p):
     if p.basis != "M":
         raise ContractViolationError(f"expected M basis, got {p.basis!r}")
     vals = list(p.coeffs)
-    _subset_mobius_inplace(vals)
+    _subset_transform(vals, -1)
     return dataclasses.replace(p, basis="L", coeffs=_reduced(vals, p.modulus))
 
 
@@ -157,7 +157,7 @@ def l_to_m(p):
     if p.basis != "L":
         raise ContractViolationError(f"expected L basis, got {p.basis!r}")
     vals = list(p.coeffs)
-    _subset_zeta_inplace(vals)
+    _subset_transform(vals, 1)
     return dataclasses.replace(p, basis="M", coeffs=_reduced(vals, p.modulus))
 
 

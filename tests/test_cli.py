@@ -70,6 +70,12 @@ def test_table_respects_limits(capsys):
     assert "sum_ok=yes" in out
 
 
+def test_rho_respects_limit(capsys):
+    code, _, err = run(capsys, "rho", "--n", "40")
+    assert code == 3
+    assert err.startswith("resource limit:")
+
+
 def test_rho_output(capsys):
     code, out, _ = run(capsys, "rho", "--n", "15")
     assert code == 0

@@ -1,4 +1,8 @@
 import math
+import os
+import random
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -20,6 +24,7 @@ from descentlab.descent import (
     rho,
     save_table,
 )
+from descentlab.descent import _mobius_packed, _subset_transform, _unpack
 from descentlab.errors import CacheError, ContractViolationError, ResourceLimitError
 from descentlab.numbers import SubsetMask, euler_number, signed_euler_number
 
@@ -122,6 +127,9 @@ def test_limits():
         brute_force_table(BRUTE_FORCE_LIMITS["unsigned"] + 1)
     with pytest.raises(ResourceLimitError):
         brute_force_table(BRUTE_FORCE_LIMITS["signed"] + 1, signed=True)
+    with pytest.raises(ResourceLimitError):
+        beta_parity_bitset(DEFAULT_LIMITS["parity"] + 1)
+    assert DEFAULT_LIMITS["parity"] >= 31  # rho(31) is a checked claim
     # the soft ceiling moves, the hard one does not
     assert beta_table(2, max_n=2).values == (1, 1)
     with pytest.raises(ContractViolationError):
@@ -192,10 +200,56 @@ def test_mod_p_prediction_validates():
 
 
 def test_save_load_round_trip(tmp_path):
-    t = beta_table(5, signed=True)
+    # n = 18 has 131,072 values, more than one write block
+    for n, signed in [(5, True), (18, False)]:
+        t = beta_table(n, signed=signed)
+        path = tmp_path / "t.txt"
+        save_table(t, path)
+        assert path.read_text() == (
+            f"descentlab-table v1 n={n} signed={int(signed)}\n"
+            + "".join(f"{v}\n" for v in t.values)
+        )
+        assert load_table(path) == t
+
+
+def test_save_table_failure_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "t.txt"
-    save_table(t, path)
-    assert load_table(path) == t
+    save_table(beta_table(4), path)
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError):
+        save_table(beta_table(5), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+
+
+def test_save_table_follows_a_symlink(tmp_path):
+    target = tmp_path / "t.txt"
+    target.write_text("old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    save_table(beta_table(4), link)
+    assert link.is_symlink()
+    assert load_table(target) == beta_table(4)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_save_table_writes_into_a_pipe(tmp_path):
+    # a path that is not a regular file is written, never replaced
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    save_table(beta_table(4), fifo)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == ["descentlab-table v1 n=4 signed=0\n1\n3\n5\n3\n3\n5\n3\n1\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_load_rejects_corruption(tmp_path):
@@ -233,3 +287,30 @@ def test_signed_complement_symmetry(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     t = beta_table(n, signed=True)
     assert t.values[mask] == t.values[((1 << n) - 1) ^ mask]
+
+
+@pytest.mark.parametrize("signed", [False, True])
+def test_packed_route_matches_list_route(signed):
+    # the list route: alpha per mask, then the list Moebius transform
+    for n in range(1, 15):
+        universe = n if signed else n - 1
+        count = alpha_signed if signed else alpha
+        vals = [count(n, mask) for mask in range(1 << universe)]
+        _subset_transform(vals, -1)
+        assert beta_table(n, signed=signed).values == tuple(vals), n
+
+
+@pytest.mark.parametrize("universe, bits", [(3, 100), (13, 70), (14, 150)])
+def test_packed_moebius_on_wide_slots(universe, bits):
+    # The subset sums of nonnegative counts have the shape of alpha, so the
+    # packed passes never borrow; here the values pass 64 bits, the chunks
+    # number one or more, and every slot has two spare zero bytes.
+    rng = random.Random(universe * bits)
+    counts = [rng.getrandbits(rng.choice((7, 40, bits))) for _ in range(1 << universe)]
+    sums = list(counts)
+    _subset_transform(sums, 1)
+    width = (max(sums).bit_length() + 7) // 8 + 2
+    buf = bytearray(b"".join(v.to_bytes(width, "little") for v in sums))
+    _mobius_packed(buf, universe, width)
+    assert buf == b"".join(v.to_bytes(width, "little") for v in counts)
+    assert _unpack(buf, width) == counts
