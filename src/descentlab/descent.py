@@ -213,11 +213,14 @@ def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
 def _mobius_packed(buf: bytearray, universe: int, width: int) -> None:
     """Subset Moebius inversion of the slots of ``buf``, in place.
 
-    Each pass subtracts, in every slot S holding element b, the slot S - {b}.
-    After the passes over a set P of elements, slot S counts the permutations
-    whose descent set agrees with S on P and lies inside S off P, so every
-    slot stays in [0, its alpha] and no subtraction borrows from the next
-    slot: a whole run of slots is one big-int subtraction.
+    One pass per mask bit b subtracts from each slot whose mask has bit b
+    the slot of the same mask without it.  The slots must hold the subset
+    sums of nonnegative counts, as alpha holds those of beta: after the
+    passes over a set P of bits, slot S holds the sum of the counts of the
+    T inside S that agree with S on P (for alpha, the permutations whose
+    descent set agrees with S on P and lies inside S off P).  So every slot
+    stays between 0 and its start value, no subtraction borrows from the
+    next slot, and a whole run of slots is one big-int subtraction.
     """
     low = min(universe, _CHUNK_BITS)
     chunk = width << low
