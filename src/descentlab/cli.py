@@ -87,9 +87,17 @@ def _get_table(cfg: RunConfig, n: int, signed: bool) -> descent.DescentTable:
             print(f"warning: ignoring bad cache: {exc}", file=sys.stderr)
     table = descent.beta_table(n, signed, max_n=cfg.max_n)
     if path:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        descent.save_table(table, path)
+        _save_table(table, path, make_dir=True)
     return table
+
+
+def _save_table(table: descent.DescentTable, path: str, make_dir: bool = False) -> None:
+    try:
+        if make_dir:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        descent.save_table(table, path)
+    except OSError as exc:
+        raise ContractViolationError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_table(cfg: RunConfig) -> int:
@@ -103,7 +111,7 @@ def cmd_table(cfg: RunConfig) -> int:
         else numbers.euler_number(cfg.n)
     )
     if cfg.out:
-        descent.save_table(table, cfg.out)
+        _save_table(table, cfg.out)
     print(
         f"n={table.n} signed={int(table.signed)} subsets={len(table.values)} "
         f"sum={total} sum_ok={'yes' if total == expected_total else 'no'} "

@@ -2,36 +2,44 @@
 
 The descent set polynomial sum_S t**beta(S) is never materialized: with
 beta values as large as n! it would have astronomically sparse degree.  All
-questions asked of it factor through residue data mod t**m - 1, which a
-Counter over the table values produces directly.  Whether the m-th
+questions asked of it factor through residue data mod t**m - 1, which one
+pass over the distinct table values produces directly.  Whether the m-th
 cyclotomic polynomial divides it (and to what order) is then decided without
 building Phi_m: Q[t]/(t**m - 1) splits as the product of the fields Q(zeta_d)
 over d | m, and multiplying the residues by (1 - t**(m/p)) for every prime
 p | m zeroes every factor but Q(zeta_m), where it is a unit.  The product is
 zero exactly when Phi_m divides, at m * omega(m) integer subtractions.
+
+A factor scan shares the passes: it packs the candidate indexes into groups
+whose lcm L stays at most the number of distinct values, takes one histogram
+mod L per group and order, and reduces it mod each member m, exactly, since
+(v mod L) mod m = v mod m.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, count, repeat
 from typing import Iterable, Sequence
 
 from .descent import (
     DescentTable,
     ResidueHistogram,
-    _falling_factorial,
+    _residue_counts,
+    _value_counts,
     beta_table,
     residue_histogram,
 )
-from .errors import ContractViolationError
+from .errors import ContractViolationError, ResourceLimitError
 from .numbers import euler_number, is_prime, prime_divisors
 
 __all__ = [
+    "MAX_INDEX",
     "IntPoly",
     "divmod_poly",
     "cyclotomic",
@@ -50,6 +58,9 @@ __all__ = [
 ]
 
 _SCHOOLBOOK_PAIR_LIMIT = 40_000
+# Ceiling on a factor scan's bound: the candidate list and the histogram of
+# a lone candidate are both that long.
+MAX_INDEX = 1_000_000
 
 
 class IntPoly:
@@ -234,11 +245,11 @@ def cyclotomic(k: int) -> IntPoly:
 
 def _phi_divides(counts: Sequence[int], m: int) -> bool:
     """Whether Phi_m divides sum_r counts[r] * t**r, a residue mod t**m - 1."""
-    c = list(counts)
+    c = counts
     for p in prime_divisors(m):
         # multiply by 1 - t**s: c[i] -= c[(i - s) % m]
         s = m // p
-        c = [a - b for a, b in zip(c, c[-s:] + c[:-s])]
+        c = list(map(operator.sub, c, c[-s:] + c[:-s]))
     return not any(c)
 
 
@@ -384,32 +395,105 @@ def heuristic_candidates(n: int, bound: int) -> list[int]:
     return [m for m in range(2, bound + 1, 2) if prime_divisors(m)[-1] <= n]
 
 
-def _candidate_multiplicity(pairs, m: int, max_mult: int) -> int:
-    mult = 0
-    while mult < max_mult:
-        counts = [0] * m
-        if mult == 0:
-            for v, c in pairs:
-                counts[v % m] += c
+def _divisors(m: int) -> list[int]:
+    out = [1]
+    for p in prime_divisors(m):
+        powers = [1]
+        while m % (powers[-1] * p) == 0:
+            powers.append(powers[-1] * p)
+        out = [d * q for d in out for q in powers]
+    return out
+
+
+def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
+    """First-fit packing of the candidates into groups whose modulus, the lcm
+    of the members, stays at most ``cap``; a candidate above ``cap`` is a
+    group of its own.
+
+    A group of modulus L takes m when L / gcd(L, m) <= cap // m, that is when
+    L = d * u for a divisor d of m and some u <= cap // m.  The first such
+    group is found by whichever is shorter: testing the groups in order, or
+    looking up every d * u among the moduli.  Under first-fit no two groups
+    share a modulus (the later group's first member would have fit the
+    earlier one), so one dict maps each modulus to its group.
+    """
+    groups: list[list[int]] = []
+    moduli: list[int] = []
+    group_of: dict[int, int] = {}
+    for m in candidates:
+        room = cap // m
+        if not room:
+            fit = None
+        elif room < len(groups) and len(divisors := _divisors(m)) * room < len(groups):
+            found = (group_of.get(d * u) for d in divisors for u in range(1, room + 1))
+            fit = min((g for g in found if g is not None), default=None)
         else:
-            for v, c in pairs:
-                counts[v % m] += c * _falling_factorial(v, mult)
-        if not _phi_divides(counts, m):
+            fits = map(cap.__ge__, map(math.lcm, moduli, repeat(m)))
+            fit = next(compress(count(), fits), None)
+        if fit is None:
+            if room:
+                group_of[m] = len(groups)
+            groups.append([m])
+            moduli.append(m)
+        else:
+            del group_of[moduli[fit]]
+            moduli[fit] = math.lcm(moduli[fit], m)
+            group_of[moduli[fit]] = fit
+            groups[fit].append(m)
+    return groups
+
+
+def _fold(hist: list[int], m: int) -> list[int]:
+    """A residue histogram mod a multiple of m, reduced mod m.
+
+    One strided sum per residue, unless m is so large that there are only a
+    few blocks of m to add up (timed: blocks win below about 8).
+    """
+    if 8 * m <= len(hist):
+        return [sum(hist[r::m]) for r in range(m)]
+    counts = hist[:m]
+    for lo in range(m, len(hist), m):
+        counts = list(map(operator.add, counts, hist[lo : lo + m]))
+    return counts
+
+
+def _group_multiplicities(
+    values: list[int], mults: list[int], group: list[int], max_mult: int
+) -> list[tuple[int, int]]:
+    """(m, multiplicity of Phi_m) for every member of a group.
+
+    Each order takes one pass over the values into a histogram mod the lcm
+    L of the members still alive, and each member m folds its residues off
+    it, since (v mod L) mod m = v mod m when m divides L.  Going down from
+    the largest member, each folds from the smallest histogram already
+    taken whose modulus it divides.
+    """
+    out = []
+    alive = group
+    for order in range(max_mult):
+        modulus = math.lcm(*alive)
+        folds = {modulus: _residue_counts(values, mults, modulus, order)}
+        for m in sorted(alive, reverse=True):
+            folds[m] = _fold(folds[min(k for k in folds if k % m == 0)], m)
+        divides = [_phi_divides(folds[m], m) for m in alive]
+        del folds
+        out += [(m, order) for m, d in zip(alive, divides) if not d]
+        alive = list(compress(alive, divides))
+        if not alive:
             break
-        mult += 1
-    return mult
+    return out + [(m, max_mult) for m in alive]
 
 
 _SCAN_STATE: dict = {}
 
 
-def _scan_init(pairs, max_mult: int) -> None:
-    _SCAN_STATE["pairs"] = pairs
-    _SCAN_STATE["max_mult"] = max_mult
+def _scan_init(values, mults, max_mult: int) -> None:
+    _SCAN_STATE.update(values=values, mults=mults, max_mult=max_mult)
 
 
-def _scan_candidate(m: int) -> tuple[int, int]:
-    return m, _candidate_multiplicity(_SCAN_STATE["pairs"], m, _SCAN_STATE["max_mult"])
+def _scan_group(group: list[int]) -> list[tuple[int, int]]:
+    s = _SCAN_STATE
+    return _group_multiplicities(s["values"], s["mults"], group, s["max_mult"])
 
 
 def factor_scan(
@@ -423,8 +507,13 @@ def factor_scan(
     descent polynomial, with multiplicities (capped at max_multiplicity).
 
     Divisibility is decided in exact integer arithmetic by the same test as
-    :func:`divides_order`.  ``workers`` parallelizes over candidate indices,
-    at most one process per CPU, without changing the result or its order.
+    :func:`divides_order`, on residues counted per group of candidates: the
+    candidates are packed into groups whose lcm stays at most the number V of
+    distinct table values, so that reducing a group's histogram mod each
+    member, O(lcm), costs no more than the pass over the values, O(V), that
+    it saves.  ``workers`` parallelizes over the groups, at most one process
+    per CPU, without changing the result or its order.  ``max_index`` above
+    MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
         raise ContractViolationError(
@@ -432,6 +521,8 @@ def factor_scan(
         )
     if max_index < 2:
         raise ContractViolationError(f"max_index must be >= 2, got {max_index}")
+    if max_index > MAX_INDEX:
+        raise ResourceLimitError(f"max_index={max_index} exceeds the limit {MAX_INDEX}")
     if max_multiplicity < 1:
         raise ContractViolationError(
             f"max_multiplicity must be >= 1, got {max_multiplicity}"
@@ -439,19 +530,20 @@ def factor_scan(
     if workers < 1:
         raise ContractViolationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
-    pairs = tuple(sorted(Counter(table.values).items()))
+    values, mults = _value_counts(table)
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)
     else:
         candidates = list(range(2, max_index + 1))
-    if workers == 1 or len(candidates) < 4:
-        results = [(m, _candidate_multiplicity(pairs, m, max_multiplicity)) for m in candidates]
+    groups = _group_candidates(candidates, len(values))
+    if workers == 1 or len(groups) < 2:
+        results = [_group_multiplicities(values, mults, g, max_multiplicity) for g in groups]
     else:
         with multiprocessing.Pool(
-            workers, initializer=_scan_init, initargs=(pairs, max_multiplicity)
+            workers, initializer=_scan_init, initargs=(values, mults, max_multiplicity)
         ) as pool:
-            results = pool.map(_scan_candidate, candidates, chunksize=8)
-    factors = tuple((m, k) for m, k in results if k > 0)
+            results = pool.map(_scan_group, groups, chunksize=1)
+    factors = tuple(sorted((m, k) for rows in results for m, k in rows if k > 0))
     return FactorReport(
         n=table.n,
         signed=table.signed,

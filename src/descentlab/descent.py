@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, permutations
+from itertools import compress, permutations, repeat
 from pathlib import Path
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
@@ -385,11 +385,26 @@ def rho(n: int) -> Fraction:
     return Fraction(odd, 1 << (n - 1))
 
 
-def _falling_factorial(v: int, j: int) -> int:
-    out = 1
-    for k in range(j):
-        out *= v - k
-    return out
+def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
+    """The distinct values of a table, and how many subsets take each."""
+    counts = Counter(table.values)
+    return list(counts), list(counts.values())
+
+
+def _residue_counts(values: list[int], mults: list[int], modulus: int, order: int) -> list[int]:
+    """hist[r] = sum of mult * ff(value, order) over the values = r mod modulus.
+
+    The weights are built lazily, one chain of maps per order, so a pass
+    holds no list beyond the histogram.
+    """
+    weights = mults
+    for k in range(order):
+        falling = map(operator.sub, values, repeat(k)) if k else values
+        weights = map(operator.mul, weights, falling)
+    hist = [0] * modulus
+    for v, w in zip(values, weights):
+        hist[v % modulus] += w
+    return hist
 
 
 def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHistogram:
@@ -402,9 +417,7 @@ def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHis
         raise ContractViolationError(f"modulus must be >= 1, got {m}")
     if order < 0:
         raise ContractViolationError(f"order must be >= 0, got {order}")
-    counts = [0] * m
-    for v, c in Counter(table.values).items():
-        counts[v % m] += c * _falling_factorial(v, order)
+    counts = _residue_counts(*_value_counts(table), m, order)
     return ResidueHistogram(m=m, order=order, counts=tuple(counts))
 
 

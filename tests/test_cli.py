@@ -1,3 +1,4 @@
+from descentlab import descent
 from descentlab.cli import main
 
 
@@ -61,11 +62,30 @@ def test_table_corrupt_cache_recovers(tmp_path, capsys):
     assert path.read_text().startswith("descentlab-table v1")
 
 
+def test_table_unwritable_path(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    code, out, err = run(capsys, "table", "--n", "5", "--out", str(blocker / "x.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write")
+    code, out, err = run(
+        capsys, "factors", "--n", "5", "--max-index", "60", "--cache-dir", str(blocker / "cache")
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write")
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_table_respects_limits(capsys):
     code, _, err = run(capsys, "table", "--n", "30")
     assert code == 3
     assert err.startswith("resource limit:")
-    code, out, _ = run(capsys, "table", "--n", "25", "--max-n", "25")
+    try:
+        code, out, _ = run(capsys, "table", "--n", "25", "--max-n", "25")
+    finally:
+        descent._table.cache_clear()  # frees the ~1.2 GB n = 25 table
     assert code == 0
     assert "sum_ok=yes" in out
 
@@ -74,6 +94,16 @@ def test_rho_respects_limit(capsys):
     code, _, err = run(capsys, "rho", "--n", "40")
     assert code == 3
     assert err.startswith("resource limit:")
+
+
+def test_factors_respects_index_ceiling(capsys):
+    for policy in ("heuristic", "exhaustive"):
+        code, out, err = run(
+            capsys, "factors", "--n", "5", "--max-index", str(10**12), "--policy", policy
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit:")
 
 
 def test_rho_output(capsys):

@@ -1,12 +1,13 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descentlab import cyclo
+from descentlab import cyclo, descent
 from descentlab.cyclo import (
     FactorReport,
     IntPoly,
@@ -24,7 +25,7 @@ from descentlab.cyclo import (
     signed_derivative_theorem_check,
 )
 from descentlab.descent import ResidueHistogram, beta_table, residue_histogram, rho
-from descentlab.errors import ContractViolationError
+from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import euler_number
 
 int_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=8).map(IntPoly)
@@ -227,6 +228,122 @@ def test_heuristic_candidates():
     assert heuristic_candidates(2, 20) == [2, 4, 8, 16]
 
 
+def falling_factorial(v, j):
+    out = 1
+    for k in range(j):
+        out *= v - k
+    return out
+
+
+def reference_multiplicity(pairs, m, max_mult):
+    """Multiplicity of Phi_m by one pass over the (value, count) pairs per
+    order, the per-candidate scan the grouped counting replaced."""
+    mult = 0
+    while mult < max_mult:
+        counts = [0] * m
+        for v, c in pairs:
+            counts[v % m] += c * falling_factorial(v, mult)
+        if not cyclo._phi_divides(counts, m):
+            break
+        mult += 1
+    return mult
+
+
+def reference_scan(table, bound, max_mult, policy):
+    pairs = sorted(Counter(table.values).items())
+    if policy == "heuristic":
+        candidates = heuristic_candidates(table.n, bound)
+    else:
+        candidates = range(2, bound + 1)
+    rows = ((m, reference_multiplicity(pairs, m, max_mult)) for m in candidates)
+    return tuple((m, k) for m, k in rows if k)
+
+
+def first_fit(candidates, cap):
+    """Groups by testing every open group in order."""
+    groups, moduli = [], []
+    for m in candidates:
+        for i, modulus in enumerate(moduli):
+            if math.lcm(modulus, m) <= cap:
+                groups[i].append(m)
+                moduli[i] = math.lcm(modulus, m)
+                break
+        else:
+            groups.append([m])
+            moduli.append(m)
+    return groups
+
+
+@st.composite
+def candidate_lists(draw):
+    cap = draw(st.integers(min_value=1, max_value=400))
+    kind = draw(st.sampled_from(["range", "heuristic", "random"]))
+    bound = draw(st.integers(min_value=2, max_value=2 * cap + 2))
+    if kind == "range":
+        return list(range(2, bound + 1)), cap
+    if kind == "heuristic":
+        return heuristic_candidates(draw(st.integers(1, 23)), bound), cap
+    picks = draw(st.sets(st.integers(min_value=2, max_value=bound), max_size=300))
+    return sorted(picks), cap
+
+
+@given(candidate_lists())
+def test_candidate_groups(case):
+    candidates, cap = case
+    groups = cyclo._group_candidates(candidates, cap)
+    assert sorted(m for g in groups for m in g) == sorted(candidates)
+    for g in groups:
+        modulus = math.lcm(*g)
+        assert all(modulus % m == 0 for m in g)
+        assert modulus <= max(cap, max(g))
+        assert len(g) == 1 or modulus <= cap
+    # the divisor lookup finds the same first fitting group as a full scan
+    assert groups == first_fit(candidates, cap)
+
+
+@st.composite
+def scan_cases(draw):
+    signed = draw(st.booleans())
+    table = beta_table(draw(st.integers(min_value=1, max_value=12)), signed=signed)
+    distinct = len(set(table.values))
+    bound = draw(st.integers(min_value=2, max_value=2 * distinct + 2))
+    policy = draw(st.sampled_from(["heuristic", "exhaustive"]))
+    return table, bound, draw(st.integers(min_value=1, max_value=3)), policy
+
+
+@settings(max_examples=30)
+@given(scan_cases())
+def test_factor_scan_matches_reference(case):
+    table, bound, max_mult, policy = case
+    report = factor_scan(table, max_index=bound, max_multiplicity=max_mult, policy=policy)
+    assert report.factors == reference_scan(table, bound, max_mult, policy)
+
+
+@pytest.mark.parametrize(
+    "n,signed,bound,policy",
+    [(12, False, 800, "exhaustive"), (10, False, 400, "heuristic"), (9, True, 1200, "heuristic")],
+)
+def test_factor_scan_matches_reference_across_group_shapes(n, signed, bound, policy):
+    table = beta_table(n, signed=signed)
+    distinct = len(set(table.values))
+    candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
+    groups = cyclo._group_candidates(list(candidates), distinct)
+    assert any(len(g) > 1 for g in groups)
+    assert any(g[0] > distinct for g in groups)  # lone candidates above the cap
+    for max_mult in (1, 2, 3):
+        report = factor_scan(table, max_index=bound, max_multiplicity=max_mult, policy=policy)
+        assert report.factors == reference_scan(table, bound, max_mult, policy)
+    # some candidate survived orders 0 and 1, so order 2 was counted
+    assert any(k >= 2 for _, k in report.factors)
+
+
+def test_factor_scan_bound_ceiling():
+    with pytest.raises(ResourceLimitError):
+        factor_scan(beta_table(5), max_index=cyclo.MAX_INDEX + 1)
+    with pytest.raises(ResourceLimitError):
+        factor_scan(beta_table(5), max_index=10**12, policy="exhaustive")
+
+
 def test_factor_scan_small():
     r = factor_scan(beta_table(8), max_index=100)
     assert r.factors == ((4, 2), (28, 1))
@@ -327,4 +444,16 @@ def test_factor_scan_matches_golden_signed(n):
 )
 def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
     got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
+    assert got == load_golden(signed)[n].factors
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize(
+    "n,signed", [(n, False) for n in range(19, 24)] + [(17, True), (18, True)]
+)
+def test_factor_scan_matches_every_golden_row(n, signed):
+    try:
+        got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
+    finally:
+        descent._table.cache_clear()
     assert got == load_golden(signed)[n].factors
