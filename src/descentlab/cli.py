@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 mismatch, 2 usage error, 3 resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -87,15 +88,17 @@ def _get_table(cfg: RunConfig, n: int, signed: bool) -> descent.DescentTable:
             print(f"warning: ignoring bad cache: {exc}", file=sys.stderr)
     table = descent.beta_table(n, signed, max_n=cfg.max_n)
     if path:
-        _save_table(table, path, make_dir=True)
+        with _writing(path):
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            descent.save_table(table, path)
     return table
 
 
-def _save_table(table: descent.DescentTable, path: str, make_dir: bool = False) -> None:
+@contextlib.contextmanager
+def _writing(path: str):
+    """Report an OSError raised while writing ``path`` as a usage error."""
     try:
-        if make_dir:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        descent.save_table(table, path)
+        yield
     except OSError as exc:
         raise ContractViolationError(f"cannot write {path}: {exc}") from exc
 
@@ -111,7 +114,8 @@ def cmd_table(cfg: RunConfig) -> int:
         else numbers.euler_number(cfg.n)
     )
     if cfg.out:
-        _save_table(table, cfg.out)
+        with _writing(cfg.out):
+            descent.save_table(table, cfg.out)
     print(
         f"n={table.n} signed={int(table.signed)} subsets={len(table.values)} "
         f"sum={total} sum_ok={'yes' if total == expected_total else 'no'} "

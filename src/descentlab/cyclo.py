@@ -395,66 +395,32 @@ def heuristic_candidates(n: int, bound: int) -> list[int]:
     return [m for m in range(2, bound + 1, 2) if prime_divisors(m)[-1] <= n]
 
 
-def _divisors(m: int) -> list[int]:
-    out = [1]
-    for p in prime_divisors(m):
-        powers = [1]
-        while m % (powers[-1] * p) == 0:
-            powers.append(powers[-1] * p)
-        out = [d * q for d in out for q in powers]
-    return out
-
-
 def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
     """First-fit packing of the candidates into groups whose modulus, the lcm
     of the members, stays at most ``cap``; a candidate above ``cap`` is a
     group of its own.
-
-    A group of modulus L takes m when L / gcd(L, m) <= cap // m, that is when
-    L = d * u for a divisor d of m and some u <= cap // m.  The first such
-    group is found by whichever is shorter: testing the groups in order, or
-    looking up every d * u among the moduli.  Under first-fit no two groups
-    share a modulus (the later group's first member would have fit the
-    earlier one), so one dict maps each modulus to its group.
     """
     groups: list[list[int]] = []
     moduli: list[int] = []
-    group_of: dict[int, int] = {}
     for m in candidates:
-        room = cap // m
-        if not room:
-            fit = None
-        elif room < len(groups) and len(divisors := _divisors(m)) * room < len(groups):
-            found = (group_of.get(d * u) for d in divisors for u in range(1, room + 1))
-            fit = min((g for g in found if g is not None), default=None)
-        else:
+        fit = None
+        if m <= cap:
             fits = map(cap.__ge__, map(math.lcm, moduli, repeat(m)))
             fit = next(compress(count(), fits), None)
         if fit is None:
-            if room:
-                group_of[m] = len(groups)
             groups.append([m])
             moduli.append(m)
         else:
-            del group_of[moduli[fit]]
             moduli[fit] = math.lcm(moduli[fit], m)
-            group_of[moduli[fit]] = fit
             groups[fit].append(m)
     return groups
 
 
 def _fold(hist: list[int], m: int) -> list[int]:
-    """A residue histogram mod a multiple of m, reduced mod m.
-
-    One strided sum per residue, unless m is so large that there are only a
-    few blocks of m to add up (timed: blocks win below about 8).
-    """
-    if 8 * m <= len(hist):
-        return [sum(hist[r::m]) for r in range(m)]
-    counts = hist[:m]
-    for lo in range(m, len(hist), m):
-        counts = list(map(operator.add, counts, hist[lo : lo + m]))
-    return counts
+    """A residue histogram mod a multiple of m, reduced mod m."""
+    if m == len(hist):
+        return hist
+    return [sum(hist[r::m]) for r in range(m)]
 
 
 def _group_multiplicities(
@@ -464,19 +430,14 @@ def _group_multiplicities(
 
     Each order takes one pass over the values into a histogram mod the lcm
     L of the members still alive, and each member m folds its residues off
-    it, since (v mod L) mod m = v mod m when m divides L.  Going down from
-    the largest member, each folds from the smallest histogram already
-    taken whose modulus it divides.
+    it, since (v mod L) mod m = v mod m when m divides L.
     """
     out = []
     alive = group
     for order in range(max_mult):
-        modulus = math.lcm(*alive)
-        folds = {modulus: _residue_counts(values, mults, modulus, order)}
-        for m in sorted(alive, reverse=True):
-            folds[m] = _fold(folds[min(k for k in folds if k % m == 0)], m)
-        divides = [_phi_divides(folds[m], m) for m in alive]
-        del folds
+        hist = _residue_counts(values, mults, math.lcm(*alive), order)
+        divides = [_phi_divides(_fold(hist, m), m) for m in alive]
+        del hist
         out += [(m, order) for m, d in zip(alive, divides) if not d]
         alive = list(compress(alive, divides))
         if not alive:

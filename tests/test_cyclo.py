@@ -297,7 +297,6 @@ def test_candidate_groups(case):
         assert all(modulus % m == 0 for m in g)
         assert modulus <= max(cap, max(g))
         assert len(g) == 1 or modulus <= cap
-    # the divisor lookup finds the same first fitting group as a full scan
     assert groups == first_fit(candidates, cap)
 
 
