@@ -13,7 +13,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
 
 from .descent import DescentTable, beta_table
 from .errors import ContractViolationError, DescentLabError
@@ -22,7 +21,6 @@ from .numbers import SubsetMask, as_mask
 __all__ = [
     "AbPoly",
     "CdPoly",
-    "SignVector",
     "NotInSpanError",
     "ab_index",
     "cd_to_ab",
@@ -109,23 +107,6 @@ class CdPoly:
 
     def coefficient(self, word: str) -> int:
         return self.terms.get(word, 0)
-
-
-@dataclass(frozen=True)
-class SignVector:
-    """The assignment S -> (-1)^|S intersect T| on subsets of {1, ..., n}."""
-
-    n: int
-    T: SubsetMask
-
-    def __post_init__(self) -> None:
-        if self.T.n != self.n:
-            raise ContractViolationError(
-                f"sign pattern lives in universe {self.T.n}, expected {self.n}"
-            )
-
-    def sign(self, S) -> int:
-        return -1 if (as_mask(S, self.n) & self.T.bits).bit_count() % 2 else 1
 
 
 def ab_index(table) -> AbPoly:
@@ -246,7 +227,7 @@ def prepend_a(p: AbPoly) -> AbPoly:
 
 def signed_sum(p: AbPoly, T) -> int:
     """Sum of (-1)^|S intersect T| times the coefficient of the S-pattern."""
-    t = T.T.bits if isinstance(T, SignVector) else as_mask(T, p.degree)
+    t = as_mask(T, p.degree)
     total = 0
     for mask, coeff in enumerate(p.coeffs):
         if coeff:

@@ -26,11 +26,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, permutations, repeat
+from itertools import compress, islice, permutations, repeat
 from pathlib import Path
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
-from .numbers import SubsetMask, as_mask, multinomial, prime_divisors
+from .numbers import SubsetMask, as_mask, mask_to_composition, multinomial, prime_divisors
 
 __all__ = [
     "DEFAULT_LIMITS",
@@ -107,19 +107,6 @@ class ResidueHistogram:
             raise ContractViolationError("inconsistent residue histogram")
 
 
-def _gap_composition(mask: int, total: int) -> tuple[int, ...]:
-    parts = []
-    prev = 0
-    while mask:
-        low = mask & -mask
-        s = low.bit_length()
-        parts.append(s - prev)
-        prev = s
-        mask ^= low
-    parts.append(total - prev)
-    return tuple(parts)
-
-
 def alpha(n: int, S) -> int:
     """Number of permutations of {1, ..., n} with descent set contained in S.
 
@@ -128,7 +115,7 @@ def alpha(n: int, S) -> int:
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
     mask = as_mask(S, n - 1)
-    return multinomial(n, _gap_composition(mask, n))
+    return multinomial(n, mask_to_composition(mask, n))
 
 
 def alpha_signed(n: int, S) -> int:
@@ -143,7 +130,7 @@ def alpha_signed(n: int, S) -> int:
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
     mask = as_mask(S, n)
-    gamma = _gap_composition(mask, n + 1)
+    gamma = mask_to_composition(mask, n + 1)
     first = gamma[0]
     rest = gamma[1:] if first == 1 else (first - 1,) + gamma[1:]
     return multinomial(n, rest) << (n + 1 - first)
@@ -487,48 +474,58 @@ def save_table(table: DescentTable, path) -> None:
         raise
 
 
-def load_table(path) -> DescentTable:
-    """Read a cache file written by :func:`save_table`.
-
-    Raises :class:`CacheError` on any malformation, including a value sum
-    that disagrees with the permutation count.
-    """
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    lines = text.splitlines()
-    if not lines:
+def _parse_header(header: str, path) -> tuple[int, int]:
+    """n and the signed flag (0 or 1) from a cache file's first line."""
+    if not header:
         raise CacheError(f"{path}: empty cache file")
-    head = lines[0].split()
+    line = header.rstrip("\n")
+    bad = CacheError(f"{path}: bad header {line!r}")
+    head = header.split()
     if (
         len(head) != 4
         or " ".join(head[:2]) != CACHE_FORMAT
         or not head[2].startswith("n=")
         or not head[3].startswith("signed=")
     ):
-        raise CacheError(f"{path}: bad header {lines[0]!r}")
+        raise bad
     try:
         n = int(head[2][2:])
         signed_flag = int(head[3][7:])
     except ValueError as exc:
-        raise CacheError(f"{path}: bad header {lines[0]!r}") from exc
+        raise bad from exc
     if n < 1 or signed_flag not in (0, 1):
-        raise CacheError(f"{path}: bad header {lines[0]!r}")
-    signed = bool(signed_flag)
-    body = lines[1:]
-    expected = 1 << (n if signed else n - 1)
-    if len(body) != expected:
+        raise bad
+    return n, signed_flag
+
+
+def load_table(path) -> DescentTable:
+    """Read a cache file written by :func:`save_table`.
+
+    Raises :class:`CacheError` on any malformation, including bytes that
+    are not text and a value sum that disagrees with the permutation count.
+    The values are read line by line, so no copy of the text is held.
+    """
+    try:
+        with open(path, encoding="ascii") as f:
+            header = f.readline()
+            n, signed_flag = _parse_header(header, path)
+            expected = 1 << (n + signed_flag - 1)
+            try:
+                values = tuple(map(int, islice(f, expected)))
+            except ValueError as exc:  # undecodable bytes land here too
+                raise CacheError(f"{path}: non-integer table entry") from exc
+            got = len(values) + sum(1 for _ in f)
+    except OSError as exc:
+        raise CacheError(f"cannot read cache file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CacheError(f"{path}: not a text cache file ({exc.reason})") from exc
+    if got != expected:
         raise CacheError(
             f"{path}: expected {expected} values for n={n} signed={signed_flag}, "
-            f"got {len(body)}"
+            f"got {got}"
         )
-    try:
-        values = tuple(int(line) for line in body)
-    except ValueError as exc:
-        raise CacheError(f"{path}: non-integer table entry") from exc
     if any(v < 0 for v in values):
         raise CacheError(f"{path}: negative table entry")
-    if sum(values) != math.factorial(n) << (n if signed else 0):
+    if sum(values) != math.factorial(n) << (n if signed_flag else 0):
         raise CacheError(f"{path}: table sum does not match the permutation count")
-    return DescentTable(n=n, signed=signed, values=values)
+    return DescentTable(n=n, signed=bool(signed_flag), values=values)

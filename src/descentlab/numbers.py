@@ -1,8 +1,8 @@
 """Integer and subset primitives used everywhere else.
 
-Everything here is exact: compositions, subset bitmasks, binary expansions,
-multinomial coefficients and their base-p carry counts, and the two zigzag
-counting sequences (Euler numbers and their signed analogue).
+Everything here is exact: compositions and the subset masks of their partial
+sums, multinomial coefficients, primes, and the two zigzag counting
+sequences (Euler numbers and their signed analogue).
 """
 
 from __future__ import annotations
@@ -17,16 +17,14 @@ from .errors import ContractViolationError
 __all__ = [
     "Composition",
     "SubsetMask",
-    "BinaryExpansion",
     "as_mask",
     "multinomial",
     "is_prime",
     "prime_divisors",
-    "carries_base_p",
-    "is_multinomial_odd",
+    "mask_to_composition",
+    "composition_to_mask",
     "subset_to_composition",
     "composition_to_subset",
-    "essential_elements",
     "euler_number",
     "signed_euler_number",
 ]
@@ -106,40 +104,6 @@ class SubsetMask:
 
     def __repr__(self) -> str:
         return f"SubsetMask(n={self.n}, elements={{{', '.join(map(str, self))}}})"
-
-
-@dataclass(frozen=True)
-class BinaryExpansion:
-    """The exponents of the binary expansion of a positive integer.
-
-    ``exponents`` is strictly decreasing, so ``BinaryExpansion.of(22)`` holds
-    ``(4, 2, 1)`` and ``value`` gives back 22.
-    """
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for a, b in zip(self.exponents, self.exponents[1:]):
-            if a <= b:
-                raise ContractViolationError(
-                    f"exponents must strictly decrease, got {self.exponents}"
-                )
-        if self.exponents and self.exponents[-1] < 0:
-            raise ContractViolationError("exponents must be nonnegative")
-
-    @classmethod
-    def of(cls, n: int) -> "BinaryExpansion":
-        if n <= 0:
-            raise ContractViolationError(f"need a positive integer, got {n}")
-        return cls(tuple(i for i in range(n.bit_length() - 1, -1, -1) if n >> i & 1))
-
-    @property
-    def popcount(self) -> int:
-        return len(self.exponents)
-
-    @property
-    def value(self) -> int:
-        return sum(1 << e for e in self.exponents)
 
 
 def as_mask(S, universe: int | None = None) -> int:
@@ -224,45 +188,33 @@ def prime_divisors(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _digit_sum(value: int, p: int) -> int:
-    s = 0
-    while value:
-        s += value % p
-        value //= p
-    return s
-
-
-def carries_base_p(gamma: Iterable[int], p: int) -> int:
-    """Number of carries when the parts are added in base p.
-
-    Equals the exponent of the prime p in the multinomial coefficient of the
-    parts, so ``carries_base_p(gamma, p) == 0`` iff p does not divide it.
+def mask_to_composition(mask: int, total: int) -> tuple[int, ...]:
+    """Gaps of the subset with bitmask ``mask`` inside {1, ..., total - 1}:
+    {s1 < ... < sk} maps to (s1, s2 - s1, ..., total - sk), and total 0 to ().
     """
-    if not is_prime(p):
-        raise ContractViolationError(f"base must be prime, got {p}")
-    parts = tuple(gamma)
-    if any(part < 0 for part in parts):
-        raise ContractViolationError(f"parts must be >= 0, got {parts}")
-    total = sum(parts)
-    return (sum(_digit_sum(part, p) for part in parts) - _digit_sum(total, p)) // (
-        p - 1
-    )
+    if total == 0:
+        return ()
+    parts = []
+    prev = 0
+    while mask:
+        low = mask & -mask
+        s = low.bit_length()
+        parts.append(s - prev)
+        prev = s
+        mask ^= low
+    parts.append(total - prev)
+    return tuple(parts)
 
 
-def is_multinomial_odd(gamma: Iterable[int]) -> bool:
-    """True iff the multinomial coefficient of the parts is odd.
-
-    Odd exactly when the binary digits of the parts are pairwise disjoint,
-    i.e. adding them in base 2 produces no carries.
-    """
+def composition_to_mask(parts) -> int:
+    """Inverse of :func:`mask_to_composition`: the bitmask of the partial
+    sums of a sequence of parts, the last (the total) dropped."""
+    bits = 0
     acc = 0
-    for part in gamma:
-        if part < 0:
-            raise ContractViolationError(f"parts must be >= 0, got {part}")
-        if acc & part:
-            return False
-        acc |= part
-    return True
+    for part in parts[:-1]:
+        acc += part
+        bits |= 1 << (acc - 1)
+    return bits
 
 
 def subset_to_composition(S, total: int | None = None) -> Composition:
@@ -279,45 +231,13 @@ def subset_to_composition(S, total: int | None = None) -> Composition:
             raise ContractViolationError(
                 "total is required unless S is a SubsetMask"
             )
-    bits = as_mask(S, total - 1)
-    parts = []
-    prev = 0
-    while bits:
-        low = bits & -bits
-        s = low.bit_length()
-        parts.append(s - prev)
-        prev = s
-        bits ^= low
-    parts.append(total - prev)
-    return Composition(parts)
+    return Composition(mask_to_composition(as_mask(S, total - 1), total))
 
 
 def composition_to_subset(gamma: Iterable[int]) -> SubsetMask:
     """Inverse of :func:`subset_to_composition`: partial sums, last dropped."""
     comp = gamma if isinstance(gamma, Composition) else Composition(gamma)
-    bits = 0
-    acc = 0
-    for part in comp[:-1]:
-        acc += part
-        bits |= 1 << (acc - 1)
-    return SubsetMask(comp.total - 1, bits)
-
-
-def essential_elements(n: int) -> SubsetMask:
-    """Elements e of {1, ..., n - 1} whose binary digits are a nonempty proper
-    subset of the binary digits of n.
-
-    Equivalently the e in {1, ..., n - 1} with binom(n, e) odd.  There are
-    2**popcount(n) - 2 of them.
-    """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    bits = 0
-    sub = (n - 1) & n
-    while sub:
-        bits |= 1 << (sub - 1)
-        sub = (sub - 1) & n
-    return SubsetMask(n - 1, bits)
+    return SubsetMask(comp.total - 1, composition_to_mask(comp))
 
 
 @lru_cache(maxsize=None)

@@ -22,12 +22,11 @@ from typing import Iterable, Iterator
 
 from .descent import _subset_transform, _xor_subset_zeta
 from .errors import ContractViolationError, ResourceLimitError
-from .numbers import Composition
+from .numbers import Composition, composition_to_mask, mask_to_composition
 
 __all__ = [
     "QSymPoly",
     "BQSymPoly",
-    "OrderedSetPartition",
     "m_to_l",
     "l_to_m",
     "multiply",
@@ -36,34 +35,9 @@ __all__ = [
     "f_boolean",
     "f_cubical_B",
     "odd_fundamental_count",
-    "dump",
 ]
 
 _BASES = ("M", "L")
-
-
-def _mask_to_comp(mask: int, total: int) -> tuple[int, ...]:
-    if total == 0:
-        return ()
-    parts = []
-    prev = 0
-    while mask:
-        low = mask & -mask
-        s = low.bit_length()
-        parts.append(s - prev)
-        prev = s
-        mask ^= low
-    parts.append(total - prev)
-    return tuple(parts)
-
-
-def _comp_to_mask(comp: Iterable[int]) -> int:
-    bits = 0
-    acc = 0
-    for part in tuple(comp)[:-1]:
-        acc += part
-        bits |= 1 << (acc - 1)
-    return bits
 
 
 def _validate_header(degree: int, basis: str, modulus: int | None) -> None:
@@ -102,7 +76,7 @@ class QSymPoly:
             raise ContractViolationError(
                 f"composition of {comp.total} indexes nothing in degree {self.degree}"
             )
-        return self.coeffs[_comp_to_mask(comp)]
+        return self.coeffs[composition_to_mask(comp)]
 
 
 @dataclass(frozen=True)
@@ -134,7 +108,7 @@ class BQSymPoly:
                 f"composition of {comp.total} indexes nothing in signed degree "
                 f"{self.degree}"
             )
-        return self.coeffs[_comp_to_mask(comp)]
+        return self.coeffs[composition_to_mask(comp)]
 
 
 def _reduced(vals: list[int], modulus: int | None) -> tuple[int, ...]:
@@ -193,13 +167,13 @@ def multiply(p: QSymPoly, q: QSymPoly) -> QSymPoly:
     for ma, ca in enumerate(p.coeffs):
         if not ca:
             continue
-        ga = _mask_to_comp(ma, p.degree)
+        ga = mask_to_composition(ma, p.degree)
         for mb, cb in enumerate(q.coeffs):
             if not cb:
                 continue
             c = ca * cb
-            for comp, k in _quasi_shuffle(ga, _mask_to_comp(mb, q.degree)):
-                out[_comp_to_mask(comp)] += c * k
+            for comp, k in _quasi_shuffle(ga, mask_to_composition(mb, q.degree)):
+                out[composition_to_mask(comp)] += c * k
     return QSymPoly(degree, "M", _reduced(out, p.modulus), p.modulus)
 
 
@@ -220,31 +194,6 @@ def ordered_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             yield smaller[:i] + (smaller[i] + (k,),) + smaller[i + 1 :]
         for i in range(r + 1):
             yield smaller[:i] + ((k,),) + smaller[i:]
-
-
-@dataclass(frozen=True)
-class OrderedSetPartition:
-    """An ordered sequence of disjoint nonempty blocks covering {1, ..., k}."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ContractViolationError("blocks must be nonempty")
-            if seen & set(block):
-                raise ContractViolationError("blocks must be disjoint")
-            seen |= set(block)
-        k = len(seen)
-        if seen != set(range(1, k + 1)):
-            raise ContractViolationError(
-                f"blocks must cover an initial segment, got ground set {sorted(seen)}"
-            )
-
-    @property
-    def ground_size(self) -> int:
-        return sum(len(b) for b in self.blocks)
 
 
 def product_monomial_singletons(m_list: Iterable[int]) -> QSymPoly:
@@ -270,7 +219,7 @@ def product_monomial_singletons(m_list: Iterable[int]) -> QSymPoly:
     out = [0] * (1 << max(degree - 1, 0))
     for osp in ordered_set_partitions(k):
         comp = tuple(sum(parts[i - 1] for i in block) for block in osp)
-        out[_comp_to_mask(comp)] += 1
+        out[composition_to_mask(comp)] += 1
     return QSymPoly(degree, "M", tuple(out))
 
 
@@ -313,7 +262,7 @@ def f_boolean(n: int, modulus: int | None = None) -> QSymPoly:
             coeffs = {comp: c % modulus for comp, c in nxt.items()}
     out = [0] * (1 << max(n - 1, 0))
     for comp, c in coeffs.items():
-        out[_comp_to_mask(comp)] = c
+        out[composition_to_mask(comp)] = c
     return QSymPoly(n, "M", tuple(out), modulus)
 
 
@@ -345,7 +294,7 @@ def f_cubical_B(n: int, modulus: int | None = None) -> BQSymPoly:
             coeffs = {comp: c % modulus for comp, c in nxt.items()}
     out = [0] * (1 << n)
     for comp, c in coeffs.items():
-        out[_comp_to_mask(comp)] = c
+        out[composition_to_mask(comp)] = c
     return BQSymPoly(n, "M", tuple(out), modulus)
 
 
@@ -374,16 +323,6 @@ def odd_fundamental_count(n: int) -> int:
         support = nxt
     bits = 0
     for comp in support:
-        bits |= 1 << _comp_to_mask(comp)
+        bits |= 1 << composition_to_mask(comp)
     return _xor_subset_zeta(bits, n - 1).bit_count()
 
-
-def dump(p) -> str:
-    """Readable listing, one 'parts : coefficient' line per nonzero term."""
-    total = p.degree + (1 if isinstance(p, BQSymPoly) else 0)
-    lines = []
-    for mask, c in enumerate(p.coeffs):
-        if c:
-            comp = _mask_to_comp(mask, total)
-            lines.append(f"{','.join(map(str, comp))} : {c}")
-    return "\n".join(lines)

@@ -9,7 +9,6 @@ from descentlab.abcd import (
     CdPoly,
     MacmahonCheck,
     NotInSpanError,
-    SignVector,
     ab_index,
     ab_to_cd,
     cd_coefficient,
@@ -153,20 +152,11 @@ def test_top_alternating_cd_coefficient(p, expected):
     assert expected == 2 ** ((p - 1) // 2) * p * euler_number(p - 1)
 
 
-def test_sign_vector():
-    v = SignVector(4, SubsetMask.from_elements(4, [2]))
-    assert v.sign({2}) == -1
-    assert v.sign({1, 3}) == 1
-    assert v.sign({1, 2}) == -1
-    with pytest.raises(ContractViolationError):
-        SignVector(4, SubsetMask(3, 0))
-
-
 def test_signed_sum_b4_with_singleton_interval():
     # {2} is a maximal run of odd length inside {1,2,3}, so the sum vanishes
     p = ab_index(beta_table(4))
     assert signed_sum(p, {2}) == 0
-    assert signed_sum(p, SignVector(3, SubsetMask.from_elements(3, [2]))) == 0
+    assert signed_sum(p, SubsetMask.from_elements(3, [2])) == 0
     # T = {1, 2} has one even run; nothing forces a zero and indeed
     assert signed_sum(p, {1, 2}) == -8
 

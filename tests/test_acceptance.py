@@ -1,17 +1,58 @@
 """Acceptance gate: one test per shipped claim, one pass/fail line each.
 
 Every test prints `ACCEPTANCE <k> <PASS|FAIL>: <detail>` before asserting, so
-a plain `pytest -v tests/test_acceptance.py` reads as a checklist. The checks
-recompute everything from scratch; nothing here trusts the unit tests.
+a plain `pytest -v tests/test_acceptance.py` reads as a checklist.  Claims
+1-10 run the checks of :mod:`descentlab.checks` that state them, at full
+scale; claim 11 runs `verify --suite all --desk-scale` through the CLI.
+Each check compares two independent routes to its numbers (closed form and
+brute force, parity bitset and exact table, flag enumerators and tables,
+factor scans and the recorded rows), so the gate states each claim once and
+`verify` states it with the same code.
 """
 
-import random
 import time
-from fractions import Fraction
+from functools import lru_cache
 
-from descentlab import abcd, cyclo, descent, qsym
+from descentlab import checks
 from descentlab.cli import main
-from descentlab.numbers import euler_number
+
+# claim -> (what it says, the check name prefixes that state it); a prefix is
+# a suite name or a suite name and the start of its check names
+CLAIMS = {
+    1: ("rho at n = 1, 3, 7, 15, 31 is 1, 1/2, 1/2, 29/64, 3991/8192", ("table1",)),
+    2: (
+        "rho is constant on binary-weight classes; the parity route agrees",
+        ("popcount", "parity"),
+    ),
+    3: (
+        "unsigned factor rows 3..16 match the recorded rows at bound 10000; "
+        "the values at -1, i and primitive 2p-th roots decide Phi_2, Phi_4, Phi_2p",
+        ("tables.unsigned", "theoremQ"),
+    ),
+    4: ("signed factor rows 2..10 match the recorded rows at bound 10000", ("tables.signed",)),
+    5: (
+        "closed-form tables equal enumeration and have the complement and "
+        "reversal symmetries",
+        ("oracle", "symmetry"),
+    ),
+    6: ("mod-4 classes (1, 3) split evenly, unsigned n = 4, 8, 16, signed n <= 14", ("mod4",)),
+    7: (
+        "mod-2p classes (1, 2p-1, p-1, p+1) carry 2^(n-3) each where rho = 1/2; "
+        "the mod-p predictions match",
+        ("mod2p", "modp"),
+    ),
+    8: (
+        "Phi_2^2, Phi_4^2, Phi_2p^2 divide where claimed; Phi_4p divides the "
+        "signed prime rows exactly once",
+        ("squares", "signed4p"),
+    ),
+    9: ("the derivative residue identity mod Phi_4p holds for p <= 13", ("derivative",)),
+    10: (
+        "cd-index, odd-run, round-trip, product and flag-route identities; "
+        "divisor products of cyclotomics rebuild t^k - 1",
+        ("structure", "cyclounit"),
+    ),
+}
 
 
 def report(k: int, ok: bool, detail: str) -> None:
@@ -20,231 +61,88 @@ def report(k: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def test_c01_odd_fraction_landmarks():
-    expected = {
-        1: Fraction(1),
-        3: Fraction(1, 2),
-        7: Fraction(1, 2),
-        15: Fraction(29, 64),
-        31: Fraction(3991, 8192),
-    }
-    t0 = time.monotonic()
-    small_ok = all(descent.rho(n) == expected[n] for n in (1, 3, 7, 15))
-    small_s = time.monotonic() - t0
-    t0 = time.monotonic()
-    big_ok = descent.rho(31) == expected[31]
-    big_s = time.monotonic() - t0
-    ok = small_ok and big_ok and small_s < 60 and big_s < 600
+@lru_cache(maxsize=None)
+def full_scale(suite: str) -> tuple:
+    """The results of one suite at full scale, run once per session."""
+    return tuple(checks.SUITES[suite]("full"))
+
+
+def selected(prefixes) -> list:
+    out = []
+    for prefix in prefixes:
+        suite = prefix.split(".")[0]
+        out += [r for r in full_scale(suite) if r.name.startswith(prefix)]
+    return out
+
+
+def claim(k: int, results=None, timely: bool = True, timing: str = "") -> None:
+    summary, prefixes = CLAIMS[k]
+    if results is None:
+        results = selected(prefixes)
+    failed = [r.name for r in results if not r.ok]
     report(
+        k,
+        bool(results) and not failed and timely,
+        f"{summary} ({', '.join(prefixes)}: {len(results) - len(failed)}/"
+        f"{len(results)} checks pass at full scale{timing})"
+        + (f"; failures {failed}" if failed else ""),
+    )
+
+
+def test_c01_odd_fraction_landmarks():
+    # one instance at a time, so that each can be held to a time bound
+    table1 = checks.SUITES["table1"]
+    results = []
+    small_s = big_s = 0.0
+    for n in table1.full["ns"]:
+        t0 = time.monotonic()
+        results += table1("full", n)
+        if n < 31:
+            small_s += time.monotonic() - t0
+        else:
+            big_s = time.monotonic() - t0
+    claim(
         1,
-        ok,
-        f"rho(1,3,7,15)=1,1/2,1/2,29/64 in {small_s:.2f}s; "
-        f"rho(31)=3991/8192 in {big_s:.1f}s",
+        results,
+        timely=small_s < 60 and big_s < 600,
+        timing=f"; rho(1,3,7,15) in {small_s:.2f}s, rho(31) in {big_s:.1f}s",
     )
 
 
 def test_c02_odd_fraction_popcount_classes():
-    classes = {}
-    bad = []
-    for n in range(1, 25):
-        key = n.bit_count()
-        value = descent.rho(n)
-        if key in classes and classes[key] != value:
-            bad.append(n)
-        classes.setdefault(key, value)
-    report(
-        2,
-        not bad,
-        f"rho constant on popcount classes for n<=24, {len(classes)} classes"
-        + (f"; splits at {bad}" if bad else ""),
-    )
+    claim(2)
 
 
 def test_c03_unsigned_factor_rows():
-    golden = cyclo.load_golden(False)
-    mismatches = []
-    for n in range(3, 15):
-        got = cyclo.factor_scan(descent.beta_table(n), max_index=10_000).factors
-        if got != golden[n].factors:
-            mismatches.append((n, got, golden[n].factors))
-    row15 = cyclo.factor_scan(descent.beta_table(15), max_index=10_000).factors
-    row16 = cyclo.factor_scan(descent.beta_table(16), max_index=10_000).factors
-    stretch = (
-        row15 == ()
-        and (4, 2) in row16
-        and (572, 1) in row16
-        and row16 == golden[16].factors
-    )
-    report(
-        3,
-        not mismatches and stretch,
-        "unsigned rows 3..14 match the recorded lists exactly; "
-        "row 15 is empty and row 16 includes Phi_4^2 and Phi_572"
-        + (f"; mismatches {mismatches}" if mismatches else ""),
-    )
+    claim(3)
 
 
 def test_c04_signed_factor_rows():
-    golden = cyclo.load_golden(True)
-    mismatches = []
-    for n in range(2, 11):
-        got = cyclo.factor_scan(
-            descent.beta_table(n, signed=True), max_index=10_000
-        ).factors
-        if got != golden[n].factors:
-            mismatches.append((n, got, golden[n].factors))
-    report(
-        4,
-        not mismatches,
-        "signed rows 2..10 match the recorded lists exactly"
-        + (f"; mismatches {mismatches}" if mismatches else ""),
-    )
+    claim(4)
 
 
 def test_c05_closed_form_equals_enumeration():
-    bad = []
-    for n in range(1, 9):
-        if descent.beta_table(n) != descent.brute_force_table(n):
-            bad.append((n, False))
-    for n in range(1, 7):
-        if descent.beta_table(n, signed=True) != descent.brute_force_table(
-            n, signed=True
-        ):
-            bad.append((n, True))
-    report(
-        5,
-        not bad,
-        "closed-form tables equal exhaustive enumeration "
-        "(unsigned n<=8, signed n<=6)" + (f"; failures {bad}" if bad else ""),
-    )
+    claim(5)
 
 
 def test_c06_mod_four_split():
-    bad = []
-    for n in (4, 8, 16):
-        c = descent.residue_histogram(descent.beta_table(n), 4).counts
-        if c != (0, 1 << (n - 2), 0, 1 << (n - 2)):
-            bad.append(("unsigned", n, c))
-    for n in range(2, 15):
-        c = descent.residue_histogram(descent.beta_table(n, signed=True), 4).counts
-        if c != (0, 1 << (n - 1), 0, 1 << (n - 1)):
-            bad.append(("signed", n, c))
-    report(
-        6,
-        not bad,
-        "mod-4 classes (1,3) carry (2^(n-2), 2^(n-2)) unsigned at n=4,8,16 "
-        "and (2^(n-1), 2^(n-1)) signed for 2<=n<=14"
-        + (f"; failures {bad}" if bad else ""),
-    )
+    claim(6)
 
 
 def test_c07_mod_2p_split():
-    cases = [(5, 5), (9, 3), (6, 3), (10, 5), (14, 7), (18, 3)]
-    bad = []
-    for n, p in cases:
-        if descent.rho(n) != Fraction(1, 2):
-            bad.append((n, p, "rho"))
-            continue
-        m = 2 * p
-        c = descent.residue_histogram(descent.beta_table(n), m).counts
-        expect = 1 << (n - 3)
-        classes = (1, m - 1, p - 1, p + 1)
-        stray = sum(c[r] for r in range(m) if r not in classes)
-        if stray or any(c[r] != expect for r in classes):
-            bad.append((n, p, c))
-    report(
-        7,
-        not bad,
-        "mod-2p classes (1, 2p-1, p-1, p+1) each carry 2^(n-3) for the six "
-        "half-rho cases" + (f"; failures {bad}" if bad else ""),
-    )
+    claim(7)
 
 
 def test_c08_square_and_once_only_factors():
-    bad = []
-    for n in (5, 6, 9, 10, 12):
-        if not cyclo.divides_order(descent.beta_table(n), 2, 1):
-            bad.append(("Phi_2^2", n))
-    for n in (4, 8, 16):
-        if not cyclo.divides_order(descent.beta_table(n), 4, 1):
-            bad.append(("Phi_4^2", n))
-    for n, m in ((6, 6), (10, 10), (18, 6)):
-        if not cyclo.divides_order(descent.beta_table(n), m, 1):
-            bad.append((f"Phi_{m}^2", n))
-    for p in (3, 5, 7, 11, 13):
-        table = descent.beta_table(p, signed=True)
-        once = cyclo.divides_order(table, 4 * p, 0)
-        twice = once and cyclo.divides_order(table, 4 * p, 1)
-        if not once or twice:
-            bad.append((f"Phi_{4 * p} exactly once", p))
-    report(
-        8,
-        not bad,
-        "squares Phi_2^2, Phi_4^2, Phi_2p^2 divide where claimed and Phi_4p "
-        "divides the signed prime rows exactly once"
-        + (f"; failures {bad}" if bad else ""),
-    )
+    claim(8)
 
 
 def test_c09_derivative_identity():
-    magnitudes = {3: 24, 5: 800, 7: 54656}
-    bad = []
-    for p, want in magnitudes.items():
-        chk = cyclo.signed_derivative_theorem_check(p)
-        if not (chk.ok and chk.magnitude == want):
-            bad.append((p, chk.magnitude))
-        if chk.magnitude != (1 << p) * p * euler_number(p - 1):
-            bad.append((p, "closed form"))
-    report(
-        9,
-        not bad,
-        "derivative residue identity holds mod Phi_4p for p=3,5,7 with "
-        "magnitudes 24, 800, 54656" + (f"; failures {bad}" if bad else ""),
-    )
+    claim(9)
 
 
 def test_c10_structural_identities():
-    bad = []
-    for n in range(1, 10):
-        lhs = abcd.ab_to_cd(abcd.ab_index(descent.beta_table(n, signed=True)))
-        rhs = abcd.omega(abcd.prepend_a(abcd.ab_index(descent.beta_table(n))))
-        if lhs.terms != rhs.terms:
-            bad.append(("cube", n))
-    for n in range(2, 11):
-        poly = abcd.ab_index(descent.beta_table(n))
-        if any(
-            abcd.signed_sum(poly, t) != 0
-            for t in range(1 << (n - 1))
-            if abcd.has_odd_run(t, n - 1)
-        ):
-            bad.append(("oddrun.B", n))
-    for n in range(2, 9):
-        poly = abcd.ab_index(descent.beta_table(n, signed=True))
-        if any(
-            abcd.signed_sum(poly, t) != 0
-            for t in range(1 << n)
-            if abcd.has_odd_run(t, n)
-        ):
-            bad.append(("oddrun.C", n))
-    for n in range(1, 11):
-        poly = abcd.ab_index(descent.beta_table(n))
-        if abcd.cd_to_ab(abcd.ab_to_cd(poly)).coeffs != poly.coeffs:
-            bad.append(("roundtrip", n))
-    rng = random.Random(1896)
-    for k in rng.sample(range(1, 10_001), 100):
-        prod = cyclo.IntPoly((1,))
-        for d in range(1, k + 1):
-            if k % d == 0:
-                prod = prod * cyclo.cyclotomic(d)
-        if prod != cyclo.IntPoly.from_terms({0: -1, k: 1}):
-            bad.append(("cyclotomic", k))
-    report(
-        10,
-        not bad,
-        "signed cd-index identity (n<=9), odd-run vanishing (B n<=10, C n<=8), "
-        "cd round-trips (n<=10), and 100 random divisor products rebuild "
-        "t^k - 1" + (f"; failures {bad}" if bad else ""),
-    )
+    claim(10)
 
 
 def test_c11_cli_verify_desk_scale(capsys):
@@ -255,21 +153,6 @@ def test_c11_cli_verify_desk_scale(capsys):
         report(11, code == 0 and "FAIL" not in out, f"exit={code}; {summary}")
 
 
-# keep the flag enumerator routes exercised from the gate as well: they are
-# the only consumers of qsym outside the unit tests
-def test_c10b_flag_enumerator_routes():
-    bad = []
-    for n in range(1, 9):
-        if qsym.m_to_l(qsym.f_boolean(n)).coeffs != descent.beta_table(n).values:
-            bad.append(("boolean", n))
-        if (
-            qsym.m_to_l(qsym.f_cubical_B(n)).coeffs
-            != descent.beta_table(n, signed=True).values
-        ):
-            bad.append(("cube", n))
-    report(
-        10,
-        not bad,
-        "flag enumerators reproduce both descent tables for n<=8"
-        + (f"; failures {bad}" if bad else ""),
-    )
+def test_every_suite_runs_at_full_scale_in_a_claim():
+    claimed = {p.split(".")[0] for _, prefixes in CLAIMS.values() for p in prefixes}
+    assert claimed == set(checks.SUITES)

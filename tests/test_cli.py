@@ -1,3 +1,7 @@
+from fractions import Fraction
+
+import pytest
+
 from descentlab import descent
 from descentlab.cli import main
 
@@ -51,9 +55,12 @@ def test_table_cache_env_var(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "table-v1-n4-s0.txt").exists()
 
 
-def test_table_corrupt_cache_recovers(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content", [b"not a table\n", b"\xff\xfe\x00garbage"], ids=["text", "binary"]
+)
+def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
     path = tmp_path / "table-v1-n5-s0.txt"
-    path.write_text("not a table\n")
+    path.write_bytes(content)
     code, out, err = run(capsys, "table", "--n", "5", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "warning: ignoring bad cache" in err
@@ -214,6 +221,28 @@ def test_verify_empty_selection(capsys):
     assert "no checks selected" in err
 
 
+@pytest.mark.parametrize(
+    "suite, failed, summary",
+    [
+        ("table1", "FAIL table1.rho.n7: rho=1/3 expected=1/2 half_minus_rho=1/6", "3/4"),
+        (
+            "popcount",
+            "FAIL popcount.dualroute: odd counts agree with parities for n<=14; "
+            "mismatches at [7]",
+            "3/5",
+        ),
+    ],
+    ids=["table1", "popcount"],
+)
+def test_verify_fails_on_a_wrong_value(capsys, monkeypatch, suite, failed, summary):
+    rho = descent.rho
+    monkeypatch.setattr(descent, "rho", lambda n: Fraction(1, 3) if n == 7 else rho(n))
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--desk-scale")
+    assert code == 1
+    assert failed in out.splitlines()
+    assert out.splitlines()[-1] == f"verify: {summary} checks passed (desk scale)"
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -249,16 +278,6 @@ def test_console_script_wiring():
     # the entry point target referenced in packaging metadata must exist
     assert callable(cli.main)
     assert cli.main.__module__ == "descentlab.cli"
-
-
-def test_verify_all_desk_scale(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--desk-scale")
-    assert code == 0
-    summary = out.strip().splitlines()[-1]
-    assert summary.startswith("verify: ")
-    passed, _, total = summary.split()[1].partition("/")
-    assert passed == total.split()[0]
-    assert "FAIL" not in out
 
 
 def test_cache_dir_used_by_factors(tmp_path, capsys):

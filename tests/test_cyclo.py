@@ -418,6 +418,7 @@ def test_golden_tables_load():
     gs = load_golden(True)
     assert gu[8].factors == ((4, 2), (28, 1))
     assert gu[15].factors == ()
+    assert (4, 2) in gu[16].factors and (572, 1) in gu[16].factors
     assert gs[2].factors == ((4, 1),)
     assert all(r.signed for r in gs.values())
     assert set(gu) == set(range(3, 24))

@@ -152,14 +152,6 @@ def test_rho_table():
     assert rho(16) == Fraction(1)
 
 
-def test_rho_depends_only_on_popcount():
-    seen = {}
-    for n in range(1, 19):
-        seen.setdefault(n.bit_count(), set()).add(rho(n))
-    for values in seen.values():
-        assert len(values) == 1
-
-
 def test_residue_histogram_counts():
     t = beta_table(4)
     h = residue_histogram(t, 4)

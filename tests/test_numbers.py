@@ -6,16 +6,14 @@ from hypothesis import strategies as st
 
 from descentlab.errors import ContractViolationError
 from descentlab.numbers import (
-    BinaryExpansion,
     Composition,
     SubsetMask,
     as_mask,
-    carries_base_p,
+    composition_to_mask,
     composition_to_subset,
-    essential_elements,
     euler_number,
-    is_multinomial_odd,
     is_prime,
+    mask_to_composition,
     prime_divisors,
     multinomial,
     signed_euler_number,
@@ -65,15 +63,6 @@ def test_as_mask_three_forms():
         as_mask(0b10000, 4)
 
 
-def test_binary_expansion():
-    e = BinaryExpansion.of(22)
-    assert e.exponents == (4, 2, 1)
-    assert e.popcount == 3
-    assert e.value == 22
-    with pytest.raises(ContractViolationError):
-        BinaryExpansion((1, 3))
-
-
 def test_multinomial_values():
     assert multinomial(0, ()) == 1
     assert multinomial(4, (2, 2)) == 6
@@ -111,29 +100,6 @@ def test_prime_divisors():
         prime_divisors(0)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=4),
-    st.sampled_from([2, 3, 5, 7]),
-)
-def test_carries_count_prime_exponent(parts, p):
-    value = multinomial(sum(parts), parts)
-    e = 0
-    while value % p == 0:
-        value //= p
-        e += 1
-    assert carries_base_p(parts, p) == e
-
-
-def test_carries_requires_prime():
-    with pytest.raises(ContractViolationError):
-        carries_base_p((1, 2), 4)
-
-
-@given(st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=5))
-def test_odd_multinomial_agrees_with_carries(parts):
-    assert is_multinomial_odd(parts) == (carries_base_p(parts, 2) == 0)
-
-
 def test_subset_composition_round_trip():
     s = SubsetMask.from_elements(7, [2, 3, 6])
     c = subset_to_composition(s)
@@ -143,6 +109,10 @@ def test_subset_composition_round_trip():
     assert tuple(subset_to_composition(0b100110, total=8)) == (2, 1, 3, 2)
     with pytest.raises(ContractViolationError):
         subset_to_composition(0b110)
+    # the int-level pair behind both, with the empty composition of 0
+    assert mask_to_composition(0b100110, 8) == (2, 1, 3, 2)
+    assert composition_to_mask((2, 1, 3, 2)) == 0b100110
+    assert mask_to_composition(0, 0) == () and composition_to_mask(()) == 0
 
 
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0))
@@ -151,21 +121,6 @@ def test_subset_composition_inverse(total, seed):
     comp = subset_to_composition(mask, total=total)
     assert comp.total == total
     assert composition_to_subset(comp).bits == mask
-
-
-def test_essential_elements_examples():
-    assert list(essential_elements(6)) == [2, 4]
-    assert list(essential_elements(8)) == []
-    assert list(essential_elements(10)) == [2, 8]
-    assert list(essential_elements(7)) == [1, 2, 3, 4, 5, 6]
-
-
-@given(st.integers(min_value=1, max_value=400))
-def test_essential_elements_are_odd_binomials(n):
-    members = set(essential_elements(n))
-    for e in range(1, n):
-        assert (e in members) == (math.comb(n, e) % 2 == 1)
-    assert len(members) == (1 << n.bit_count()) - 2
 
 
 def test_euler_numbers():

@@ -8,9 +8,7 @@ from descentlab.descent import beta_table, rho
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.qsym import (
     BQSymPoly,
-    OrderedSetPartition,
     QSymPoly,
-    dump,
     f_boolean,
     f_cubical_B,
     l_to_m,
@@ -127,17 +125,6 @@ def test_ordered_set_partition_counts():
         assert sum(1 for _ in ordered_set_partitions(k)) == count
 
 
-def test_ordered_set_partition_validation():
-    OrderedSetPartition(((2, 1), (3,)))
-    with pytest.raises(ContractViolationError):
-        OrderedSetPartition(((1,), ()))
-    with pytest.raises(ContractViolationError):
-        OrderedSetPartition(((1,), (1, 2)))
-    with pytest.raises(ContractViolationError):
-        OrderedSetPartition(((1,), (4,)))
-    assert OrderedSetPartition(((2, 1), (3,))).ground_size == 3
-
-
 @pytest.mark.parametrize("parts", [(1, 1), (2, 1), (1, 1, 1), (3, 2), (1, 2, 1, 2)])
 def test_singleton_products_agree_with_quasi_shuffle(parts):
     via_osp = product_monomial_singletons(parts)
@@ -217,9 +204,3 @@ def test_odd_fundamental_count_small_direct():
         odd = sum(v % 2 for v in beta_table(n).values)
         assert odd_fundamental_count(n) == odd
 
-
-def test_dump_lists_nonzero_terms():
-    text = dump(f_boolean(2))
-    assert sorted(text.splitlines()) == ["1,1 : 2", "2 : 1"]
-    text_s = dump(f_cubical_B(1))
-    assert sorted(text_s.splitlines()) == ["1,1 : 2", "2 : 1"]
