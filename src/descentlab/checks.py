@@ -71,6 +71,14 @@ def _keep(only: int | None, instances) -> list:
     ]
 
 
+def _verdict(name: str, bad: list, detail: str, label: str) -> CheckResult:
+    """A check that passes when ``bad`` is empty, and otherwise names it.
+
+    A check over a list of instances is made only when ``--n`` kept some.
+    """
+    return CheckResult(name, not bad, detail + (f"; {label} {bad}" if bad else ""))
+
+
 _RHO_LANDMARKS = {
     1: Fraction(1),
     3: Fraction(1, 2),
@@ -114,19 +122,15 @@ def _popcount(at, only) -> list[CheckResult]:
                 f"n={ns} rho={sorted(values)}",
             )
         )
-    bad = []
-    for n in _keep(only, at.dualroute):
-        oc = qsym.odd_fundamental_count(n)
-        if Fraction(oc, 1 << (n - 1)) != descent.rho(n):
-            bad.append(n)
-    out.append(
-        CheckResult(
-            "popcount.dualroute",
-            not bad,
-            f"odd counts agree with parities for n<={at.dualroute[-1]}"
-            + (f"; mismatches at {bad}" if bad else ""),
-        )
-    )
+    dual = _keep(only, at.dualroute)
+    bad = [
+        n
+        for n in dual
+        if Fraction(qsym.odd_fundamental_count(n), 1 << (n - 1)) != descent.rho(n)
+    ]
+    if dual:
+        detail = f"odd counts agree with parities for n<={at.dualroute[-1]}"
+        out.append(_verdict("popcount.dualroute", bad, detail, "mismatches at"))
     return out
 
 
@@ -304,20 +308,16 @@ def _root_pair_residue(coeff: int, m: int) -> cyclo.IntPoly:
 )
 def _theoremq(at, only) -> list[CheckResult]:
     out = []
-    bad = []
-    for n in _keep(only, at.minus1):
-        got = cyclo.eval_special(descent.beta_table(n), -1)
-        want = (1 << (n - 1)) - 2 * _odd_count(n)
-        if got != want:
-            bad.append(n)
-    out.append(
-        CheckResult(
-            "theoremQ.minus1",
-            not bad,
-            f"value at -1 matches 2^n(1/2 - rho) for n<={at.minus1[-1]}"
-            + (f"; mismatches at {bad}" if bad else ""),
-        )
-    )
+    minus1 = _keep(only, at.minus1)
+    bad = [
+        n
+        for n in minus1
+        if cyclo.eval_special(descent.beta_table(n), -1)
+        != (1 << (n - 1)) - 2 * _odd_count(n)
+    ]
+    if minus1:
+        detail = f"value at -1 matches 2^n(1/2 - rho) for n<={at.minus1[-1]}"
+        out.append(_verdict("theoremQ.minus1", bad, detail, "mismatches at"))
     for n in _keep(only, at.imag):
         got = cyclo.eval_special(descent.beta_table(n), "i")
         out.append(
@@ -357,27 +357,15 @@ def _theoremq(at, only) -> list[CheckResult]:
     for n in _keep(only, at.controls):
         table = descent.beta_table(n)
         hits = [q for q in odd_pp if cyclo.divides_order(table, q, 0)]
-        out.append(
-            CheckResult(
-                f"theoremQ.oddcontrol.n{n}",
-                not hits,
-                f"no odd prime power index divides (tried {odd_pp})"
-                + (f"; hits {hits}" if hits else ""),
-            )
-        )
+        detail = f"no odd prime power index divides (tried {odd_pp})"
+        out.append(_verdict(f"theoremQ.oddcontrol.n{n}", hits, detail, "hits"))
         if n in (4, 8, 16):
             blocked = odd_pp
         else:
             blocked = [5, 25, 7, 11, 13]
         hits = [2 * q for q in blocked if cyclo.divides_order(table, 2 * q, 0)]
-        out.append(
-            CheckResult(
-                f"theoremQ.evencontrol.n{n}",
-                not hits,
-                f"no blocked doubled index divides (tried {[2 * q for q in blocked]})"
-                + (f"; hits {hits}" if hits else ""),
-            )
-        )
+        detail = f"no blocked doubled index divides (tried {[2 * q for q in blocked]})"
+        out.append(_verdict(f"theoremQ.evencontrol.n{n}", hits, detail, "hits"))
     for n in _keep(only, at.landmark):
         value = (1 << (n - 1)) - 2 * _odd_count(n)
         odd_part = value
@@ -523,19 +511,15 @@ def _structure(at, only) -> list[CheckResult]:
                 "signed sums vanish on every odd-run pattern",
             )
         )
-    bad_rt = []
-    for n in _keep(only, at.roundtrip):
+    roundtrip = _keep(only, at.roundtrip)
+    bad = []
+    for n in roundtrip:
         poly = abcd.ab_index(descent.beta_table(n))
         if abcd.cd_to_ab(abcd.ab_to_cd(poly)).coeffs != poly.coeffs:
-            bad_rt.append(n)
-    out.append(
-        CheckResult(
-            "structure.roundtrip",
-            not bad_rt,
-            f"cd rewriting round-trips the unsigned ab-index for n<={at.roundtrip[-1]}"
-            + (f"; failures at {bad_rt}" if bad_rt else ""),
-        )
-    )
+            bad.append(n)
+    if roundtrip:
+        detail = f"cd rewriting round-trips the unsigned ab-index for n<={at.roundtrip[-1]}"
+        out.append(_verdict("structure.roundtrip", bad, detail, "failures at"))
     bad_pairs = 0
     total_pairs = 0
     for m in range(1, at.product_top):
@@ -573,23 +557,19 @@ def _structure(at, only) -> list[CheckResult]:
                 f"[{word}] = {got}, expected {expected_coef[p]}",
             )
         )
-    bad_q = []
-    for n in _keep(only, at.flagroutes):
+    flagroutes = _keep(only, at.flagroutes)
+    bad = []
+    for n in flagroutes:
         if qsym.m_to_l(qsym.f_boolean(n)).coeffs != descent.beta_table(n).values:
-            bad_q.append(("boolean", n))
+            bad.append(("boolean", n))
         if (
             qsym.m_to_l(qsym.f_cubical_B(n)).coeffs
             != descent.beta_table(n, signed=True).values
         ):
-            bad_q.append(("cube", n))
-    out.append(
-        CheckResult(
-            "structure.flagroutes",
-            not bad_q,
-            f"flag enumerator L-coefficients match both tables for n<={at.flagroutes[-1]}"
-            + (f"; failures {bad_q}" if bad_q else ""),
-        )
-    )
+            bad.append(("cube", n))
+    if flagroutes:
+        detail = f"flag enumerator L-coefficients match both tables for n<={at.flagroutes[-1]}"
+        out.append(_verdict("structure.flagroutes", bad, detail, "failures"))
     bad_lists = []
     for parts in at.partitions:
         via_osp = qsym.product_monomial_singletons(parts)
@@ -602,14 +582,8 @@ def _structure(at, only) -> list[CheckResult]:
             acc = qsym.multiply(acc, mono)
         if acc.coeffs != via_osp.coeffs:
             bad_lists.append(parts)
-    out.append(
-        CheckResult(
-            "structure.partitionproduct",
-            not bad_lists,
-            "ordered set partition expansion matches the quasi-shuffle product"
-            + (f"; failures {bad_lists}" if bad_lists else ""),
-        )
-    )
+    detail = "ordered set partition expansion matches the quasi-shuffle product"
+    out.append(_verdict("structure.partitionproduct", bad_lists, detail, "failures"))
     return out
 
 
@@ -627,14 +601,8 @@ def _cyclounit(at, only) -> list[CheckResult]:
                 prod = prod * cyclo.cyclotomic(d)
         if prod != cyclo.IntPoly.from_terms({0: -1, k: 1}):
             bad.append(k)
-    out.append(
-        CheckResult(
-            "cyclounit.product",
-            not bad,
-            f"product over divisors rebuilds t^k - 1 for {len(ks)} indexes"
-            + (f"; failures at {bad}" if bad else ""),
-        )
-    )
+    detail = f"product over divisors rebuilds t^k - 1 for {len(ks)} indexes"
+    out.append(_verdict("cyclounit.product", bad, detail, "failures at"))
     bad_units = []
     for m in range(2, 200):
         value = cyclo.cyclotomic(m)(1)
@@ -642,14 +610,8 @@ def _cyclounit(at, only) -> list[CheckResult]:
         expected = primes[0] if len(primes) == 1 else 1
         if value != expected:
             bad_units.append(m)
-    out.append(
-        CheckResult(
-            "cyclounit.at1",
-            not bad_units,
-            "value at 1 is p on prime power indexes and 1 otherwise (m < 200)"
-            + (f"; failures at {bad_units}" if bad_units else ""),
-        )
-    )
+    detail = "value at 1 is p on prime power indexes and 1 otherwise (m < 200)"
+    out.append(_verdict("cyclounit.at1", bad_units, detail, "failures at"))
     return out
 
 

@@ -9,11 +9,16 @@ An exact table is built packed: slot k of one byte buffer holds the value
 for mask k in a fixed number of bytes, enough for n! (times 2**n when
 signed).  The alpha values (permutations with descent set inside S) are
 written block by block, one big-int multiply per pair of top elements, and
-the subset Moebius inversion then runs as big-int subtractions over
-cache-sized chunks of slots.  No slot ever borrows from the next: after the
-passes over any set P of elements, slot S counts the permutations whose
+the slots are unpacked once into the table's tuple of ints.
+
+One engine, :func:`_packed_transform`, runs the subset transforms over
+packed slots as big-int operations on cache-sized chunks, with two
+operations.  The exact table takes the Moebius inversion of alpha with
+subtraction over byte slots: no slot borrows from the next, since after
+the passes over any set P of elements slot S counts the permutations whose
 descent set agrees with S on P and lies inside S off P, a number between 0
-and alpha(S).  The slots are unpacked once into the table's tuple of ints.
+and alpha(S).  The parity route takes the zeta transform mod 2 with XOR
+over 1-bit slots, which cannot carry at all.
 """
 
 from __future__ import annotations
@@ -51,7 +56,8 @@ __all__ = [
 
 # Ceilings on n.  beta_table refuses a larger n unless the caller raises
 # max_n.  The parity route (beta_parity_bitset, rho) has no override: at
-# n = 31 its 2**30-bit tables already take about 750 MB.
+# n = 31 its 2**30-bit table is 128 MB, and `rho --n 31` peaks at about
+# 150 MB.
 DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
@@ -136,13 +142,13 @@ def alpha_signed(n: int, S) -> int:
     return multinomial(n, rest) << (n + 1 - first)
 
 
-def _subset_transform(vals: list, sign: int) -> None:
-    """vals[S] <- sum over T subset of S of sign**|S - T| vals[T], in place.
+def _subset_transform(vals: list, op) -> None:
+    """vals[S] <- op(vals[S], vals[S - {b}]) for every element b of S, in place.
 
-    Sign 1 is the subset zeta transform, sign -1 its inverse, the subset
-    Moebius inversion.
+    ``operator.add`` gives the subset zeta transform (sums over subsets),
+    ``operator.sub`` its inverse, the subset Moebius inversion, and
+    ``operator.xor`` the zeta transform mod 2.
     """
-    op = operator.add if sign > 0 else operator.sub
     size = len(vals)
     step = 1
     while step < size:
@@ -167,9 +173,9 @@ def _tile(run: int, total: int) -> int:
     return tile
 
 
-# The Moebius passes run over chunks of 2**_CHUNK_BITS slots, small enough
-# that a chunk and its temporaries stay in the processor's cache.
-_CHUNK_BITS = 12
+# The packed transform runs over chunks of at most this many bytes, small
+# enough that a chunk and its temporaries stay in the processor's cache.
+_CHUNK_BYTES = 1 << 15
 
 
 def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
@@ -197,33 +203,45 @@ def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
     return buf
 
 
-def _mobius_packed(buf: bytearray, universe: int, width: int) -> None:
-    """Subset Moebius inversion of the slots of ``buf``, in place.
+def _packed_transform(buf: bytearray, universe: int, bits: int, op) -> None:
+    """:func:`_subset_transform` under ``op`` of the packed slots of ``buf``.
 
-    One pass per mask bit b subtracts from each slot whose mask has bit b
-    the slot of the same mask without it.  The slots must hold the subset
-    sums of nonnegative counts, as alpha holds those of beta: after the
-    passes over a set P of bits, slot S holds the sum of the counts of the
-    T inside S that agree with S on P (for alpha, the permutations whose
-    descent set agrees with S on P and lies inside S off P).  So every slot
-    stays between 0 and its start value, no subtraction borrows from the
-    next slot, and a whole run of slots is one big-int subtraction.
+    Slot k, the entry for mask k, is the ``bits`` bits from bit k * bits of
+    the little-endian buffer.  A run of slots is one big integer, so ``op``
+    must never carry or borrow across a slot boundary (see the module
+    docstring for why XOR and the Moebius subtraction do not).
+
+    A chunk is the largest power of two of slots within ``_CHUNK_BYTES``,
+    or the whole buffer when that is smaller; inside it each pass is one
+    big-int operation with a tile built once.  The elements above the chunk
+    size pair whole chunks, in two rounds so that only a few chunks are
+    held as ints at a time (all of them at once would double the memory of
+    the buffer): first among neighbouring chunks, then among chunks a group
+    apart.
     """
-    low = min(universe, _CHUNK_BITS)
-    chunk = width << low
-    shifts = [(8 * width) << b for b in range(low)]
-    passes = [(_tile(shift, 8 * chunk), shift) for shift in shifts]
+    low = min(universe, (8 * _CHUNK_BYTES // bits).bit_length() - 1)
+    chunk = max((bits << low) // 8, 1)
+    passes = [(_tile(bits << b, 8 * chunk), bits << b) for b in range(low)]
+    count = 1 << (universe - low)
+    group = 1 << ((universe - low + 1) // 2)
     view = memoryview(buf)
-    chunks = []
-    for lo in range(0, len(buf), chunk):
-        x = int.from_bytes(view[lo : lo + chunk], "little")
-        for tile, shift in passes:
-            x -= (x & tile) << shift
-        chunks.append(x)
-    # The elements above the chunk size pair whole chunks.
-    _subset_transform(chunks, -1)
-    for i, x in enumerate(chunks):
-        view[i * chunk : (i + 1) * chunk] = x.to_bytes(chunk, "little")
+
+    def transform(indexes, inner) -> None:
+        xs = []
+        for i in indexes:
+            x = int.from_bytes(view[i * chunk : (i + 1) * chunk], "little")
+            for tile, shift in inner:
+                x = op(x, (x & tile) << shift)
+            xs.append(x)
+        _subset_transform(xs, op)
+        for i, x in zip(indexes, xs):
+            view[i * chunk : (i + 1) * chunk] = x.to_bytes(chunk, "little")
+
+    for lo in range(0, count, group):
+        transform(range(lo, lo + group), passes)
+    if group < count:
+        for lo in range(group):
+            transform(range(lo, count, group), ())
 
 
 def _unpack(buf: bytearray, width: int) -> list[int]:
@@ -258,7 +276,7 @@ def _table(n: int, signed: bool) -> DescentTable:
     # of (signed) permutations.
     width = ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
     buf = _packed_alpha(n, signed, width)
-    _mobius_packed(buf, universe, width)
+    _packed_transform(buf, universe, 8 * width, operator.sub)
     values = _unpack(buf, width)
     del buf  # before the tuple doubles the list's pointers
     return DescentTable(n=n, signed=signed, values=tuple(values))
@@ -317,23 +335,25 @@ def brute_force_table(n: int, signed: bool = False) -> DescentTable:
     return DescentTable(n=n, signed=True, values=tuple(counts))
 
 
-def _xor_subset_zeta(bits: int, universe: int) -> int:
-    """Mod-2 subset sums of a Boolean table packed into one integer.
+def _bitset(universe: int) -> bytearray:
+    """A zeroed buffer of one bit per subset of a ``universe``-element set."""
+    return bytearray(max((1 << universe) >> 3, 1))
 
-    Bit S of the result is the XOR of the input bits over all subsets of S.
-    """
-    width = 1 << universe
-    for b in range(universe):
-        step = 1 << b
-        bits ^= (bits & _tile(step, width)) << step
-    return bits
+
+def _bit_count(buf: bytearray) -> int:
+    """The number of set bits of ``buf``, counted one chunk at a time."""
+    view = memoryview(buf)
+    return sum(
+        int.from_bytes(view[lo : lo + _CHUNK_BYTES], "little").bit_count()
+        for lo in range(0, len(buf), _CHUNK_BYTES)
+    )
 
 
 def _chain_positions(n: int) -> bytearray:
     # alpha_n(S) is odd iff the elements of S form a chain under bitwise
     # containment whose top is a proper submask of n, so the odd positions
     # are enumerated by extending chains one strict superset at a time.
-    out = bytearray(max((1 << (n - 1)) >> 3, 1))
+    out = _bitset(n - 1)
 
     def visit(pos: int, top: int) -> None:
         out[pos >> 3] |= 1 << (pos & 7)
@@ -349,6 +369,19 @@ def _chain_positions(n: int) -> bytearray:
     return out
 
 
+def _parity_bits(n: int) -> bytearray:
+    """beta_n mod 2 over all subsets, bit k for mask k: the mod-2 zeta
+    transform of the odd alpha positions."""
+    if n < 1:
+        raise ContractViolationError(f"n must be >= 1, got {n}")
+    limit = DEFAULT_LIMITS["parity"]
+    if n > limit:
+        raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
+    buf = _chain_positions(n)
+    _packed_transform(buf, n - 1, 1, operator.xor)
+    return buf
+
+
 def beta_parity_bitset(n: int) -> int:
     """Parities of beta_n over all subsets, packed into one integer.
 
@@ -356,20 +389,13 @@ def beta_parity_bitset(n: int) -> int:
     memory proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]``
     is refused.
     """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = DEFAULT_LIMITS["parity"]
-    if n > limit:
-        raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
-    packed = int.from_bytes(_chain_positions(n), "little")
-    return _xor_subset_zeta(packed, n - 1)
+    return int.from_bytes(_parity_bits(n), "little")
 
 
 @lru_cache(maxsize=None)
 def rho(n: int) -> Fraction:
     """Fraction of subsets S of {1, ..., n-1} with beta_n(S) odd."""
-    odd = beta_parity_bitset(n).bit_count()
-    return Fraction(odd, 1 << (n - 1))
+    return Fraction(_bit_count(_parity_bits(n)), 1 << (n - 1))
 
 
 def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:

@@ -15,12 +15,13 @@ closed-form counting in :mod:`descentlab.descent`.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import _subset_transform, _xor_subset_zeta
+from .descent import _bit_count, _bitset, _packed_transform, _subset_transform
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import Composition, composition_to_mask, mask_to_composition
 
@@ -122,7 +123,7 @@ def m_to_l(p):
     if p.basis != "M":
         raise ContractViolationError(f"expected M basis, got {p.basis!r}")
     vals = list(p.coeffs)
-    _subset_transform(vals, -1)
+    _subset_transform(vals, operator.sub)
     return dataclasses.replace(p, basis="L", coeffs=_reduced(vals, p.modulus))
 
 
@@ -131,7 +132,7 @@ def l_to_m(p):
     if p.basis != "L":
         raise ContractViolationError(f"expected L basis, got {p.basis!r}")
     vals = list(p.coeffs)
-    _subset_transform(vals, 1)
+    _subset_transform(vals, operator.add)
     return dataclasses.replace(p, basis="M", coeffs=_reduced(vals, p.modulus))
 
 
@@ -303,8 +304,10 @@ def odd_fundamental_count(n: int) -> int:
 
     Works for any practical n: modulo 2 the n-th power of M_(1) collapses to
     the product of one M_(2^j) per binary digit of n, whose odd support has
-    at most an ordered-Bell-of-popcount size, and the basis change is a
-    packed XOR subset transform.
+    at most an ordered-Bell-of-popcount size.  The support is set as one bit
+    per subset, and the basis change to L is the packed engine of
+    :mod:`descentlab.descent` with XOR over 1-bit slots, the same transform
+    as the parity route there.
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
@@ -321,8 +324,10 @@ def odd_fundamental_count(n: int) -> int:
             for i in range(m):
                 nxt ^= {comp[:i] + (comp[i] + a,) + comp[i + 1 :]}
         support = nxt
-    bits = 0
+    buf = _bitset(n - 1)
     for comp in support:
-        bits |= 1 << composition_to_mask(comp)
-    return _xor_subset_zeta(bits, n - 1).bit_count()
+        mask = composition_to_mask(comp)
+        buf[mask >> 3] |= 1 << (mask & 7)
+    _packed_transform(buf, n - 1, 1, operator.xor)
+    return _bit_count(buf)
 

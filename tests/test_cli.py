@@ -221,6 +221,15 @@ def test_verify_empty_selection(capsys):
     assert "no checks selected" in err
 
 
+@pytest.mark.parametrize("suite", ["popcount", "theoremQ"])
+def test_verify_aggregate_check_needs_an_instance(capsys, suite):
+    # an aggregate check whose instances --n filters away compares nothing
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", "99", "--desk-scale")
+    assert code == 2
+    assert "PASS" not in out
+    assert "no checks selected" in err
+
+
 @pytest.mark.parametrize(
     "suite, failed, summary",
     [

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import random
 import stat
@@ -24,7 +25,13 @@ from descentlab.descent import (
     rho,
     save_table,
 )
-from descentlab.descent import _mobius_packed, _subset_transform, _unpack
+from descentlab.descent import (
+    _CHUNK_BYTES,
+    _chain_positions,
+    _packed_transform,
+    _subset_transform,
+    _unpack,
+)
 from descentlab.errors import CacheError, ContractViolationError, ResourceLimitError
 from descentlab.numbers import SubsetMask, euler_number, signed_euler_number
 
@@ -288,11 +295,21 @@ def test_packed_route_matches_list_route(signed):
         universe = n if signed else n - 1
         count = alpha_signed if signed else alpha
         vals = [count(n, mask) for mask in range(1 << universe)]
-        _subset_transform(vals, -1)
+        _subset_transform(vals, operator.sub)
         assert beta_table(n, signed=signed).values == tuple(vals), n
 
 
-@pytest.mark.parametrize("universe, bits", [(3, 100), (13, 70), (14, 150)])
+def reference_xor_zeta(bits: int, universe: int) -> int:
+    """The whole-integer mod-2 subset zeta transform that the packed engine
+    replaced: one pass per element over one integer of 2**universe bits."""
+    for b in range(universe):
+        step = 1 << b
+        tile = int(("0" * step + "1" * step) * ((1 << universe) // (2 * step)), 2)
+        bits ^= (bits & tile) << step
+    return bits
+
+
+@pytest.mark.parametrize("universe, bits", [(0, 9), (3, 100), (11, 40), (13, 70), (14, 150)])
 def test_packed_moebius_on_wide_slots(universe, bits):
     # The subset sums of nonnegative counts have the shape of alpha, so the
     # packed passes never borrow; here the values pass 64 bits, the chunks
@@ -300,9 +317,27 @@ def test_packed_moebius_on_wide_slots(universe, bits):
     rng = random.Random(universe * bits)
     counts = [rng.getrandbits(rng.choice((7, 40, bits))) for _ in range(1 << universe)]
     sums = list(counts)
-    _subset_transform(sums, 1)
+    _subset_transform(sums, operator.add)
     width = (max(sums).bit_length() + 7) // 8 + 2
     buf = bytearray(b"".join(v.to_bytes(width, "little") for v in sums))
-    _mobius_packed(buf, universe, width)
+    _packed_transform(buf, universe, 8 * width, operator.sub)
     assert buf == b"".join(v.to_bytes(width, "little") for v in counts)
     assert _unpack(buf, width) == counts
+
+
+# 1-bit slots: a chunk holds 2**18 of them, so 18 is the chunk size; above
+# it the chunks pair among neighbours (19), then also a group apart (20, 21)
+@pytest.mark.parametrize("universe", [0, 1, 2, 3, 10, 17, 18, 19, 20, 21])
+def test_packed_xor_zeta_matches_whole_integer(universe):
+    assert 8 * _CHUNK_BYTES == 1 << 18
+    rng = random.Random(universe)
+    bits = rng.getrandbits(1 << universe)
+    buf = bytearray(bits.to_bytes(max((1 << universe) >> 3, 1), "little"))
+    _packed_transform(buf, universe, 1, operator.xor)
+    assert int.from_bytes(buf, "little") == reference_xor_zeta(bits, universe)
+
+
+def test_parity_bitset_matches_whole_integer_route():
+    for n in range(1, 23):
+        chains = int.from_bytes(_chain_positions(n), "little")
+        assert beta_parity_bitset(n) == reference_xor_zeta(chains, n - 1), n
