@@ -2,11 +2,11 @@
 
 A suite is a named group of checks.  It declares the instances it runs at
 desk scale (quick) and at full scale beside its body, and is called with the
-scale, an optional n that keeps only the instances of that n, and the
-keyword options it declares.  ``verify`` runs every suite in :data:`SUITES`,
-the acceptance tests run them at full scale, and :func:`observations`
-reports the regularities the scanned factor rows show without asserting
-them.
+scale, an optional n that keeps only the instances of that n (and drops the
+checks that take no n), and the keyword options it declares.  ``verify``
+runs every suite in :data:`SUITES`, the acceptance tests run them at full
+scale, and :func:`observations` reports the regularities the scanned factor
+rows show without asserting them.
 
 Every library call goes through a module attribute (``descent.beta_table``,
 ``cyclo.factor_scan``, ...), so a caller that wraps those attributes sees
@@ -74,9 +74,16 @@ def _keep(only: int | None, instances) -> list:
 def _verdict(name: str, bad: list, detail: str, label: str) -> CheckResult:
     """A check that passes when ``bad`` is empty, and otherwise names it.
 
-    A check over a list of instances is made only when ``--n`` kept some.
+    A check over a list of instances is made only when ``--n`` kept some,
+    and a check that takes no n only when ``--n`` is absent.
     """
     return CheckResult(name, not bad, detail + (f"; {label} {bad}" if bad else ""))
+
+
+def _span(only: int | None, instances) -> str:
+    """The n range an aggregate check compared: all of ``instances``, or
+    the one n that ``--n`` kept."""
+    return f"n<={instances[-1]}" if only is None else f"n={only}"
 
 
 _RHO_LANDMARKS = {
@@ -129,7 +136,7 @@ def _popcount(at, only) -> list[CheckResult]:
         if Fraction(qsym.odd_fundamental_count(n), 1 << (n - 1)) != descent.rho(n)
     ]
     if dual:
-        detail = f"odd counts agree with parities for n<={at.dualroute[-1]}"
+        detail = f"odd counts agree with parities for {_span(only, at.dualroute)}"
         out.append(_verdict("popcount.dualroute", bad, detail, "mismatches at"))
     return out
 
@@ -283,9 +290,17 @@ def _odd_count(n: int) -> int:
     return int(value)
 
 
-def _root_pair_residue(coeff: int, m: int) -> cyclo.IntPoly:
-    shape = cyclo.IntPoly.from_terms({1: coeff, m - 1: coeff})
-    return cyclo.divmod_poly(shape, cyclo.cyclotomic(m))[1]
+def _congruent(counts, terms: dict[int, int]) -> bool:
+    """Whether a residue vector mod t**m - 1, m its length, is congruent
+    modulo Phi_m to the sum of c * t**e over ``terms`` {e: c}.
+
+    Two polynomials agree at a primitive m-th root exactly when Phi_m
+    divides their difference.
+    """
+    diff = list(counts)
+    for e, c in terms.items():
+        diff[e] -= c
+    return cyclo._phi_divides(diff, len(diff))
 
 
 @_suite(
@@ -316,7 +331,7 @@ def _theoremq(at, only) -> list[CheckResult]:
         != (1 << (n - 1)) - 2 * _odd_count(n)
     ]
     if minus1:
-        detail = f"value at -1 matches 2^n(1/2 - rho) for n<={at.minus1[-1]}"
+        detail = f"value at -1 matches 2^n(1/2 - rho) for {_span(only, at.minus1)}"
         out.append(_verdict("theoremQ.minus1", bad, detail, "mismatches at"))
     for n in _keep(only, at.imag):
         got = cyclo.eval_special(descent.beta_table(n), "i")
@@ -328,26 +343,24 @@ def _theoremq(at, only) -> list[CheckResult]:
     for q in _keep(only, at.primepower):
         p = 3 if q == 9 else q
         m = 2 * p
-        lhs = cyclo.eval_at_primitive_root(descent.beta_table(q), m)
+        hist = descent.residue_histogram(descent.beta_table(q), m)
         coeff = _odd_count(q) - (1 << (q - 2))
-        rhs = _root_pair_residue(coeff, m)
         out.append(
             CheckResult(
                 f"theoremQ.primepower.q{q}",
-                lhs == rhs,
+                _congruent(hist.counts, {1: coeff, m - 1: coeff}),
                 f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
             )
         )
     for n, q in _keep(only, at.double):
         p = 3 if q == 9 else q
         m = 2 * p
-        lhs = cyclo.eval_at_primitive_root(descent.beta_table(n), m)
+        hist = descent.residue_histogram(descent.beta_table(n), m)
         coeff = (1 << q) * _odd_count(q) - (1 << (2 * q - 2))
-        rhs = _root_pair_residue(coeff, m)
         out.append(
             CheckResult(
                 f"theoremQ.double.n{n}",
-                lhs == rhs,
+                _congruent(hist.counts, {1: coeff, m - 1: coeff}),
                 f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
             )
         )
@@ -428,20 +441,31 @@ def _signed4p(at, only) -> list[CheckResult]:
 
 @_suite(desk=dict(ps=(3, 5)), full=dict(ps=(3, 5, 7, 11, 13)))
 def _derivative(at, only) -> list[CheckResult]:
+    # Phi_4p divides the signed polynomial of an odd prime p exactly once,
+    # and t times its derivative is congruent mod Phi_4p to
+    # (-1)**((p-1)/2) * 2**(p-1) * p * E_{p-1} * (t - t**(4p-1)), a value of
+    # magnitude 2**p * p * E_{p-1}
     magnitudes = {3: 24, 5: 800, 7: 54656}
     out = []
     for p in _keep(only, at.ps):
-        chk = cyclo.signed_derivative_theorem_check(p)
+        table = descent.beta_table(p, signed=True)
+        m = 4 * p
+        first = descent.residue_histogram(table, m, 1)
+        once = cyclo.divides_order(table, m, 0)
+        twice = once and cyclo.divides_order(first, m, 1)
+        magnitude = (1 << p) * p * numbers.euler_number(p - 1)
+        coeff = (-1) ** ((p - 1) // 2) * magnitude // 2
         ok = (
-            chk.ok
-            and chk.magnitude == (1 << p) * p * numbers.euler_number(p - 1)
-            and (p not in magnitudes or chk.magnitude == magnitudes[p])
+            once
+            and not twice
+            and _congruent(first.counts, {1: coeff, m - 1: -coeff})
+            and (p not in magnitudes or magnitude == magnitudes[p])
         )
         out.append(
             CheckResult(
                 f"derivative.p{p}",
                 ok,
-                f"derivative identity at 4p holds, magnitude {chk.magnitude}",
+                f"derivative identity at 4p holds, magnitude {magnitude}",
             )
         )
     return out
@@ -518,33 +542,38 @@ def _structure(at, only) -> list[CheckResult]:
         if abcd.cd_to_ab(abcd.ab_to_cd(poly)).coeffs != poly.coeffs:
             bad.append(n)
     if roundtrip:
-        detail = f"cd rewriting round-trips the unsigned ab-index for n<={at.roundtrip[-1]}"
+        detail = (
+            "cd rewriting round-trips the unsigned ab-index for "
+            + _span(only, at.roundtrip)
+        )
         out.append(_verdict("structure.roundtrip", bad, detail, "failures at"))
-    bad_pairs = 0
-    total_pairs = 0
-    for m in range(1, at.product_top):
-        for n2 in range(1, at.product_top - m + 1):
-            for u in range(1 << (m - 1)):
-                for v in range(1 << (n2 - 1)):
-                    chk = abcd.macmahon_multiplication_check(m, n2, u, v)
-                    total_pairs += 1
-                    if not chk.product_holds:
-                        bad_pairs += 1
-    out.append(
-        CheckResult(
-            "structure.product",
-            bad_pairs == 0,
-            f"product identity holds on all {total_pairs} cases with m+n<={at.product_top}",
+    # the product checks take no n, so --n selects none of them
+    if only is None:
+        bad_pairs = 0
+        total_pairs = 0
+        for m in range(1, at.product_top):
+            for n2 in range(1, at.product_top - m + 1):
+                for u in range(1 << (m - 1)):
+                    for v in range(1 << (n2 - 1)):
+                        chk = abcd.macmahon_multiplication_check(m, n2, u, v)
+                        total_pairs += 1
+                        if not chk.product_holds:
+                            bad_pairs += 1
+        out.append(
+            CheckResult(
+                "structure.product",
+                bad_pairs == 0,
+                f"product identity holds on all {total_pairs} cases with m+n<={at.product_top}",
+            )
         )
-    )
-    misprint = abcd.macmahon_multiplication_check(1, 1, 0, 0)
-    out.append(
-        CheckResult(
-            "structure.product.misprint",
-            misprint.product_holds and not misprint.printed_holds,
-            f"additive reading fails at m=n=1 ({misprint.lhs} vs {misprint.printed_rhs})",
+        misprint = abcd.macmahon_multiplication_check(1, 1, 0, 0)
+        out.append(
+            CheckResult(
+                "structure.product.misprint",
+                misprint.product_holds and not misprint.printed_holds,
+                f"additive reading fails at m=n=1 ({misprint.lhs} vs {misprint.printed_rhs})",
+            )
         )
-    )
     expected_coef = {3: 6, 5: 100, 7: 3416}
     for p in _keep(only, at.cdcoef):
         cd = abcd.ab_to_cd(abcd.ab_index(descent.beta_table(p, signed=True)))
@@ -568,29 +597,35 @@ def _structure(at, only) -> list[CheckResult]:
         ):
             bad.append(("cube", n))
     if flagroutes:
-        detail = f"flag enumerator L-coefficients match both tables for n<={at.flagroutes[-1]}"
+        detail = (
+            "flag enumerator L-coefficients match both tables for "
+            + _span(only, at.flagroutes)
+        )
         out.append(_verdict("structure.flagroutes", bad, detail, "failures"))
-    bad_lists = []
-    for parts in at.partitions:
-        via_osp = qsym.product_monomial_singletons(parts)
-        # M_(a) has coefficient 1 on the one-part composition, which is mask 0
-        monos = [
-            qsym.QSymPoly(a, "M", (1,) + (0,) * ((1 << (a - 1)) - 1)) for a in parts
-        ]
-        acc = monos[0]
-        for mono in monos[1:]:
-            acc = qsym.multiply(acc, mono)
-        if acc.coeffs != via_osp.coeffs:
-            bad_lists.append(parts)
-    detail = "ordered set partition expansion matches the quasi-shuffle product"
-    out.append(_verdict("structure.partitionproduct", bad_lists, detail, "failures"))
+    if only is None:
+        bad_lists = []
+        for parts in at.partitions:
+            via_osp = qsym.product_monomial_singletons(parts)
+            # M_(a) has coefficient 1 on the one-part composition, which is mask 0
+            monos = [
+                qsym.QSymPoly(a, "M", (1,) + (0,) * ((1 << (a - 1)) - 1)) for a in parts
+            ]
+            acc = monos[0]
+            for mono in monos[1:]:
+                acc = qsym.multiply(acc, mono)
+            if acc.coeffs != via_osp.coeffs:
+                bad_lists.append(parts)
+        detail = "ordered set partition expansion matches the quasi-shuffle product"
+        out.append(_verdict("structure.partitionproduct", bad_lists, detail, "failures"))
     return out
 
 
 # The divisor products are checked on a seeded sample of indexes plus a few
-# fixed ones; the --n filter does not apply.
+# fixed ones; they take no n, so --n selects none of them.
 @_suite(desk=dict(sample=(range(1, 2001), 30)), full=dict(sample=(range(1, 10_001), 100)))
 def _cyclounit(at, only) -> list[CheckResult]:
+    if only is not None:
+        return []
     out = []
     ks = sorted(set(random.Random(1896).sample(*at.sample)) | {1, 2, 3, 4, 6, 12, 105})
     bad = []

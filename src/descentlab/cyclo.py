@@ -14,6 +14,10 @@ A factor scan shares the passes: it packs the candidate indexes into groups
 whose lcm L stays at most the number of distinct values, takes one histogram
 mod L per group and order, and reduces it mod each member m, exactly, since
 (v mod L) mod m = v mod m.
+
+No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
+Moebius product of binomials 1 - t**d, so that the divisor products can be
+checked against t**k - 1 by a dense multiplication, an independent route.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count, repeat
+from itertools import accumulate, combinations, compress, count, repeat
 from typing import Iterable, Sequence
 
 from .descent import (
@@ -32,22 +36,17 @@ from .descent import (
     ResidueHistogram,
     _residue_counts,
     _value_counts,
-    beta_table,
     residue_histogram,
 )
 from .errors import ContractViolationError, ResourceLimitError
-from .numbers import euler_number, is_prime, prime_divisors
+from .numbers import prime_divisors
 
 __all__ = [
     "MAX_INDEX",
     "IntPoly",
-    "divmod_poly",
     "cyclotomic",
     "divides_order",
     "eval_special",
-    "eval_at_primitive_root",
-    "DerivativeCheck",
-    "signed_derivative_theorem_check",
     "FactorReport",
     "factor_scan",
     "heuristic_candidates",
@@ -100,24 +99,6 @@ class IntPoly:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(-c for c in self.coeffs)
-
-    def __add__(self, other: "IntPoly") -> "IntPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
-
-    def __sub__(self, other: "IntPoly") -> "IntPoly":
-        return self + (-other)
-
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(k * c for c in self.coeffs)
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
@@ -130,17 +111,6 @@ class IntPoly:
                         out[i + j] += ca * cb
             return IntPoly(out)
         return IntPoly(_kronecker_mul(a, b))
-
-    def substitute_power(self, e: int) -> "IntPoly":
-        """The polynomial with t replaced by t**e."""
-        if e < 1:
-            raise ContractViolationError(f"power must be >= 1, got {e}")
-        if self.is_zero:
-            return self
-        out = [0] * (len(self.coeffs) * e)
-        for i, c in enumerate(self.coeffs):
-            out[i * e] = c
-        return IntPoly(out)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -195,52 +165,36 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-def divmod_poly(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder by a monic divisor, exactly over the integers.
-
-    Synthetic division touching only the divisor's nonzero coefficients, so
-    dividing by a sparse cyclotomic costs quotient length times its support.
-    """
-    if den.is_zero or den.coeffs[-1] != 1:
-        raise ContractViolationError("divisor must be monic")
-    dd = den.degree
-    if num.degree < dd:
-        return IntPoly(), num
-    r = list(num.coeffs)
-    q = [0] * (num.degree - dd + 1)
-    nz = [(j, c) for j, c in enumerate(den.coeffs[:-1]) if c]
-    for i in range(len(q) - 1, -1, -1):
-        c = r[i + dd]
-        if c:
-            q[i] = c
-            r[i + dd] = 0
-            for j, bc in nz:
-                r[i + j] -= c * bc
-    return IntPoly(q), IntPoly(r[:dd])
-
-
 @lru_cache(maxsize=None)
 def cyclotomic(k: int) -> IntPoly:
-    """The k-th cyclotomic polynomial, exactly."""
+    """The k-th cyclotomic polynomial, exactly.
+
+    For k > 1, Phi_k is the product of (1 - t**d)**mu(k/d) over d | k
+    (Arnold & Monagan, "Calculating cyclotomic polynomials", Math. Comp. 80,
+    2011), taken as a power series truncated past its degree phi(k).  One
+    factor per squarefree divisor e of k, with d = k/e: multiplying by
+    1 - t**d is one subtraction of the shifted series, and dividing by it,
+    a multiplication by 1 + t**d + t**(2d) + ..., is a running sum along each
+    residue class mod d.
+    """
     if k < 1:
         raise ContractViolationError(f"index must be >= 1, got {k}")
     if k == 1:
         return IntPoly((-1, 1))
     primes = prime_divisors(k)
-    rad = math.prod(primes)
-    if rad != k:
-        return cyclotomic(rad).substitute_power(k // rad)
-    # k squarefree: peel off its largest prime p via Phi_k = Phi_m(t^p)/Phi_m
-    p = primes[-1]
-    m = k // p
-    if m == 1:
-        return IntPoly((1,) * p)
-    quotient, remainder = divmod_poly(
-        cyclotomic(m).substitute_power(p), cyclotomic(m)
-    )
-    if not remainder.is_zero:
-        raise ArithmeticError(f"cyclotomic recursion failed at {k}")
-    return quotient
+    size = k // math.prod(primes) * math.prod(p - 1 for p in primes) + 1  # phi(k) + 1
+    c = [1] + [0] * (size - 1)
+    squarefree = [e for r in range(len(primes) + 1) for e in combinations(primes, r)]
+    for e in squarefree:
+        if len(e) % 2 == 0:  # mu(e) = 1: c[i] -= c[i - d]
+            d = k // math.prod(e)
+            c[d:] = map(operator.sub, c[d:], c[:-d])
+    for e in squarefree:
+        if len(e) % 2 == 1:  # mu(e) = -1: c[i] += c[i - d], i rising
+            d = k // math.prod(e)
+            for r in range(min(d, size - d)):  # a class with one term is done
+                c[r::d] = accumulate(c[r::d])
+    return IntPoly(c)
 
 
 def _phi_divides(counts: Sequence[int], m: int) -> bool:
@@ -297,75 +251,6 @@ def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
         c = residue_histogram(table, 4, 0).counts
         return (c[0] - c[2], c[1] - c[3])
     raise ContractViolationError(f"supported points are 1, -1, 'i'; got {point!r}")
-
-
-def eval_at_primitive_root(table: DescentTable, m: int) -> IntPoly:
-    """The descent polynomial at a primitive m-th root of unity.
-
-    The value lives in the cyclotomic integers; it is returned as the residue
-    polynomial reduced mod Phi_m, zero exactly when Phi_m divides.
-    """
-    if m < 2:
-        raise ContractViolationError(f"cyclotomic index must be >= 2, got {m}")
-    hist = residue_histogram(table, m, 0)
-    _, rem = divmod_poly(IntPoly(hist.counts), cyclotomic(m))
-    return rem
-
-
-@dataclass(frozen=True)
-class DerivativeCheck:
-    """Outcome of the first-derivative identity at a primitive 4p-th root."""
-
-    p: int
-    m: int
-    divides_once: bool
-    divides_twice: bool
-    lhs: IntPoly
-    rhs: IntPoly
-    magnitude: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.divides_once
-            and not self.divides_twice
-            and self.lhs == self.rhs
-        )
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def signed_derivative_theorem_check(p: int) -> DerivativeCheck:
-    """Check the exact first-derivative value of the signed polynomial at 4p.
-
-    For an odd prime p, Phi_4p divides the signed descent polynomial of p
-    exactly once, and t times its derivative reduces mod Phi_4p to
-    (-1)**((p-1)/2) * 2**(p-1) * p * E_{p-1} * (t - t**(4p-1)), a value of
-    magnitude 2**p * p * E_{p-1}.  Limited to p <= 13 (table size).
-    """
-    if not is_prime(p) or p == 2:
-        raise ContractViolationError(f"need an odd prime, got {p}")
-    if p > 13:
-        raise ContractViolationError(f"p={p} exceeds the supported range (13)")
-    table = beta_table(p, signed=True)
-    m = 4 * p
-    phi = cyclotomic(m)
-    d0 = divides_order(table, m, 0)
-    d1 = d0 and divides_order(table, m, 1)
-    _, lhs = divmod_poly(IntPoly(residue_histogram(table, m, 1).counts), phi)
-    scale = (-1 if (p - 1) // 2 % 2 else 1) * (1 << (p - 1)) * p * euler_number(p - 1)
-    shape = IntPoly.from_terms({1: 1, m - 1: -1})
-    _, rhs = divmod_poly(shape.scale(scale), phi)
-    return DerivativeCheck(
-        p=p,
-        m=m,
-        divides_once=d0,
-        divides_twice=d1,
-        lhs=lhs,
-        rhs=rhs,
-        magnitude=(1 << p) * p * euler_number(p - 1),
-    )
 
 
 @dataclass(frozen=True)

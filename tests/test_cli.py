@@ -85,14 +85,16 @@ def test_table_unwritable_path(tmp_path, capsys):
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_table_respects_limits(capsys):
+def test_table_respects_limits(capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--n", "30")
     assert code == 3
     assert err.startswith("resource limit:")
-    try:
-        code, out, _ = run(capsys, "table", "--n", "25", "--max-n", "25")
-    finally:
-        descent._table.cache_clear()  # frees the ~1.2 GB n = 25 table
+    monkeypatch.setitem(descent.DEFAULT_LIMITS, "unsigned", 10)
+    code, out, err = run(capsys, "table", "--n", "11")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+    code, out, _ = run(capsys, "table", "--n", "11", "--max-n", "11")
     assert code == 0
     assert "sum_ok=yes" in out
 
@@ -228,6 +230,38 @@ def test_verify_aggregate_check_needs_an_instance(capsys, suite):
     assert code == 2
     assert "PASS" not in out
     assert "no checks selected" in err
+
+
+@pytest.mark.parametrize("suite, n", [("cyclounit", "5"), ("structure", "99")])
+def test_verify_checks_without_n_are_not_run_under_n(capsys, suite, n):
+    # the divisor products and the product identities take no n
+    code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: no checks selected")
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [
+        ("popcount", "PASS popcount.dualroute: odd counts agree with parities for n=5"),
+        ("theoremQ", "PASS theoremQ.minus1: value at -1 matches 2^n(1/2 - rho) for n=5"),
+        (
+            "structure",
+            "PASS structure.roundtrip: cd rewriting round-trips the unsigned ab-index for n=5",
+        ),
+        (
+            "structure",
+            "PASS structure.flagroutes: flag enumerator L-coefficients match both tables "
+            "for n=5",
+        ),
+    ],
+    ids=["dualroute", "minus1", "roundtrip", "flagroutes"],
+)
+def test_verify_aggregate_detail_names_the_selected_n(capsys, suite, line):
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "5", "--desk-scale")
+    assert code == 0
+    assert line in out.splitlines()
 
 
 @pytest.mark.parametrize(

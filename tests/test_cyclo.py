@@ -2,19 +2,19 @@ import json
 import math
 import random
 from collections import Counter
+from functools import lru_cache
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from descentlab import cyclo, descent
+from descentlab import checks, cyclo, descent
 from descentlab.cyclo import (
     FactorReport,
     IntPoly,
     cyclotomic,
     divides_order,
-    divmod_poly,
-    eval_at_primitive_root,
     eval_special,
     factor_scan,
     format_report,
@@ -22,11 +22,10 @@ from descentlab.cyclo import (
     load_golden,
     parse_report_line,
     report_to_json_dict,
-    signed_derivative_theorem_check,
 )
 from descentlab.descent import ResidueHistogram, beta_table, residue_histogram, rho
 from descentlab.errors import ContractViolationError, ResourceLimitError
-from descentlab.numbers import euler_number
+from descentlab.numbers import prime_divisors
 
 int_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=8).map(IntPoly)
 
@@ -47,11 +46,7 @@ def test_int_poly_basics():
     assert p.degree == 1
     assert IntPoly().is_zero
     assert IntPoly.from_terms({3: 4, 0: -1}) == IntPoly((-1, 0, 0, 4))
-    assert (p + IntPoly((0, -2))) == IntPoly((1,))
-    assert (p - p).is_zero
-    assert p.scale(3) == IntPoly((3, 6))
     assert p(10) == 21
-    assert p.substitute_power(3) == IntPoly((1, 0, 0, 2))
     with pytest.raises(ContractViolationError):
         IntPoly.from_terms({-1: 1})
 
@@ -69,19 +64,70 @@ def test_kronecker_path_matches_schoolbook():
     assert a * b == naive_mul(a, b)
 
 
+def reference_divmod(num, den):
+    """Quotient and remainder by a monic divisor: the synthetic division
+    that the divisibility test and the product construction replaced."""
+    if den.is_zero or den.coeffs[-1] != 1:
+        raise ValueError("divisor must be monic")
+    dd = den.degree
+    if num.degree < dd:
+        return IntPoly(), num
+    r = list(num.coeffs)
+    q = [0] * (num.degree - dd + 1)
+    nz = [(j, c) for j, c in enumerate(den.coeffs[:-1]) if c]
+    for i in range(len(q) - 1, -1, -1):
+        c = r[i + dd]
+        if c:
+            q[i] = c
+            r[i + dd] = 0
+            for j, bc in nz:
+                r[i + j] -= c * bc
+    return IntPoly(q), IntPoly(r[:dd])
+
+
+def reference_remainder(counts, m):
+    return reference_divmod(IntPoly(counts), cyclotomic(m))[1]
+
+
+@lru_cache(maxsize=None)
+def reference_cyclotomic(k):
+    """Phi_k by the recursion Phi_k(t) = Phi_rad(k)(t**(k/rad(k))), and for
+    squarefree k = m * p, p its largest prime, Phi_k = Phi_m(t**p) / Phi_m."""
+    if k == 1:
+        return IntPoly((-1, 1))
+    primes = prime_divisors(k)
+    rad = math.prod(primes)
+    if rad != k:
+        return substitute_power(reference_cyclotomic(rad), k // rad)
+    m = k // primes[-1]
+    if m == 1:
+        return IntPoly((1,) * k)
+    phi_m = reference_cyclotomic(m)
+    quotient, remainder = reference_divmod(substitute_power(phi_m, primes[-1]), phi_m)
+    assert remainder.is_zero
+    return quotient
+
+
+def substitute_power(poly, e):
+    out = [0] * (len(poly.coeffs) * e)
+    out[::e] = poly.coeffs
+    return IntPoly(out)
+
+
 @given(int_polys, st.integers(min_value=0, max_value=6))
 def test_divmod_round_trip(num, dd):
     den = cyclotomic(dd + 2)
-    q, r = divmod_poly(num, den)
-    assert q * den + r == num
+    q, r = reference_divmod(num, den)
+    back = map(sum, zip_longest((q * den).coeffs, r.coeffs, fillvalue=0))
+    assert IntPoly(back) == num
     assert r.is_zero or r.degree < den.degree
 
 
 def test_divmod_requires_monic():
-    with pytest.raises(ContractViolationError):
-        divmod_poly(IntPoly((1, 1)), IntPoly((1, 2)))
-    with pytest.raises(ContractViolationError):
-        divmod_poly(IntPoly((1, 1)), IntPoly())
+    with pytest.raises(ValueError):
+        reference_divmod(IntPoly((1, 1)), IntPoly((1, 2)))
+    with pytest.raises(ValueError):
+        reference_divmod(IntPoly((1, 1)), IntPoly())
 
 
 def test_cyclotomic_small_table():
@@ -118,6 +164,16 @@ def test_cyclotomic_product_over_divisors(k):
             prod = prod * cyclotomic(d)
     assert prod == IntPoly.from_terms({0: -1, k: 1})
     assert cyclotomic(k).degree == totient(k)
+
+
+def test_cyclotomic_matches_reference_recursion():
+    try:
+        bad = [k for k in range(1, 2001) if cyclotomic(k) != reference_cyclotomic(k)]
+    finally:
+        reference_cyclotomic.cache_clear()
+    assert bad == []
+    with pytest.raises(ContractViolationError):
+        cyclotomic(0)
 
 
 def test_cyclotomic_values_at_one():
@@ -157,7 +213,7 @@ def residue_vectors(draw):
 @given(residue_vectors())
 def test_divides_order_agrees_with_division(case):
     m, c = case
-    by_division = divmod_poly(IntPoly(c), cyclotomic(m))[1].is_zero
+    by_division = reference_remainder(c, m).is_zero
     assert divides_order(ResidueHistogram(m, 0, tuple(c)), m) == by_division
 
 
@@ -191,33 +247,26 @@ def test_eval_special_minus_one_matches_rho(n):
     assert eval_special(t, -1) == (1 << (n - 1)) - 2 * odd
 
 
-def test_eval_at_primitive_root():
-    assert eval_at_primitive_root(beta_table(5), 10).is_zero
-    assert not eval_at_primitive_root(beta_table(5), 6).is_zero
-    # the residue equals the polynomial built from the histogram directly
-    t = beta_table(6)
-    h = residue_histogram(t, 6, 0)
-    q, r = divmod_poly(IntPoly(h.counts), cyclotomic(6))
-    assert eval_at_primitive_root(t, 6) == r
+@given(residue_vectors(), st.integers(-3, 3), st.integers(-3, 3))
+def test_congruence_agrees_with_division(case, a, b):
+    # the root-value checks ask whether a histogram is congruent to
+    # a*t + b*t^(m-1) mod Phi_m; here it is about half the time
+    m, c = case
+    terms = {1: a, m - 1: b}
+    shape = [0] * m
+    for e, x in terms.items():
+        shape[e] += x
+    hist = [x + y for x, y in zip(c, shape)]
+    by_division = reference_remainder(hist, m) == reference_remainder(shape, m)
+    assert checks._congruent(hist, terms) == by_division
 
 
 @pytest.mark.parametrize("p,magnitude", [(3, 24), (5, 800), (7, 54656)])
 def test_signed_derivative_theorem(p, magnitude):
-    chk = signed_derivative_theorem_check(p)
-    assert chk.ok
-    assert chk.divides_once and not chk.divides_twice
-    assert chk.lhs == chk.rhs
-    assert chk.magnitude == magnitude
-    assert chk.magnitude == (1 << p) * p * euler_number(p - 1)
-
-
-def test_signed_derivative_rejects_bad_p():
-    with pytest.raises(ContractViolationError):
-        signed_derivative_theorem_check(4)
-    with pytest.raises(ContractViolationError):
-        signed_derivative_theorem_check(2)
-    with pytest.raises(ContractViolationError):
-        signed_derivative_theorem_check(17)
+    (result,) = checks.SUITES["derivative"]("full", p)
+    assert result == (
+        f"derivative.p{p}", True, f"derivative identity at 4p holds, magnitude {magnitude}"
+    )
 
 
 def test_heuristic_candidates():

@@ -179,18 +179,6 @@ def test_mod_p_prediction_example():
     assert beta_table(9).value({4}) % 3 == 2
 
 
-@pytest.mark.parametrize("n,q", [(6, 3), (9, 9), (9, 3), (10, 5), (12, 3)])
-def test_mod_p_prediction_whole_table(n, q):
-    p = q
-    for f in range(2, q):
-        if q % f == 0:
-            p = f
-            break
-    table = beta_table(n)
-    for mask, v in enumerate(table.values):
-        assert mod_p_prediction(n, q, mask) == v % p
-
-
 def test_mod_p_prediction_validates():
     with pytest.raises(ContractViolationError):
         mod_p_prediction(9, 4, set())  # 4 does not divide 9
