@@ -8,13 +8,9 @@ from .errors import (
     ResourceLimitError,
 )
 from .numbers import (
-    Composition,
-    SubsetMask,
-    composition_to_subset,
     euler_number,
     multinomial,
     signed_euler_number,
-    subset_to_composition,
 )
 from .descent import (
     DescentTable,
@@ -30,11 +26,9 @@ from .descent import (
     save_table,
 )
 from .qsym import (
-    BQSymPoly,
     QSymPoly,
     f_boolean,
     f_cubical_B,
-    l_to_m,
     m_to_l,
     odd_fundamental_count,
     ordered_set_partitions,
@@ -65,10 +59,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AbPoly",
-    "BQSymPoly",
     "CacheError",
     "CdPoly",
-    "Composition",
     "ContractViolationError",
     "DescentLabError",
     "DescentTable",
@@ -79,7 +71,6 @@ __all__ = [
     "QSymPoly",
     "ResidueHistogram",
     "ResourceLimitError",
-    "SubsetMask",
     "ab_index",
     "ab_to_cd",
     "alpha",
@@ -87,7 +78,6 @@ __all__ = [
     "beta_table",
     "brute_force_table",
     "cd_to_ab",
-    "composition_to_subset",
     "cyclotomic",
     "divides_order",
     "euler_number",
@@ -95,7 +85,6 @@ __all__ = [
     "f_boolean",
     "f_cubical_B",
     "factor_scan",
-    "l_to_m",
     "load_table",
     "m_to_l",
     "macmahon_multiplication_check",
@@ -110,6 +99,5 @@ __all__ = [
     "save_table",
     "signed_euler_number",
     "signed_sum",
-    "subset_to_composition",
     "__version__",
 ]

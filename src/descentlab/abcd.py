@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .descent import DescentTable, beta_table
 from .errors import ContractViolationError, DescentLabError
-from .numbers import SubsetMask, as_mask
+from .numbers import as_mask
 
 __all__ = [
     "AbPoly",
@@ -67,18 +67,6 @@ class AbPoly:
             "b" if mask >> i & 1 else "a" for i in range(self.degree)
         )
 
-    def coefficient(self, word: str) -> int:
-        if len(word) != self.degree or set(word) - {"a", "b"}:
-            raise ContractViolationError(f"bad ab-word {word!r} for degree {self.degree}")
-        mask = 0
-        for i, ch in enumerate(word):
-            if ch == "b":
-                mask |= 1 << i
-        return self.coeffs[mask]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
 
 def _word_weight(word: str) -> int:
     return sum(1 if ch == "c" else 2 for ch in word)
@@ -105,24 +93,10 @@ class CdPoly:
             if not isinstance(coeff, int):
                 raise ContractViolationError(f"non-integer coefficient {coeff!r}")
 
-    def coefficient(self, word: str) -> int:
-        return self.terms.get(word, 0)
 
-
-def ab_index(table) -> AbPoly:
-    """The ab-index of a descent table: sum of beta(S) times the S-pattern word.
-
-    Accepts a :class:`DescentTable` or any sequence of 2**k coefficients.
-    """
-    if isinstance(table, DescentTable):
-        return AbPoly(degree=table.universe, coeffs=tuple(table.values))
-    values = tuple(table)
-    k = len(values).bit_length() - 1
-    if len(values) != 1 << k:
-        raise ContractViolationError(
-            f"need a power-of-two number of coefficients, got {len(values)}"
-        )
-    return AbPoly(degree=k, coeffs=values)
+def ab_index(table: DescentTable) -> AbPoly:
+    """The ab-index of a descent table: sum of beta(S) times the S-pattern word."""
+    return AbPoly(degree=table.universe, coeffs=table.values)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +211,7 @@ def signed_sum(p: AbPoly, T) -> int:
 
 def has_odd_run(T, universe: int | None = None) -> bool:
     """True when some maximal block of consecutive elements of T has odd size."""
-    bits = T.bits if isinstance(T, SubsetMask) else as_mask(T, universe)
+    bits = as_mask(T, universe)
     while bits:
         low = bits & -bits
         run = 0
@@ -266,13 +240,13 @@ class MacmahonCheck:
     the first m positions and to the shift of v past them, position m free.
     The product reading multiplies the two small counts by binom(m+n, m);
     the misprinted reading adds instead of multiplying the second factor.
-    Truthiness follows the product reading.
+    ``u`` and ``v`` are subset masks.
     """
 
     m: int
     n: int
-    u: SubsetMask
-    v: SubsetMask
+    u: int
+    v: int
     lhs: int
     product_rhs: int
     printed_rhs: int
@@ -284,9 +258,6 @@ class MacmahonCheck:
     @property
     def printed_holds(self) -> bool:
         return self.lhs == self.printed_rhs
-
-    def __bool__(self) -> bool:
-        return self.product_holds
 
 
 def macmahon_multiplication_check(m: int, n: int, u, v) -> MacmahonCheck:
@@ -309,8 +280,8 @@ def macmahon_multiplication_check(m: int, n: int, u, v) -> MacmahonCheck:
     return MacmahonCheck(
         m=m,
         n=n,
-        u=SubsetMask(m - 1, mu),
-        v=SubsetMask(n - 1, mv),
+        u=mu,
+        v=mv,
         lhs=lhs,
         product_rhs=binomial * bm * bn,
         printed_rhs=binomial * bm + bn,

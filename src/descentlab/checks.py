@@ -23,6 +23,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import abcd, cyclo, descent, numbers, qsym
+from .errors import ResourceLimitError
 
 __all__ = ["CheckResult", "Suite", "SUITES", "observations"]
 
@@ -702,8 +703,14 @@ def observations(max_n: int = 12, bound: int = 600, workers: int = 1) -> list[st
     """Report lines on regularities of the factor rows, never asserting them.
 
     Scans the unsigned rows 3..max_n and the signed rows 3..min(max_n, 8)
-    exhaustively up to ``bound``.
+    exhaustively up to ``bound``.  A ``max_n`` past the unsigned table limit
+    is refused before any row is scanned.
     """
+    limit = descent.DEFAULT_LIMITS["unsigned"]
+    if max_n > limit:
+        raise ResourceLimitError(
+            f"observations(max_n={max_n}) exceeds the table limit {limit}"
+        )
     unsigned = {}
     for n in range(3, max_n + 1):
         unsigned[n] = cyclo.factor_scan(

@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,45 +28,19 @@ from .errors import (
     ResourceLimitError,
 )
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 ENV_CACHE = "DESCENTLAB_CACHE"
-
-
-@dataclass
-class RunConfig:
-    """Normalized command options shared by the subcommand handlers."""
-
-    command: str = "verify"
-    n: int | None = None
-    signed: bool = False
-    max_n: int | None = None
-    max_index: int = 10_000
-    multiplicity: int = 3
-    policy: str = "heuristic"
-    workers: int = 1
-    cache_dir: str | None = None
-    fmt: str = "text"
-    golden: str | None = None
-    out: str | None = None
-    suite: str = "all"
-    desk_scale: bool = False
-    bound: int = 600
 
 
 # ---------------------------------------------------------------------------
 # table plumbing
 
 
-def _cache_path(cfg: RunConfig, n: int, signed: bool) -> str | None:
-    cache_dir = cfg.cache_dir or os.environ.get(ENV_CACHE)
-    if not cache_dir:
-        return None
-    return os.path.join(cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
-
-
-def _get_table(cfg: RunConfig, n: int, signed: bool) -> descent.DescentTable:
-    path = _cache_path(cfg, n, signed)
+def _get_table(args: argparse.Namespace) -> descent.DescentTable:
+    n, signed = args.n, args.signed
+    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE)
+    path = cache_dir and os.path.join(cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
     if path and os.path.exists(path):
         try:
             table = descent.load_table(path)
@@ -79,7 +52,7 @@ def _get_table(cfg: RunConfig, n: int, signed: bool) -> descent.DescentTable:
             )
         except CacheError as exc:
             print(f"warning: ignoring bad cache: {exc}", file=sys.stderr)
-    table = descent.beta_table(n, signed, max_n=cfg.max_n)
+    table = descent.beta_table(n, signed, max_n=args.max_n)
     if path:
         with _writing(path):
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -96,19 +69,19 @@ def _writing(path: str):
         raise ContractViolationError(f"cannot write {path}: {exc}") from exc
 
 
-def cmd_table(cfg: RunConfig) -> int:
-    table = _get_table(cfg, cfg.n, cfg.signed)
+def cmd_table(args: argparse.Namespace) -> int:
+    table = _get_table(args)
     total = sum(table.values)
-    expected_total = math.factorial(cfg.n) << (cfg.n if cfg.signed else 0)
+    expected_total = math.factorial(args.n) << (args.n if args.signed else 0)
     top = max(table.values)
     expected_top = (
-        numbers.signed_euler_number(cfg.n)
-        if cfg.signed
-        else numbers.euler_number(cfg.n)
+        numbers.signed_euler_number(args.n)
+        if args.signed
+        else numbers.euler_number(args.n)
     )
-    if cfg.out:
-        with _writing(cfg.out):
-            descent.save_table(table, cfg.out)
+    if args.out:
+        with _writing(args.out):
+            descent.save_table(table, args.out)
     print(
         f"n={table.n} signed={int(table.signed)} subsets={len(table.values)} "
         f"sum={total} sum_ok={'yes' if total == expected_total else 'no'} "
@@ -118,54 +91,54 @@ def cmd_table(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_rho(cfg: RunConfig) -> int:
-    value = descent.rho(cfg.n)
+def cmd_rho(args: argparse.Namespace) -> int:
+    value = descent.rho(args.n)
     print(
-        f"n={cfg.n} popcount={cfg.n.bit_count()} rho={value} "
+        f"n={args.n} popcount={args.n.bit_count()} rho={value} "
         f"half_minus_rho={Fraction(1, 2) - value}"
     )
     return 0
 
 
-def cmd_factors(cfg: RunConfig) -> int:
-    table = _get_table(cfg, cfg.n, cfg.signed)
+def cmd_factors(args: argparse.Namespace) -> int:
+    table = _get_table(args)
     report = cyclo.factor_scan(
         table,
-        max_index=cfg.max_index,
-        max_multiplicity=cfg.multiplicity,
-        policy=cfg.policy,
-        workers=cfg.workers,
+        max_index=args.max_index,
+        max_multiplicity=args.multiplicity,
+        policy=args.policy,
+        workers=args.workers,
     )
-    if cfg.fmt == "text":
+    if args.fmt == "text":
         print(cyclo.format_report(report))
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("n,signed,index,multiplicity")
         for m, k in report.factors:
             print(f"{report.n},{int(report.signed)},{m},{k}")
     else:
         print(json.dumps(cyclo.report_to_json_dict(report), sort_keys=True))
-    if cfg.golden is None:
+    if args.golden is None:
         return 0
-    if cfg.golden == "builtin":
-        rows = cyclo.load_golden(cfg.signed)
-        if cfg.n not in rows:
-            print(f"no golden row for n={cfg.n} signed={int(cfg.signed)}", file=sys.stderr)
+    if args.golden == "builtin":
+        rows = cyclo.load_golden(args.signed)
+        if args.n not in rows:
+            print(f"no golden row for n={args.n} signed={int(args.signed)}", file=sys.stderr)
             return 2
-        golden = rows[cfg.n]
+        golden = rows[args.n]
     else:
         try:
-            text = Path(cfg.golden).read_text(encoding="utf-8")
+            text = Path(args.golden).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ContractViolationError(
-                f"cannot read golden file {cfg.golden}: {exc}"
+                f"cannot read golden file {args.golden}: {exc}"
             ) from exc
         golden = cyclo.parse_report_line(text.strip())
     # golden rows were recorded with bound 10000
-    cap = min(cfg.max_index, golden.bound or 10_000)
+    cap = min(args.max_index, golden.bound or 10_000)
     mine = tuple((m, k) for m, k in report.factors if m <= cap)
     theirs = tuple((m, k) for m, k in golden.factors if m <= cap)
     if mine == theirs:
-        print(f"golden match (n={cfg.n} signed={int(cfg.signed)}, indices <= {cap})")
+        print(f"golden match (n={args.n} signed={int(args.signed)}, indices <= {cap})")
         return 0
     print("golden mismatch:", file=sys.stderr)
     print(f"  computed: {cyclo.format_report(report)}", file=sys.stderr)
@@ -180,14 +153,14 @@ def cmd_factors(cfg: RunConfig) -> int:
 # verify and observations
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    names = list(checks.SUITES) if cfg.suite == "all" else [cfg.suite]
-    scale = "desk" if cfg.desk_scale else "full"
+def cmd_verify(args: argparse.Namespace) -> int:
+    names = list(checks.SUITES) if args.suite == "all" else [args.suite]
+    scale = "desk" if args.desk_scale else "full"
     failures = 0
     ran = 0
     for name in names:
         suite = checks.SUITES[name]
-        for result in suite(scale, cfg.n, policy=cfg.policy, workers=cfg.workers):
+        for result in suite(scale, args.n, policy=args.policy, workers=args.workers):
             ran += 1
             status = "PASS" if result.ok else "FAIL"
             print(f"{status} {result.name}: {result.detail}")
@@ -195,15 +168,14 @@ def cmd_verify(cfg: RunConfig) -> int:
                 failures += 1
     if ran == 0:
         raise ContractViolationError(
-            f"no checks selected (suite={cfg.suite}, n={cfg.n})"
+            f"no checks selected (suite={args.suite}, n={args.n})"
         )
     print(f"verify: {ran - failures}/{ran} checks passed ({scale} scale)")
     return 1 if failures else 0
 
 
-def cmd_observations(cfg: RunConfig) -> int:
-    max_n = cfg.max_n if cfg.max_n is not None else 12
-    for line in checks.observations(max_n, cfg.bound, cfg.workers):
+def cmd_observations(args: argparse.Namespace) -> int:
+    for line in checks.observations(args.max_n, args.bound, args.workers):
         print(line)
     return 0
 
@@ -256,29 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "n",
-        "signed",
-        "max_n",
-        "max_index",
-        "multiplicity",
-        "policy",
-        "workers",
-        "cache_dir",
-        "fmt",
-        "golden",
-        "out",
-        "suite",
-        "desk_scale",
-        "bound",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
-
-
 _COMMANDS = {
     "table": cmd_table,
     "rho": cmd_rho,
@@ -295,9 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    cfg = _config_from_args(args)
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3

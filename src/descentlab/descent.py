@@ -35,7 +35,7 @@ from itertools import compress, islice, permutations, repeat
 from pathlib import Path
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
-from .numbers import SubsetMask, as_mask, mask_to_composition, multinomial, prime_divisors
+from .numbers import as_mask, mask_to_composition, multinomial, prime_divisors
 
 __all__ = [
     "DEFAULT_LIMITS",
@@ -457,7 +457,9 @@ def mod_p_prediction(n: int, q: int, S) -> int:
     r = n // q
     scaled = 0
     outside = 0
-    for e in SubsetMask(n - 1, mask):
+    while mask:
+        e = (mask & -mask).bit_length()
+        mask &= mask - 1
         if e % q == 0:
             scaled |= 1 << (e // q - 1)
         else:
@@ -535,6 +537,13 @@ def load_table(path) -> DescentTable:
         with open(path, encoding="ascii") as f:
             header = f.readline()
             n, signed_flag = _parse_header(header, path)
+            # each value takes two bytes or more, so a header wanting more
+            # values than the file has bytes is refused before the shift
+            if n + signed_flag - 1 > os.fstat(f.fileno()).st_size.bit_length():
+                raise CacheError(
+                    f"{path}: header n={n} signed={signed_flag} wants more "
+                    "values than the file can hold"
+                )
             expected = 1 << (n + signed_flag - 1)
             try:
                 values = tuple(map(int, islice(f, expected)))

@@ -1,124 +1,38 @@
 """Integer and subset primitives used everywhere else.
 
-Everything here is exact: compositions and the subset masks of their partial
-sums, multinomial coefficients, primes, and the two zigzag counting
-sequences (Euler numbers and their signed analogue).
+Everything here is exact.  A subset of {1, ..., n} is a plain int bitmask,
+bit i - 1 set when i is a member; a composition is a plain tuple of parts,
+converted to and from the mask of its partial sums.  Also here: multinomial
+coefficients, primes, and the two zigzag counting sequences (Euler numbers
+and their signed analogue).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import ContractViolationError
 
 __all__ = [
-    "Composition",
-    "SubsetMask",
     "as_mask",
     "multinomial",
     "is_prime",
     "prime_divisors",
     "mask_to_composition",
     "composition_to_mask",
-    "subset_to_composition",
-    "composition_to_subset",
     "euler_number",
     "signed_euler_number",
 ]
 
 
-class Composition(tuple):
-    """A sequence of positive integer parts.
-
-    Behaves like a tuple; the sum of parts is cached on ``total``.
-    """
-
-    total: int
-
-    def __new__(cls, parts: Iterable[int]) -> "Composition":
-        self = super().__new__(cls, parts)
-        for part in self:
-            if not isinstance(part, int) or isinstance(part, bool) or part <= 0:
-                raise ContractViolationError(
-                    f"composition parts must be positive integers, got {part!r}"
-                )
-        self.total = sum(self)
-        return self
-
-    def __repr__(self) -> str:
-        return f"Composition({tuple(self)!r})"
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A subset of {1, ..., n} stored as a bitmask.
-
-    Bit ``i - 1`` of ``bits`` is set exactly when ``i`` is a member.  ``n`` is
-    the universe size, so valid masks satisfy ``0 <= bits < 2**n``.
-    """
-
-    n: int
-    bits: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ContractViolationError(f"universe size must be >= 0, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:
-            raise ContractViolationError(
-                f"mask {self.bits:#x} does not fit in universe of size {self.n}"
-            )
-
-    @classmethod
-    def from_elements(cls, n: int, elements: Iterable[int]) -> "SubsetMask":
-        bits = 0
-        for e in elements:
-            if not 1 <= e <= n:
-                raise ContractViolationError(
-                    f"element {e} outside universe {{1, ..., {n}}}"
-                )
-            bits |= 1 << (e - 1)
-        return cls(n, bits)
-
-    def members(self) -> Iterator[int]:
-        """Yield the elements in increasing order."""
-        bits = self.bits
-        while bits:
-            low = bits & -bits
-            yield low.bit_length()
-            bits ^= low
-
-    def __iter__(self) -> Iterator[int]:
-        return self.members()
-
-    def __contains__(self, element: int) -> bool:
-        return 1 <= element <= self.n and bool(self.bits >> (element - 1) & 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def complement(self) -> "SubsetMask":
-        return SubsetMask(self.n, self.bits ^ ((1 << self.n) - 1))
-
-    def __repr__(self) -> str:
-        return f"SubsetMask(n={self.n}, elements={{{', '.join(map(str, self))}}})"
-
-
 def as_mask(S, universe: int | None = None) -> int:
     """Normalize a subset argument to a raw bitmask.
 
-    Accepts a :class:`SubsetMask`, a raw ``int`` mask, or an iterable of
-    elements.  ``universe`` bounds the result when given; a SubsetMask whose
-    own universe disagrees with an explicit ``universe`` is rejected.
+    Accepts a raw ``int`` mask or an iterable of elements.  ``universe``
+    bounds the result when given.
     """
-    if isinstance(S, SubsetMask):
-        if universe is not None and S.n != universe:
-            raise ContractViolationError(
-                f"subset lives in universe {S.n}, expected {universe}"
-            )
-        return S.bits
     if isinstance(S, int) and not isinstance(S, bool):
         bits = S
     else:
@@ -215,29 +129,6 @@ def composition_to_mask(parts) -> int:
         acc += part
         bits |= 1 << (acc - 1)
     return bits
-
-
-def subset_to_composition(S, total: int | None = None) -> Composition:
-    """Gaps of a subset: S = {s1 < ... < sk} inside {1, ..., total - 1} maps to
-    (s1, s2 - s1, ..., total - sk).
-
-    ``total`` defaults to ``S.n + 1`` when S is a :class:`SubsetMask`; for raw
-    masks or element iterables it must be passed.
-    """
-    if total is None:
-        if isinstance(S, SubsetMask):
-            total = S.n + 1
-        else:
-            raise ContractViolationError(
-                "total is required unless S is a SubsetMask"
-            )
-    return Composition(mask_to_composition(as_mask(S, total - 1), total))
-
-
-def composition_to_subset(gamma: Iterable[int]) -> SubsetMask:
-    """Inverse of :func:`subset_to_composition`: partial sums, last dropped."""
-    comp = gamma if isinstance(gamma, Composition) else Composition(gamma)
-    return SubsetMask(comp.total - 1, composition_to_mask(comp))
 
 
 @lru_cache(maxsize=None)

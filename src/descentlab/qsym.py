@@ -1,15 +1,21 @@
 """Quasisymmetric generating functions for descent statistics.
 
-Homogeneous elements are stored densely: a degree-n element in the unsigned
-algebra has one coefficient per composition of n (equivalently per subset of
-{1, ..., n-1}); the signed analogue indexes compositions of n+1 whose first
-part absorbs a distinguished initial letter (subsets of {1, ..., n}).  The
-monomial and fundamental bases are related by subset Moebius inversion.
+One class, :class:`QSymPoly`, stores a homogeneous element densely, one
+coefficient per subset mask.  A degree-n element of the unsigned algebra
+has one coefficient per composition of n (per subset of {1, ..., n-1});
+a signed one per composition of n+1 whose first part absorbs a
+distinguished initial letter (per subset of {1, ..., n}).  :func:`m_to_l`
+takes the monomial basis to the fundamental one by subset Moebius
+inversion.
 
-Products are genuine quasi-shuffles.  The flag enumerators f_boolean and
-f_cubical_B are built by repeated multiplication, so their fundamental-basis
-coefficients re-derive the descent tables along a route independent of the
-closed-form counting in :mod:`descentlab.descent`.
+The flag enumerators f_boolean and f_cubical_B are built one rank at a
+time, so their fundamental-basis coefficients re-derive the descent tables
+along a route independent of the closed-form counting in
+:mod:`descentlab.descent`.  :func:`multiply` quasi-shuffles unsigned
+M-basis elements, and :func:`product_monomial_singletons` expands the same
+products over ordered set partitions, a second route to them.
+:func:`odd_fundamental_count` counts the odd fundamental coefficients of
+f_boolean(n) from its collapse modulo 2.
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ from typing import Iterable, Iterator
 
 from .descent import _bit_count, _bitset, _packed_transform, _subset_transform
 from .errors import ContractViolationError, ResourceLimitError
-from .numbers import Composition, composition_to_mask, mask_to_composition
+from .numbers import composition_to_mask, mask_to_composition
 
 __all__ = [
     "QSymPoly",
-    "BQSymPoly",
     "m_to_l",
-    "l_to_m",
     "multiply",
     "ordered_set_partitions",
     "product_monomial_singletons",
@@ -41,99 +45,43 @@ __all__ = [
 _BASES = ("M", "L")
 
 
-def _validate_header(degree: int, basis: str, modulus: int | None) -> None:
-    if degree < 0:
-        raise ContractViolationError(f"degree must be >= 0, got {degree}")
-    if basis not in _BASES:
-        raise ContractViolationError(f"basis must be one of {_BASES}, got {basis!r}")
-    if modulus is not None and modulus < 2:
-        raise ContractViolationError(f"modulus must be >= 2, got {modulus}")
-
-
 @dataclass(frozen=True)
 class QSymPoly:
     """A homogeneous quasisymmetric element in the M or L basis.
 
-    ``coeffs[k]`` belongs to the composition of ``degree`` whose partial sums
-    form the subset with mask k.
+    Unsigned, ``coeffs[k]`` belongs to the composition of ``degree`` whose
+    partial sums form the subset with mask k.  Signed, the composition is of
+    ``degree + 1`` with a first part covering the distinguished initial
+    letter, and k ranges over the subsets of {1, ..., degree}.
     """
 
     degree: int
     basis: str
     coeffs: tuple[int, ...]
-    modulus: int | None = None
+    signed: bool = False
 
     def __post_init__(self) -> None:
-        _validate_header(self.degree, self.basis, self.modulus)
-        if len(self.coeffs) != 1 << max(self.degree - 1, 0):
+        if self.degree < 0:
+            raise ContractViolationError(f"degree must be >= 0, got {self.degree}")
+        if self.basis not in _BASES:
             raise ContractViolationError(
-                f"degree {self.degree} needs {1 << max(self.degree - 1, 0)} "
-                f"coefficients, got {len(self.coeffs)}"
+                f"basis must be one of {_BASES}, got {self.basis!r}"
+            )
+        size = 1 << (self.degree if self.signed else max(self.degree - 1, 0))
+        if len(self.coeffs) != size:
+            raise ContractViolationError(
+                f"{'signed ' if self.signed else ''}degree {self.degree} needs "
+                f"{size} coefficients, got {len(self.coeffs)}"
             )
 
-    def coefficient(self, comp: Iterable[int]) -> int:
-        comp = Composition(comp)
-        if comp.total != self.degree:
-            raise ContractViolationError(
-                f"composition of {comp.total} indexes nothing in degree {self.degree}"
-            )
-        return self.coeffs[composition_to_mask(comp)]
 
-
-@dataclass(frozen=True)
-class BQSymPoly:
-    """The signed analogue of :class:`QSymPoly`.
-
-    Indexed by compositions of ``degree + 1`` whose first part covers the
-    distinguished initial letter; ``coeffs[k]`` belongs to the subset of
-    {1, ..., degree} with mask k (the partial sums short of the total).
-    """
-
-    degree: int
-    basis: str
-    coeffs: tuple[int, ...]
-    modulus: int | None = None
-
-    def __post_init__(self) -> None:
-        _validate_header(self.degree, self.basis, self.modulus)
-        if len(self.coeffs) != 1 << self.degree:
-            raise ContractViolationError(
-                f"signed degree {self.degree} needs {1 << self.degree} "
-                f"coefficients, got {len(self.coeffs)}"
-            )
-
-    def coefficient(self, comp: Iterable[int]) -> int:
-        comp = Composition(comp)
-        if comp.total != self.degree + 1:
-            raise ContractViolationError(
-                f"composition of {comp.total} indexes nothing in signed degree "
-                f"{self.degree}"
-            )
-        return self.coeffs[composition_to_mask(comp)]
-
-
-def _reduced(vals: list[int], modulus: int | None) -> tuple[int, ...]:
-    if modulus is None:
-        return tuple(vals)
-    return tuple(v % modulus for v in vals)
-
-
-def m_to_l(p):
+def m_to_l(p: QSymPoly) -> QSymPoly:
     """Rewrite an M-basis element in the L basis (subset Moebius inversion)."""
     if p.basis != "M":
         raise ContractViolationError(f"expected M basis, got {p.basis!r}")
     vals = list(p.coeffs)
     _subset_transform(vals, operator.sub)
-    return dataclasses.replace(p, basis="L", coeffs=_reduced(vals, p.modulus))
-
-
-def l_to_m(p):
-    """Rewrite an L-basis element in the M basis (subset zeta transform)."""
-    if p.basis != "L":
-        raise ContractViolationError(f"expected L basis, got {p.basis!r}")
-    vals = list(p.coeffs)
-    _subset_transform(vals, operator.add)
-    return dataclasses.replace(p, basis="M", coeffs=_reduced(vals, p.modulus))
+    return dataclasses.replace(p, basis="L", coeffs=tuple(vals))
 
 
 @lru_cache(maxsize=None)
@@ -154,15 +102,13 @@ def _quasi_shuffle(ga: tuple[int, ...], gb: tuple[int, ...]) -> tuple:
 
 
 def multiply(p: QSymPoly, q: QSymPoly) -> QSymPoly:
-    """Product of two M-basis elements by quasi-shuffling compositions."""
+    """Product of two unsigned M-basis elements by quasi-shuffling compositions."""
     if not isinstance(p, QSymPoly) or not isinstance(q, QSymPoly):
         raise ContractViolationError("multiply needs two QSymPoly operands")
+    if p.signed or q.signed:
+        raise ContractViolationError("multiply works in the unsigned algebra")
     if p.basis != "M" or q.basis != "M":
         raise ContractViolationError("multiply works in the M basis")
-    if p.modulus != q.modulus:
-        raise ContractViolationError(
-            f"mixed moduli {p.modulus} and {q.modulus}"
-        )
     degree = p.degree + q.degree
     out = [0] * (1 << max(degree - 1, 0))
     for ma, ca in enumerate(p.coeffs):
@@ -175,7 +121,7 @@ def multiply(p: QSymPoly, q: QSymPoly) -> QSymPoly:
             c = ca * cb
             for comp, k in _quasi_shuffle(ga, mask_to_composition(mb, q.degree)):
                 out[composition_to_mask(comp)] += c * k
-    return QSymPoly(degree, "M", _reduced(out, p.modulus), p.modulus)
+    return QSymPoly(degree, "M", tuple(out))
 
 
 def ordered_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -224,30 +170,23 @@ def product_monomial_singletons(m_list: Iterable[int]) -> QSymPoly:
     return QSymPoly(degree, "M", tuple(out))
 
 
-_EXACT_POWER_LIMIT = 12
-_MODULAR_POWER_LIMIT = 18
+_POWER_LIMIT = 12
 
 
-def _power_limit(n: int, modulus: int | None, name: str) -> None:
+def _power_limit(n: int, name: str) -> None:
     if n < 0:
         raise ContractViolationError(f"n must be >= 0, got {n}")
-    limit = _EXACT_POWER_LIMIT if modulus is None else _MODULAR_POWER_LIMIT
-    if n > limit:
-        raise ResourceLimitError(
-            f"{name}(n={n}) exceeds the limit {limit} "
-            f"({'exact' if modulus is None else f'mod {modulus}'})"
-        )
+    if n > _POWER_LIMIT:
+        raise ResourceLimitError(f"{name}(n={n}) exceeds the limit {_POWER_LIMIT}")
 
 
-def f_boolean(n: int, modulus: int | None = None) -> QSymPoly:
+def f_boolean(n: int) -> QSymPoly:
     """Flag enumerator of the rank-n Boolean lattice: the n-th power of M_(1).
 
     The M coefficients count chains by rank support, the L coefficients count
-    permutations by descent set.  Exact up to n = 12; with a modulus, 18.
+    permutations by descent set.  Exact up to n = 12.
     """
-    if modulus is not None and modulus < 2:
-        raise ContractViolationError(f"modulus must be >= 2, got {modulus}")
-    _power_limit(n, modulus, "f_boolean")
+    _power_limit(n, "f_boolean")
     coeffs: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = defaultdict(int)
@@ -257,26 +196,21 @@ def f_boolean(n: int, modulus: int | None = None) -> QSymPoly:
                 nxt[comp[:i] + (1,) + comp[i:]] += c
             for i in range(m):
                 nxt[comp[:i] + (comp[i] + 1,) + comp[i + 1 :]] += c
-        if modulus is None:
-            coeffs = dict(nxt)
-        else:
-            coeffs = {comp: c % modulus for comp, c in nxt.items()}
+        coeffs = nxt
     out = [0] * (1 << max(n - 1, 0))
     for comp, c in coeffs.items():
         out[composition_to_mask(comp)] = c
-    return QSymPoly(n, "M", tuple(out), modulus)
+    return QSymPoly(n, "M", tuple(out))
 
 
-def f_cubical_B(n: int, modulus: int | None = None) -> BQSymPoly:
+def f_cubical_B(n: int) -> QSymPoly:
     """Flag enumerator of the n-cube in the signed algebra: (s + 2 M_(1))^n.
 
     The distinguished letter s deepens the first part; 2 M_(1) quasi-shuffles
     a new unit into the tail.  The L coefficients count signed permutations
-    by descent set.  Exact up to n = 12; with a modulus, 18.
+    by descent set.  Exact up to n = 12.
     """
-    if modulus is not None and modulus < 2:
-        raise ContractViolationError(f"modulus must be >= 2, got {modulus}")
-    _power_limit(n, modulus, "f_cubical_B")
+    _power_limit(n, "f_cubical_B")
     coeffs: dict[tuple[int, ...], int] = {(1,): 1}
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = defaultdict(int)
@@ -289,14 +223,11 @@ def f_cubical_B(n: int, modulus: int | None = None) -> BQSymPoly:
                 nxt[comp[:1] + tail[:i] + (1,) + tail[i:]] += c2
             for i in range(m):
                 nxt[comp[: i + 1] + (tail[i] + 1,) + tail[i + 1 :]] += c2
-        if modulus is None:
-            coeffs = dict(nxt)
-        else:
-            coeffs = {comp: c % modulus for comp, c in nxt.items()}
+        coeffs = nxt
     out = [0] * (1 << n)
     for comp, c in coeffs.items():
         out[composition_to_mask(comp)] = c
-    return BQSymPoly(n, "M", tuple(out), modulus)
+    return QSymPoly(n, "M", tuple(out), signed=True)
 
 
 def odd_fundamental_count(n: int) -> int:

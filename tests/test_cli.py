@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from descentlab import descent
+from descentlab import cyclo, descent
 from descentlab.cli import main
 
 
@@ -56,7 +56,14 @@ def test_table_cache_env_var(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "content", [b"not a table\n", b"\xff\xfe\x00garbage"], ids=["text", "binary"]
+    "content",
+    [
+        b"not a table\n",
+        b"\xff\xfe\x00garbage",
+        # the header's n is refused before 2**(n - 1) values are sized
+        b"descentlab-table v1 n=100000000000000000000 signed=0\n",
+    ],
+    ids=["text", "binary", "huge-n"],
 )
 def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
     path = tmp_path / "table-v1-n5-s0.txt"
@@ -313,6 +320,17 @@ def test_observations_run(capsys):
     assert tags == ["i", "ii", "iii", "iv", "v", "vi", "vii", "viii", "ix", "x"]
     # observations report, they never fail the run
     assert all(("holds" in l) or ("fails" in l) or ("outside" in l) for l in lines)
+
+
+def test_observations_refuses_past_the_limit_before_scanning(capsys, monkeypatch):
+    monkeypatch.setitem(descent.DEFAULT_LIMITS, "unsigned", 5)
+    scanned = []
+    monkeypatch.setattr(cyclo, "factor_scan", lambda *a, **k: scanned.append(a))
+    code, out, err = run(capsys, "observations", "--max-n", "6")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource limit:")
+    assert scanned == []
 
 
 def test_console_script_wiring():

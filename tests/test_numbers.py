@@ -6,18 +6,14 @@ from hypothesis import strategies as st
 
 from descentlab.errors import ContractViolationError
 from descentlab.numbers import (
-    Composition,
-    SubsetMask,
     as_mask,
     composition_to_mask,
-    composition_to_subset,
     euler_number,
     is_prime,
     mask_to_composition,
     prime_divisors,
     multinomial,
     signed_euler_number,
-    subset_to_composition,
 )
 
 # frozen with math.comb / direct counts before anything downstream existed
@@ -25,42 +21,18 @@ EULER = [1, 1, 1, 2, 5, 16, 61, 272, 1385, 7936, 50521]
 SIGNED_EULER = [1, 1, 3, 11, 57, 361, 2763, 24611, 250737, 2873041, 36581523]
 
 
-def test_composition_total():
-    c = Composition((2, 1, 3))
-    assert tuple(c) == (2, 1, 3)
-    assert c.total == 6
-
-
-@pytest.mark.parametrize("bad", [(0,), (-1, 2), (1.5,), (True,)])
-def test_composition_rejects_nonpositive_parts(bad):
-    with pytest.raises(ContractViolationError):
-        Composition(bad)
-
-
-def test_subset_mask_membership():
-    s = SubsetMask.from_elements(5, [1, 4])
-    assert s.bits == 0b01001
-    assert list(s) == [1, 4]
-    assert 4 in s and 2 not in s and 9 not in s
-    assert len(s) == 2
-    assert list(s.complement()) == [2, 3, 5]
-
-
-def test_subset_mask_bounds():
-    with pytest.raises(ContractViolationError):
-        SubsetMask(3, 0b1000)
-    with pytest.raises(ContractViolationError):
-        SubsetMask.from_elements(3, [4])
-
-
-def test_as_mask_three_forms():
-    assert as_mask(SubsetMask(4, 0b101)) == 0b101
+def test_as_mask_int_and_iterable_forms():
+    assert as_mask(0b101) == 0b101
     assert as_mask(0b101, 4) == 0b101
     assert as_mask({1, 3}, 4) == 0b101
-    with pytest.raises(ContractViolationError):
-        as_mask(SubsetMask(4, 0b101), 5)  # universe disagreement
+    assert as_mask([], 0) == 0
     with pytest.raises(ContractViolationError):
         as_mask(0b10000, 4)
+    with pytest.raises(ContractViolationError):
+        as_mask({5}, 4)
+    for bad in (-1, {0}, {1.5}):
+        with pytest.raises(ContractViolationError):
+            as_mask(bad)
 
 
 def test_multinomial_values():
@@ -101,15 +73,7 @@ def test_prime_divisors():
 
 
 def test_subset_composition_round_trip():
-    s = SubsetMask.from_elements(7, [2, 3, 6])
-    c = subset_to_composition(s)
-    assert tuple(c) == (2, 1, 3, 2)
-    assert composition_to_subset(c) == s
-    # raw mask needs an explicit total
-    assert tuple(subset_to_composition(0b100110, total=8)) == (2, 1, 3, 2)
-    with pytest.raises(ContractViolationError):
-        subset_to_composition(0b110)
-    # the int-level pair behind both, with the empty composition of 0
+    # {2, 3, 6} inside {1, ..., 7}, with the empty composition of 0
     assert mask_to_composition(0b100110, 8) == (2, 1, 3, 2)
     assert composition_to_mask((2, 1, 3, 2)) == 0b100110
     assert mask_to_composition(0, 0) == () and composition_to_mask(()) == 0
@@ -118,9 +82,9 @@ def test_subset_composition_round_trip():
 @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0))
 def test_subset_composition_inverse(total, seed):
     mask = seed % (1 << (total - 1))
-    comp = subset_to_composition(mask, total=total)
-    assert comp.total == total
-    assert composition_to_subset(comp).bits == mask
+    comp = mask_to_composition(mask, total)
+    assert sum(comp) == total and min(comp) > 0
+    assert composition_to_mask(comp) == mask
 
 
 def test_euler_numbers():

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 
 from descentlab.descent import beta_table, rho
 from descentlab.errors import ContractViolationError, ResourceLimitError
+from descentlab.numbers import composition_to_mask
 from descentlab.qsym import (
-    BQSymPoly,
     QSymPoly,
     f_boolean,
     f_cubical_B,
-    l_to_m,
     m_to_l,
     multiply,
     odd_fundamental_count,
@@ -41,10 +40,8 @@ def M(comp, coeff=1):
     """The monomial element coeff * M_comp."""
     comp = tuple(comp)
     n = sum(comp)
-    coeffs = [0] * (1 << max(n - 1, 0))
-    p = QSymPoly(n, "M", tuple(coeffs))
     # place through the public indexing contract
-    vals = list(coeffs)
+    vals = [0] * (1 << max(n - 1, 0))
     mask = 0
     acc = 0
     for part in comp[:-1]:
@@ -54,31 +51,40 @@ def M(comp, coeff=1):
     return QSymPoly(n, "M", tuple(vals))
 
 
+def coefficient(p, comp):
+    """The coefficient of p on a composition, through the mask contract."""
+    assert sum(comp) == p.degree + p.signed
+    return p.coeffs[composition_to_mask(comp)]
+
+
+def l_to_m(p):
+    """Reference inverse of m_to_l: each M coefficient sums the L
+    coefficients over the subsets of its mask."""
+    assert p.basis == "L"
+    size = len(p.coeffs)
+    return QSymPoly(
+        p.degree,
+        "M",
+        tuple(sum(p.coeffs[t] for t in range(size) if t & s == t) for s in range(size)),
+        p.signed,
+    )
+
+
 def test_poly_shape_validation():
     with pytest.raises(ContractViolationError):
         QSymPoly(3, "M", (1, 2))
     with pytest.raises(ContractViolationError):
         QSymPoly(3, "X", (1, 2, 3, 4))
     with pytest.raises(ContractViolationError):
-        BQSymPoly(2, "M", (1, 2))
-    with pytest.raises(ContractViolationError):
-        QSymPoly(3, "M", (1, 2, 3, 4), modulus=1)
-
-
-def test_coefficient_lookup():
-    p = f_boolean(3)
-    assert p.coefficient((1, 1, 1)) == 6
-    assert p.coefficient((3,)) == 1
-    with pytest.raises(ContractViolationError):
-        p.coefficient((2, 2))
-    s = f_cubical_B(2)
-    assert s.coefficient((3,)) == 1
-    assert s.coefficient((1, 1, 1)) == 8
+        QSymPoly(2, "M", (1, 2), signed=True)
+    assert len(QSymPoly(2, "M", (1, 2, 3, 4), signed=True).coeffs) == 4
 
 
 def test_basis_change_round_trip_small():
     p = f_boolean(5)
     assert l_to_m(m_to_l(p)).coeffs == p.coeffs
+    s = f_cubical_B(4)
+    assert m_to_l(s).signed and l_to_m(m_to_l(s)) == s
     with pytest.raises(ContractViolationError):
         m_to_l(m_to_l(p))
 
@@ -99,12 +105,12 @@ def test_multiply_unit_and_commutativity():
     assert ab.coeffs == ba.coeffs
     assert ab.degree == 4
     # M_(21) * M_(1) = 2 M_(211) + M_(121) + M_(31) + M_(22)
-    assert ab.coefficient((2, 1, 1)) == 2
-    assert ab.coefficient((1, 2, 1)) == 1
-    assert ab.coefficient((1, 1, 2)) == 0
-    assert ab.coefficient((3, 1)) == 1
-    assert ab.coefficient((2, 2)) == 1
-    assert ab.coefficient((4,)) == 0
+    assert coefficient(ab, (2, 1, 1)) == 2
+    assert coefficient(ab, (1, 2, 1)) == 1
+    assert coefficient(ab, (1, 1, 2)) == 0
+    assert coefficient(ab, (3, 1)) == 1
+    assert coefficient(ab, (2, 2)) == 1
+    assert coefficient(ab, (4,)) == 0
 
 
 @given(compositions, compositions)
@@ -112,11 +118,9 @@ def test_multiply_commutes(ca, cb):
     assert multiply(M(ca), M(cb)).coeffs == multiply(M(cb), M(ca)).coeffs
 
 
-def test_multiply_rejects_mixed_moduli():
-    a = QSymPoly(1, "M", (1,), modulus=5)
-    b = QSymPoly(1, "M", (1,))
+def test_multiply_rejects_a_signed_operand():
     with pytest.raises(ContractViolationError):
-        multiply(a, b)
+        multiply(M((1,)), f_cubical_B(1))
 
 
 def test_ordered_set_partition_counts():
@@ -157,31 +161,24 @@ def test_f_boolean_monomial_coefficients_count_chains():
     # degree-n M coefficient on comp = number of chains with those rank jumps
     # = multinomial(n; comp)
     p = f_boolean(6)
-    assert p.coefficient((2, 2, 2)) == 90
-    assert p.coefficient((1,) * 6) == math.factorial(6)
-    assert p.coefficient((6,)) == 1
+    assert coefficient(p, (2, 2, 2)) == 90
+    assert coefficient(p, (1,) * 6) == math.factorial(6)
+    assert coefficient(p, (6,)) == 1
+    p = f_boolean(3)
+    assert coefficient(p, (1, 1, 1)) == 6
+    assert coefficient(p, (3,)) == 1
 
 
 def test_f_cubical_first_steps():
     assert f_cubical_B(0).coeffs == (1,)
     p1 = f_cubical_B(1)
-    assert p1.coefficient((2,)) == 1
-    assert p1.coefficient((1, 1)) == 2
+    assert coefficient(p1, (2,)) == 1
+    assert coefficient(p1, (1, 1)) == 2
     p2 = f_cubical_B(2)
-    assert p2.coefficient((3,)) == 1
-    assert p2.coefficient((2, 1)) == 4
-    assert p2.coefficient((1, 2)) == 4
-    assert p2.coefficient((1, 1, 1)) == 8
-
-
-def test_modular_powers_match_exact():
-    for n in (3, 6, 9):
-        exact = f_boolean(n)
-        modular = f_boolean(n, modulus=8)
-        assert modular.coeffs == tuple(c % 8 for c in exact.coeffs)
-        exact_s = f_cubical_B(n)
-        modular_s = f_cubical_B(n, modulus=3)
-        assert modular_s.coeffs == tuple(c % 3 for c in exact_s.coeffs)
+    assert coefficient(p2, (3,)) == 1
+    assert coefficient(p2, (2, 1)) == 4
+    assert coefficient(p2, (1, 2)) == 4
+    assert coefficient(p2, (1, 1, 1)) == 8
 
 
 def test_power_limits():
@@ -189,8 +186,6 @@ def test_power_limits():
         f_boolean(13)
     with pytest.raises(ResourceLimitError):
         f_cubical_B(13)
-    with pytest.raises(ResourceLimitError):
-        f_boolean(19, modulus=4)
 
 
 @pytest.mark.parametrize("n", list(range(1, 13)) + [16, 17, 18])
