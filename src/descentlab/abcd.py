@@ -131,6 +131,24 @@ def _lex_key(mask: int, degree: int) -> int:
     return out
 
 
+def _cd_letters(mask: int, degree: int) -> tuple[str, bool]:
+    """Leftmost scan of the ab-word of ``mask`` into c/d letters: ab is a d,
+    any other letter a c.  Also says whether some letter starts with b."""
+    letters = []
+    b_start = False
+    pos = 0
+    while pos < degree:
+        pair = mask >> pos & 3  # bit 0 this letter, bit 1 the next; b is set
+        if pair == 0b10:
+            letters.append("d")
+            pos += 2
+        else:
+            b_start = b_start or bool(pair & 1)
+            letters.append("c")
+            pos += 1
+    return "".join(letters), b_start
+
+
 def ab_to_cd(p: AbPoly) -> CdPoly:
     """Rewrite an ab-polynomial in the letters c = a + b and d = ab + ba.
 
@@ -147,22 +165,13 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
         lead = next((m for m in order if residual[m]), None)
         if lead is None:
             break
-        letters = []
-        pos = 0
-        while pos < p.degree:
-            if lead >> pos & 1:
-                stuck = AbPoly(p.degree, tuple(residual))
-                raise NotInSpanError(
-                    f"leading word {stuck.word(lead)!r} starts a letter with b",
-                    stuck,
-                )
-            if pos + 1 < p.degree and lead >> (pos + 1) & 1:
-                letters.append("d")
-                pos += 2
-            else:
-                letters.append("c")
-                pos += 1
-        word = "".join(letters)
+        word, b_start = _cd_letters(lead, p.degree)
+        if b_start:
+            stuck = AbPoly(p.degree, tuple(residual))
+            raise NotInSpanError(
+                f"leading word {stuck.word(lead)!r} starts a letter with b",
+                stuck,
+            )
         coeff = residual[lead]
         for mask in _expand_word(word):
             residual[mask] -= coeff
@@ -174,20 +183,9 @@ def omega(p: AbPoly) -> CdPoly:
     """Replace each leftmost-scan occurrence of ab by 2d and the rest by c."""
     terms: dict[str, int] = defaultdict(int)
     for mask, coeff in enumerate(p.coeffs):
-        if not coeff:
-            continue
-        letters = []
-        factor = 1
-        pos = 0
-        while pos < p.degree:
-            if not mask >> pos & 1 and pos + 1 < p.degree and mask >> (pos + 1) & 1:
-                letters.append("d")
-                factor *= 2
-                pos += 2
-            else:
-                letters.append("c")
-                pos += 1
-        terms["".join(letters)] += coeff * factor
+        if coeff:
+            word, _ = _cd_letters(mask, p.degree)
+            terms[word] += coeff * 2 ** word.count("d")
     return CdPoly(degree=p.degree, terms={w: c for w, c in terms.items() if c})
 
 

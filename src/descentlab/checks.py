@@ -2,11 +2,11 @@
 
 A suite is a named group of checks.  It declares the instances it runs at
 desk scale (quick) and at full scale beside its body, and is called with the
-scale, an optional n that keeps only the instances of that n (and drops the
-checks that take no n), and the keyword options it declares.  ``verify``
-runs every suite in :data:`SUITES`, the acceptance tests run them at full
-scale, and :func:`observations` reports the regularities the scanned factor
-rows show without asserting them.
+scale and an optional n that keeps only the instances of that n (and drops
+the checks that take no n).  ``verify`` runs every suite in :data:`SUITES`,
+the acceptance tests run them at full scale, and :func:`observations`
+reports the regularities the scanned factor rows show without asserting
+them.
 
 Every library call goes through a module attribute (``descent.beta_table``,
 ``cyclo.factor_scan``, ...), so a caller that wraps those attributes sees
@@ -23,7 +23,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import abcd, cyclo, descent, numbers, qsym
-from .errors import ResourceLimitError
+from .errors import ContractViolationError, ResourceLimitError
 
 __all__ = ["CheckResult", "Suite", "SUITES", "observations"]
 
@@ -40,26 +40,26 @@ class Suite:
 
     ``desk`` and ``full`` map names to instance lists; the body reads those
     of the scale it is called with ("desk" or "full") as attributes of its
-    first argument.  ``options`` names the keyword options the body takes;
-    others passed to a call are ignored.
+    first argument.
     """
 
     body: Callable[..., list[CheckResult]]
     desk: dict
     full: dict
-    options: tuple[str, ...] = ()
 
-    def __call__(
-        self, scale: str = "full", n: int | None = None, **options
-    ) -> list[CheckResult]:
+    def __call__(self, scale: str = "full", n: int | None = None) -> list[CheckResult]:
         at = SimpleNamespace(**{"desk": self.desk, "full": self.full}[scale])
-        return self.body(at, n, **{k: options[k] for k in self.options if k in options})
+        return self.body(at, n)
 
 
-def _suite(desk: dict, full: dict | None = None, options: tuple[str, ...] = ()):
+def _suite(desk: dict, full: dict | None = None):
     """Declare a suite's desk and full instances (the same when ``full`` is
     omitted) above its body."""
-    return lambda body: Suite(body, desk, desk if full is None else full, options)
+    return lambda body: Suite(body, desk, desk if full is None else full)
+
+
+def _kind(signed: bool) -> str:
+    return "signed" if signed else "unsigned"
 
 
 def _keep(only: int | None, instances) -> list:
@@ -145,15 +145,15 @@ def _popcount(at, only) -> list[CheckResult]:
 @_suite(desk=dict(unsigned=range(1, 9), signed=range(1, 7)))
 def _oracle(at, only) -> list[CheckResult]:
     out = []
-    for n in _keep(only, at.unsigned):
-        ok = descent.beta_table(n).values == descent.brute_force_table(n).values
-        out.append(CheckResult(f"oracle.unsigned.n{n}", ok, "closed form == enumeration"))
-    for n in _keep(only, at.signed):
-        ok = (
-            descent.beta_table(n, signed=True).values
-            == descent.brute_force_table(n, signed=True).values
-        )
-        out.append(CheckResult(f"oracle.signed.n{n}", ok, "closed form == enumeration"))
+    for signed, ns in ((False, at.unsigned), (True, at.signed)):
+        for n in _keep(only, ns):
+            ok = (
+                descent.beta_table(n, signed).values
+                == descent.brute_force_table(n, signed).values
+            )
+            out.append(
+                CheckResult(f"oracle.{_kind(signed)}.n{n}", ok, "closed form == enumeration")
+            )
     return out
 
 
@@ -208,24 +208,19 @@ def _symmetry(at, only) -> list[CheckResult]:
 )
 def _mod4(at, only) -> list[CheckResult]:
     out = []
-    for n in _keep(only, at.unsigned):
-        c = descent.residue_histogram(descent.beta_table(n), 4).counts
-        expect = 1 << (n - 2)
-        ok = c[0] == 0 and c[2] == 0 and c[1] == expect and c[3] == expect
-        out.append(
-            CheckResult(
-                f"mod4.unsigned.n{n}", ok, f"counts=({c[1]}, {c[3]}) expected={expect}"
+    for signed, ns in ((False, at.unsigned), (True, at.signed)):
+        for n in _keep(only, ns):
+            table = descent.beta_table(n, signed)
+            c = descent.residue_histogram(table, 4).counts
+            expect = 1 << (table.universe - 1)
+            ok = c[0] == 0 and c[2] == 0 and c[1] == expect and c[3] == expect
+            out.append(
+                CheckResult(
+                    f"mod4.{_kind(signed)}.n{n}",
+                    ok,
+                    f"counts=({c[1]}, {c[3]}) expected={expect}",
+                )
             )
-        )
-    for n in _keep(only, at.signed):
-        c = descent.residue_histogram(descent.beta_table(n, signed=True), 4).counts
-        expect = 1 << (n - 1)
-        ok = c[0] == 0 and c[2] == 0 and c[1] == expect and c[3] == expect
-        out.append(
-            CheckResult(
-                f"mod4.signed.n{n}", ok, f"counts=({c[1]}, {c[3]}) expected={expect}"
-            )
-        )
     return out
 
 
@@ -397,25 +392,21 @@ def _theoremq(at, only) -> list[CheckResult]:
     return out
 
 
+# (n, m): Phi_m^2 divides the unsigned polynomial of n
 @_suite(
-    desk=dict(phi2=(5, 6, 9, 10, 12), phi4=(4, 8), doubles=((6, 6), (10, 10))),
+    desk=dict(
+        pairs=((5, 2), (6, 2), (9, 2), (10, 2), (12, 2), (4, 4), (8, 4), (6, 6), (10, 10))
+    ),
     full=dict(
-        phi2=(5, 6, 9, 10, 12, 17, 18, 20),
-        phi4=(4, 8, 16),
-        doubles=((6, 6), (10, 10), (18, 6)),
+        pairs=(
+            (5, 2), (6, 2), (9, 2), (10, 2), (12, 2), (17, 2), (18, 2), (20, 2),
+            (4, 4), (8, 4), (16, 4), (6, 6), (10, 10), (18, 6),
+        )
     ),
 )
 def _squares(at, only) -> list[CheckResult]:
     out = []
-    for n in _keep(only, at.phi2):
-        table = descent.beta_table(n)
-        ok = cyclo.divides_order(table, 2, 0) and cyclo.divides_order(table, 2, 1)
-        out.append(CheckResult(f"squares.phi2.n{n}", ok, "Phi_2^2 divides"))
-    for n in _keep(only, at.phi4):
-        table = descent.beta_table(n)
-        ok = cyclo.divides_order(table, 4, 0) and cyclo.divides_order(table, 4, 1)
-        out.append(CheckResult(f"squares.phi4.n{n}", ok, "Phi_4^2 divides"))
-    for n, m in _keep(only, at.doubles):
+    for n, m in _keep(only, at.pairs):
         table = descent.beta_table(n)
         ok = cyclo.divides_order(table, m, 0) and cyclo.divides_order(table, m, 1)
         out.append(CheckResult(f"squares.phi{m}.n{n}", ok, f"Phi_{m}^2 divides"))
@@ -475,8 +466,8 @@ def _derivative(at, only) -> list[CheckResult]:
 @_suite(
     desk=dict(
         cube=range(1, 8),
-        oddrun_b=range(2, 9),
-        oddrun_c=range(2, 7),
+        oddrun=range(2, 9),
+        oddrun_signed=range(2, 7),
         roundtrip=range(1, 9),
         product_top=7,
         cdcoef=(3, 5),
@@ -485,8 +476,8 @@ def _derivative(at, only) -> list[CheckResult]:
     ),
     full=dict(
         cube=range(1, 10),
-        oddrun_b=range(2, 11),
-        oddrun_c=range(2, 9),
+        oddrun=range(2, 11),
+        oddrun_signed=range(2, 9),
         roundtrip=range(1, 11),
         product_top=9,
         cdcoef=(3, 5, 7),
@@ -508,34 +499,22 @@ def _structure(at, only) -> list[CheckResult]:
                 "signed cd-index == omega of a times the unsigned ab-index",
             )
         )
-    for n in _keep(only, at.oddrun_b):
-        poly = abcd.ab_index(descent.beta_table(n))
-        bad = sum(
-            1
-            for t in range(1 << (n - 1))
-            if abcd.has_odd_run(t, n - 1) and abcd.signed_sum(poly, t) != 0
-        )
-        out.append(
-            CheckResult(
-                f"structure.oddrun.B.n{n}",
-                bad == 0,
-                "signed sums vanish on every odd-run pattern",
+    # type B is the unsigned table, type C the signed one
+    for signed, ns in ((False, at.oddrun), (True, at.oddrun_signed)):
+        for n in _keep(only, ns):
+            poly = abcd.ab_index(descent.beta_table(n, signed))
+            bad = sum(
+                1
+                for t in range(1 << poly.degree)
+                if abcd.has_odd_run(t, poly.degree) and abcd.signed_sum(poly, t) != 0
             )
-        )
-    for n in _keep(only, at.oddrun_c):
-        poly = abcd.ab_index(descent.beta_table(n, signed=True))
-        bad = sum(
-            1
-            for t in range(1 << n)
-            if abcd.has_odd_run(t, n) and abcd.signed_sum(poly, t) != 0
-        )
-        out.append(
-            CheckResult(
-                f"structure.oddrun.C.n{n}",
-                bad == 0,
-                "signed sums vanish on every odd-run pattern",
+            out.append(
+                CheckResult(
+                    f"structure.oddrun.{'C' if signed else 'B'}.n{n}",
+                    bad == 0,
+                    "signed sums vanish on every odd-run pattern",
+                )
             )
-        )
     roundtrip = _keep(only, at.roundtrip)
     bad = []
     for n in roundtrip:
@@ -635,13 +614,13 @@ def _cyclounit(at, only) -> list[CheckResult]:
         for d in range(1, k + 1):
             if k % d == 0:
                 prod = prod * cyclo.cyclotomic(d)
-        if prod != cyclo.IntPoly.from_terms({0: -1, k: 1}):
+        if prod != cyclo.IntPoly((-1,) + (0,) * (k - 1) + (1,)):
             bad.append(k)
     detail = f"product over divisors rebuilds t^k - 1 for {len(ks)} indexes"
     out.append(_verdict("cyclounit.product", bad, detail, "failures at"))
     bad_units = []
     for m in range(2, 200):
-        value = cyclo.cyclotomic(m)(1)
+        value = sum(cyclo.cyclotomic(m).coeffs)
         primes = numbers.prime_divisors(m)
         expected = primes[0] if len(primes) == 1 else 1
         if value != expected:
@@ -654,24 +633,18 @@ def _cyclounit(at, only) -> list[CheckResult]:
 @_suite(
     desk=dict(unsigned=range(3, 11), signed=range(2, 8), bound=512),
     full=dict(unsigned=range(3, 17), signed=range(2, 11), bound=10_000),
-    options=("policy", "workers"),
 )
-def _tables(at, only, policy: str = "heuristic", workers: int = 1) -> list[CheckResult]:
+def _tables(at, only) -> list[CheckResult]:
     out = []
     for signed, ns in ((False, at.unsigned), (True, at.signed)):
         golden = cyclo.load_golden(signed)
         for n in _keep(only, ns):
-            report = cyclo.factor_scan(
-                descent.beta_table(n, signed),
-                max_index=at.bound,
-                policy=policy,
-                workers=workers,
-            )
+            report = cyclo.factor_scan(descent.beta_table(n, signed), max_index=at.bound)
             want = tuple((m, k) for m, k in golden[n].factors if m <= at.bound)
             ok = report.factors == want
             out.append(
                 CheckResult(
-                    f"tables.{'signed' if signed else 'unsigned'}.n{n}",
+                    f"tables.{_kind(signed)}.n{n}",
                     ok,
                     cyclo.format_report(report, include_scan_info=False)
                     + ("" if ok else f" != recorded {want}"),
@@ -699,35 +672,30 @@ SUITES: dict[str, Suite] = {
 }
 
 
-def observations(max_n: int = 12, bound: int = 600, workers: int = 1) -> list[str]:
+def observations(max_n: int = 12, bound: int = 600) -> list[str]:
     """Report lines on regularities of the factor rows, never asserting them.
 
     Scans the unsigned rows 3..max_n and the signed rows 3..min(max_n, 8)
-    exhaustively up to ``bound``.  A ``max_n`` past the unsigned table limit
-    is refused before any row is scanned.
+    exhaustively up to ``bound``.  A ``max_n`` below 3, which scans no row,
+    or past the unsigned table limit is refused before any row is scanned.
     """
     limit = descent.DEFAULT_LIMITS["unsigned"]
+    if max_n < 3:
+        raise ContractViolationError(f"observations needs max_n >= 3, got {max_n}")
     if max_n > limit:
         raise ResourceLimitError(
             f"observations(max_n={max_n}) exceeds the table limit {limit}"
         )
-    unsigned = {}
-    for n in range(3, max_n + 1):
-        unsigned[n] = cyclo.factor_scan(
-            descent.beta_table(n),
-            max_index=bound,
-            policy="exhaustive",
-            workers=workers,
-        )
-    signed_top = min(max_n, 8)
-    signed = {}
-    for n in range(3, signed_top + 1):
-        signed[n] = cyclo.factor_scan(
-            descent.beta_table(n, signed=True),
-            max_index=bound,
-            policy="exhaustive",
-            workers=workers,
-        )
+
+    def scan(signed: bool, top: int) -> dict[int, cyclo.FactorReport]:
+        return {
+            n: cyclo.factor_scan(
+                descent.beta_table(n, signed), max_index=bound, policy="exhaustive"
+            )
+            for n in range(3, top + 1)
+        }
+
+    unsigned, signed = scan(False, max_n), scan(True, min(max_n, 8))
     lines = []
 
     def line(tag: str, status: str, detail: str) -> None:
@@ -813,7 +781,7 @@ def observations(max_n: int = 12, bound: int = 600, workers: int = 1) -> list[st
     mersenne = {3, 7, 31}
     vi_rows = []
     for n, r in unsigned.items():
-        if numbers.is_prime(n) and n not in mersenne:
+        if numbers.prime_divisors(n) == (n,) and n not in mersenne:
             if 2 * n > bound:
                 vi_rows.append(f"n={n} outside bound")
             else:
@@ -839,7 +807,7 @@ def observations(max_n: int = 12, bound: int = 600, workers: int = 1) -> list[st
 
     viii_rows = []
     for n, r in unsigned.items():
-        if n % 2 == 0 and numbers.is_prime(n // 2):
+        if n % 2 == 0 and numbers.prime_divisors(n // 2) == (n // 2,):
             mult = dict(r.factors)
             got = mult.get(n, 0)
             viii_rows.append(f"n={n} mult(Phi_{n})={got} {'ok' if got >= 2 else 'BAD'}")

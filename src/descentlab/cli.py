@@ -101,9 +101,29 @@ def cmd_rho(args: argparse.Namespace) -> int:
 
 
 def cmd_factors(args: argparse.Namespace) -> int:
-    table = _get_table(args)
+    # the recorded row is resolved and checked before the table is built
+    golden = None
+    if args.golden == "builtin":
+        rows = cyclo.load_golden(args.signed)
+        if args.n not in rows:
+            print(f"no golden row for n={args.n} signed={int(args.signed)}", file=sys.stderr)
+            return 2
+        golden = rows[args.n]
+    elif args.golden is not None:
+        try:
+            text = Path(args.golden).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ContractViolationError(
+                f"cannot read golden file {args.golden}: {exc}"
+            ) from exc
+        golden = cyclo.parse_report_line(text.strip())
+        if (golden.n, golden.signed) != (args.n, args.signed):
+            raise ContractViolationError(
+                f"golden file {args.golden} holds n={golden.n} "
+                f"signed={int(golden.signed)}, wanted n={args.n} signed={int(args.signed)}"
+            )
     report = cyclo.factor_scan(
-        table,
+        _get_table(args),
         max_index=args.max_index,
         max_multiplicity=args.multiplicity,
         policy=args.policy,
@@ -117,22 +137,8 @@ def cmd_factors(args: argparse.Namespace) -> int:
             print(f"{report.n},{int(report.signed)},{m},{k}")
     else:
         print(json.dumps(cyclo.report_to_json_dict(report), sort_keys=True))
-    if args.golden is None:
+    if golden is None:
         return 0
-    if args.golden == "builtin":
-        rows = cyclo.load_golden(args.signed)
-        if args.n not in rows:
-            print(f"no golden row for n={args.n} signed={int(args.signed)}", file=sys.stderr)
-            return 2
-        golden = rows[args.n]
-    else:
-        try:
-            text = Path(args.golden).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ContractViolationError(
-                f"cannot read golden file {args.golden}: {exc}"
-            ) from exc
-        golden = cyclo.parse_report_line(text.strip())
     # golden rows were recorded with bound 10000
     cap = min(args.max_index, golden.bound or 10_000)
     mine = tuple((m, k) for m, k in report.factors if m <= cap)
@@ -160,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ran = 0
     for name in names:
         suite = checks.SUITES[name]
-        for result in suite(scale, args.n, policy=args.policy, workers=args.workers):
+        for result in suite(scale, args.n):
             ran += 1
             status = "PASS" if result.ok else "FAIL"
             print(f"{status} {result.name}: {result.detail}")
@@ -175,7 +181,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_observations(args: argparse.Namespace) -> int:
-    for line in checks.observations(args.max_n, args.bound, args.workers):
+    for line in checks.observations(args.max_n, args.bound):
         print(line)
     return 0
 
@@ -217,13 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", default="all", choices=("all", *checks.SUITES))
     v.add_argument("--n", type=int, default=None, help="restrict a suite to one n")
     v.add_argument("--desk-scale", action="store_true", help="trim every suite to quick instances")
-    v.add_argument("--workers", type=int, default=1)
-    v.add_argument("--policy", choices=("heuristic", "exhaustive"), default="heuristic")
 
     o = sub.add_parser("observations", help="report empirical regularities (never asserts)")
     o.add_argument("--max-n", type=int, default=12)
     o.add_argument("--bound", type=int, default=600)
-    o.add_argument("--workers", type=int, default=1)
 
     return parser
 

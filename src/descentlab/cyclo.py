@@ -17,7 +17,9 @@ mod L per group and order, and reduces it mod each member m, exactly, since
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
-checked against t**k - 1 by a dense multiplication, an independent route.
+checked against t**k - 1 by an independent route: :class:`IntPoly` has one
+product, a Kronecker substitution that packs each factor into one big
+integer and lets the integer multiply do the convolution.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ __all__ = [
     "load_golden",
 ]
 
-_SCHOOLBOOK_PAIR_LIMIT = 40_000
 # Ceiling on a factor scan's bound: the candidate list and the histogram of
 # a lone candidate are both that long.
 MAX_INDEX = 1_000_000
@@ -72,18 +73,6 @@ class IntPoly:
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, int]) -> "IntPoly":
-        if not terms:
-            return cls()
-        size = max(terms) + 1
-        cs = [0] * size
-        for e, c in terms.items():
-            if e < 0:
-                raise ContractViolationError(f"negative exponent {e}")
-            cs[e] += c
-        return cls(cs)
 
     @property
     def degree(self) -> int:
@@ -103,20 +92,7 @@ class IntPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
-        if len(a) * len(b) <= _SCHOOLBOOK_PAIR_LIMIT:
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ca in enumerate(a):
-                if ca:
-                    for j, cb in enumerate(b):
-                        out[i + j] += ca * cb
-            return IntPoly(out)
         return IntPoly(_kronecker_mul(a, b))
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def __repr__(self) -> str:
         if self.is_zero:

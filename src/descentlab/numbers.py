@@ -18,7 +18,6 @@ from .errors import ContractViolationError
 __all__ = [
     "as_mask",
     "multinomial",
-    "is_prime",
     "prime_divisors",
     "mask_to_composition",
     "composition_to_mask",
@@ -68,21 +67,6 @@ def multinomial(n: int, gamma: Iterable[int]) -> int:
         out *= math.comb(remaining, p)
         remaining -= p
     return out
-
-
-def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    f = 3
-    while f * f <= m:
-        if m % f == 0:
-            return False
-        f += 2
-    return True
 
 
 def prime_divisors(m: int) -> tuple[int, ...]:

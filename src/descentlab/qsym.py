@@ -8,14 +8,16 @@ distinguished initial letter (per subset of {1, ..., n}).  :func:`m_to_l`
 takes the monomial basis to the fundamental one by subset Moebius
 inversion.
 
-The flag enumerators f_boolean and f_cubical_B are built one rank at a
-time, so their fundamental-basis coefficients re-derive the descent tables
-along a route independent of the closed-form counting in
-:mod:`descentlab.descent`.  :func:`multiply` quasi-shuffles unsigned
-M-basis elements, and :func:`product_monomial_singletons` expands the same
-products over ordered set partitions, a second route to them.
-:func:`odd_fundamental_count` counts the odd fundamental coefficients of
-f_boolean(n) from its collapse modulo 2.
+Every product is one quasi-shuffle of compositions (Hoffman, J. Algebraic
+Combin. 11, 2000).  :func:`multiply` quasi-shuffles unsigned M-basis
+elements.  The flag enumerators f_boolean and f_cubical_B are built one rank
+at a time, each rank a product by the one-part monomial M_(1), so their
+fundamental-basis coefficients re-derive the descent tables along a route
+independent of the closed-form counting in :mod:`descentlab.descent`.
+:func:`odd_fundamental_count` takes the same products by M_(2^j) modulo 2 to
+count the odd fundamental coefficients of f_boolean(n).
+:func:`product_monomial_singletons` expands products of one-part monomials
+over ordered set partitions, a second route to the quasi-shuffle.
 """
 
 from __future__ import annotations
@@ -180,6 +182,16 @@ def _power_limit(n: int, name: str) -> None:
         raise ResourceLimitError(f"{name}(n={n}) exceeds the limit {_POWER_LIMIT}")
 
 
+def _times_monomial(coeffs: dict, a: int) -> dict[tuple[int, ...], int]:
+    """Multiply {composition: coefficient} by the one-part monomial M_(a):
+    one quasi-shuffle of each composition with (a,)."""
+    out: dict[tuple[int, ...], int] = defaultdict(int)
+    for comp, c in coeffs.items():
+        for new, k in _quasi_shuffle(comp, (a,)):
+            out[new] += c * k
+    return out
+
+
 def f_boolean(n: int) -> QSymPoly:
     """Flag enumerator of the rank-n Boolean lattice: the n-th power of M_(1).
 
@@ -189,14 +201,7 @@ def f_boolean(n: int) -> QSymPoly:
     _power_limit(n, "f_boolean")
     coeffs: dict[tuple[int, ...], int] = {(): 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = defaultdict(int)
-        for comp, c in coeffs.items():
-            m = len(comp)
-            for i in range(m + 1):
-                nxt[comp[:i] + (1,) + comp[i:]] += c
-            for i in range(m):
-                nxt[comp[:i] + (comp[i] + 1,) + comp[i + 1 :]] += c
-        coeffs = nxt
+        coeffs = _times_monomial(coeffs, 1)
     out = [0] * (1 << max(n - 1, 0))
     for comp, c in coeffs.items():
         out[composition_to_mask(comp)] = c
@@ -216,13 +221,8 @@ def f_cubical_B(n: int) -> QSymPoly:
         nxt: dict[tuple[int, ...], int] = defaultdict(int)
         for comp, c in coeffs.items():
             nxt[(comp[0] + 1,) + comp[1:]] += c
-            tail = comp[1:]
-            m = len(tail)
-            c2 = 2 * c
-            for i in range(m + 1):
-                nxt[comp[:1] + tail[:i] + (1,) + tail[i:]] += c2
-            for i in range(m):
-                nxt[comp[: i + 1] + (tail[i] + 1,) + tail[i + 1 :]] += c2
+            for tail, k in _quasi_shuffle(comp[1:], (1,)):
+                nxt[comp[:1] + tail] += 2 * c * k
         coeffs = nxt
     out = [0] * (1 << n)
     for comp, c in coeffs.items():
@@ -242,23 +242,14 @@ def odd_fundamental_count(n: int) -> int:
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
-    support: set[tuple[int, ...]] = {()}
+    support: dict[tuple[int, ...], int] = {(): 1}
     for j in range(n.bit_length()):
-        if not n >> j & 1:
-            continue
-        a = 1 << j
-        nxt: set[tuple[int, ...]] = set()
-        for comp in support:
-            m = len(comp)
-            for i in range(m + 1):
-                nxt ^= {comp[:i] + (a,) + comp[i:]}
-            for i in range(m):
-                nxt ^= {comp[:i] + (comp[i] + a,) + comp[i + 1 :]}
-        support = nxt
+        if n >> j & 1:
+            product = _times_monomial(support, 1 << j)
+            support = {comp: 1 for comp, c in product.items() if c % 2}
     buf = _bitset(n - 1)
     for comp in support:
         mask = composition_to_mask(comp)
         buf[mask >> 3] |= 1 << (mask & 7)
     _packed_transform(buf, n - 1, 1, operator.xor)
     return _bit_count(buf)
-

