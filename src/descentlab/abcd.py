@@ -269,11 +269,11 @@ def macmahon_multiplication_check(m: int, n: int, u, v) -> MacmahonCheck:
         raise ContractViolationError(f"need m, n >= 1, got {m}, {n}")
     mu = as_mask(u, m - 1)
     mv = as_mask(v, n - 1)
-    big = beta_table(m + n).values
+    big = beta_table(m + n)
     base = mu | (mv << m)
-    lhs = big[base] + big[base | (1 << (m - 1))]
-    bm = beta_table(m).values[mu]
-    bn = beta_table(n).values[mv]
+    lhs = big.value(base) + big.value(base | (1 << (m - 1)))
+    bm = beta_table(m).value(mu)
+    bn = beta_table(n).value(mv)
     binomial = math.comb(m + n, m)
     return MacmahonCheck(
         m=m,

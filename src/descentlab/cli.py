@@ -71,9 +71,11 @@ def _writing(path: str):
 
 def cmd_table(args: argparse.Namespace) -> int:
     table = _get_table(args)
-    total = sum(table.values)
+    total = top = 0
+    for block in table.chunks():
+        total += sum(block)
+        top = max(top, max(block))
     expected_total = math.factorial(args.n) << (args.n if args.signed else 0)
-    top = max(table.values)
     expected_top = (
         numbers.signed_euler_number(args.n)
         if args.signed
@@ -83,7 +85,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         with _writing(args.out):
             descent.save_table(table, args.out)
     print(
-        f"n={table.n} signed={int(table.signed)} subsets={len(table.values)} "
+        f"n={table.n} signed={int(table.signed)} subsets={1 << table.universe} "
         f"sum={total} sum_ok={'yes' if total == expected_total else 'no'} "
         f"max={top} max_ok={'yes' if top == expected_top else 'no'}"
     )

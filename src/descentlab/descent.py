@@ -5,11 +5,14 @@ with descent set exactly S) over every subset S, and a mod-2 fast path that
 gets the parity of every beta_n(S) for n up to the low thirties without ever
 materializing the exact table.
 
-An exact table is built packed: slot k of one byte buffer holds the value
-for mask k in a fixed number of bytes, enough for n! (times 2**n when
-signed).  The alpha values (permutations with descent set inside S) are
-written block by block, one big-int multiply per pair of top elements, and
-the slots are unpacked once into the table's tuple of ints.
+An exact table is built and kept packed: slot k of one byte buffer holds
+the value for mask k in a fixed number of bytes, enough for n! (times 2**n
+when signed).  The alpha values (permutations with descent set inside S) are
+written run by run, one big-int multiply per pair of top elements, straight
+into the buffer.  The paths that run at large n (the ``table`` summary, the
+value histogram behind the factor scan, the cache file) read the slots in
+blocks of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never exist as
+Python ints all at once.
 
 One engine, :func:`_packed_transform`, runs the subset transforms over
 packed slots as big-int operations on cache-sized chunks, with two
@@ -27,12 +30,14 @@ import math
 import operator
 import os
 import sys
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, permutations, repeat
+from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
+from typing import Iterator
 
 from .errors import CacheError, ContractViolationError, ResourceLimitError
 from .numbers import as_mask, mask_to_composition, multinomial, prime_divisors
@@ -63,35 +68,66 @@ DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 
 CACHE_FORMAT = "descentlab-table v1"
-# Values per write in save_table.
+# Values per block: a table is read, saved and loaded this many at a time.
 _SAVE_BLOCK = 1 << 16
+
+
+def _slot_width(n: int, signed: bool) -> int:
+    """Bytes per packed slot: enough for the number of (signed) permutations,
+    which bounds every slot before and after the Moebius passes."""
+    return ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
 class DescentTable:
-    """All values beta_n(S), indexed by subset bitmask.
+    """All values beta_n(S), indexed by subset bitmask, held packed.
 
-    ``values[k]`` is the count for the subset whose mask is k.  The subsets
-    range over {1, ..., n-1} in the unsigned case and {1, ..., n} in the
-    signed case.
+    The subsets range over {1, ..., n-1} in the unsigned case and
+    {1, ..., n} in the signed case.  ``data`` holds one slot of
+    ``_slot_width(n, signed)`` bytes per subset: bytes [k * width,
+    (k + 1) * width), read little-endian, are the count for the subset whose
+    mask is k.  ``value(S)`` decodes one slot and ``chunks()`` yields the
+    values in mask order, ``_SAVE_BLOCK`` at a time; ``values`` builds the
+    whole tuple, which at n = 23 is 4,194,304 ints, so only small tables
+    should be read through it.
     """
 
     n: int
     signed: bool
-    values: tuple[int, ...]
+    data: bytes
 
     @property
     def universe(self) -> int:
         return self.n if self.signed else self.n - 1
 
+    @property
+    def width(self) -> int:
+        return len(self.data) >> self.universe
+
     def value(self, S) -> int:
-        return self.values[as_mask(S, self.universe)]
+        k = as_mask(S, self.universe)
+        width = self.width
+        return int.from_bytes(self.data[k * width : (k + 1) * width], "little")
+
+    def chunks(self) -> Iterator[list[int]]:
+        """The values in mask order, in lists of ``_SAVE_BLOCK`` (fewer when
+        the table is smaller)."""
+        width = self.width
+        step = width * _SAVE_BLOCK
+        for lo in range(0, len(self.data), step):
+            yield _unpack(self.data[lo : lo + step], width)
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Every value, ``values[k]`` for mask k."""
+        return tuple(chain.from_iterable(self.chunks()))
 
     def __post_init__(self) -> None:
-        if len(self.values) != 1 << self.universe:
+        width = _slot_width(self.n, self.signed)
+        if len(self.data) != width << self.universe:
             raise ContractViolationError(
                 f"table for n={self.n} signed={self.signed} needs "
-                f"{1 << self.universe} entries, got {len(self.values)}"
+                f"{1 << self.universe} slots of {width} bytes, got {len(self.data)} bytes"
             )
 
 
@@ -183,23 +219,30 @@ def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
 
     The masks with top element s are {s} followed by, for each t < s, the
     masks with top t with s added; adding s multiplies alpha by one binomial
-    that depends on s and t only, so each such block is one big-int multiply
-    of the packed block for t.  The factor 2**(n + 1 - first element) of the
-    signed count is set by the seed alpha({s}) and rides along.
+    that depends on s and t only, so each such run of slots is the run for
+    top t, read back from the buffer, times that binomial: big-int
+    multiplies of at most ``_SAVE_BLOCK`` slots each.  No slot overflows
+    into the next, since alpha is at most the slot bound.  The factor
+    2**(n + 1 - first element) of the signed count is set by the seed
+    alpha({s}) and rides along.
     """
     universe = n if signed else n - 1
     total = n + 1 if signed else n  # the gap compositions are of total
     buf = bytearray(width << universe)
     buf[0] = 1
-    bits = 8 * width
-    blocks: list[int] = []  # blocks[t - 1]: the masks with top t, packed
+    view = memoryview(buf)
+    step = width * _SAVE_BLOCK
     for s in range(1, universe + 1):
-        block = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
-        for t, prev in enumerate(blocks, 1):
-            block |= math.comb(total - t, s - t) * prev << (bits << (t - 1))
-        blocks.append(block)
-        start = width << (s - 1)
-        buf[start : 2 * start] = block.to_bytes(start, "little")
+        top = width << (s - 1)  # the masks with top s start at slot 2**(s-1)
+        seed = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
+        view[top : top + width] = seed.to_bytes(width, "little")
+        for t in range(1, s):
+            factor = math.comb(total - t, s - t)
+            lo = width << (t - 1)  # the masks with top t: bytes [lo, 2 * lo)
+            for at in range(lo, 2 * lo, step):
+                end = min(at + step, 2 * lo)
+                run = factor * int.from_bytes(view[at:end], "little")
+                view[top + at : top + end] = run.to_bytes(end - at, "little")
     return buf
 
 
@@ -244,7 +287,7 @@ def _packed_transform(buf: bytearray, universe: int, bits: int, op) -> None:
             transform(range(lo, count, group), ())
 
 
-def _unpack(buf: bytearray, width: int) -> list[int]:
+def _unpack(buf: bytes, width: int) -> list[int]:
     """The slots of ``buf`` as Python ints, read eight bytes at a time.
 
     Slot bytes that are zero in every slot are skipped, so a table whose
@@ -269,17 +312,40 @@ def _unpack(buf: bytearray, width: int) -> list[int]:
     return values
 
 
+_WORD = (1 << 64) - 1
+
+
+def _pack(values: list[int], width: int) -> bytes:
+    """The inverse of :func:`_unpack`: ``values`` in ``width``-byte slots,
+    written eight bytes at a time.
+
+    Each value must lie in [0, 2**(8 * width)); the caller checks that,
+    since a negative or wider value would wrap silently.
+    """
+    buf = bytearray(width * len(values))
+    rest = values
+    for lo in range(0, width, 8):
+        try:  # the common case: every value left fits in this limb
+            words, rest = array("Q", rest), None
+        except OverflowError:
+            words = array("Q", [v & _WORD for v in rest])
+            rest = [v >> 64 for v in rest]
+        limb = words.tobytes()
+        for b in range(lo, min(lo + 8, width)):
+            at = b - lo if sys.byteorder == "little" else lo + 7 - b
+            buf[b::width] = limb[at::8]
+        if rest is None:
+            break
+    return bytes(buf)
+
+
 @lru_cache(maxsize=8)
 def _table(n: int, signed: bool) -> DescentTable:
     universe = n if signed else n - 1
-    # Every slot, before and after the Moebius passes, is at most the number
-    # of (signed) permutations.
-    width = ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
+    width = _slot_width(n, signed)
     buf = _packed_alpha(n, signed, width)
     _packed_transform(buf, universe, 8 * width, operator.sub)
-    values = _unpack(buf, width)
-    del buf  # before the tuple doubles the list's pointers
-    return DescentTable(n=n, signed=signed, values=tuple(values))
+    return DescentTable(n=n, signed=signed, data=bytes(buf))
 
 
 def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> DescentTable:
@@ -320,19 +386,19 @@ def brute_force_table(n: int, signed: bool = False) -> DescentTable:
                 if pi[i] > pi[i + 1]:
                     mask |= 1 << i
             counts[mask] += 1
-        return DescentTable(n=n, signed=False, values=tuple(counts))
-    counts = [0] * (1 << n)
-    for pi in permutations(range(1, n + 1)):
-        for signs in range(1 << n):
-            mask = 0
-            prev = 0
-            for i in range(n):
-                v = -pi[i] if signs >> i & 1 else pi[i]
-                if prev > v:
-                    mask |= 1 << i
-                prev = v
-            counts[mask] += 1
-    return DescentTable(n=n, signed=True, values=tuple(counts))
+    else:
+        counts = [0] * (1 << n)
+        for pi in permutations(range(1, n + 1)):
+            for signs in range(1 << n):
+                mask = 0
+                prev = 0
+                for i in range(n):
+                    v = -pi[i] if signs >> i & 1 else pi[i]
+                    if prev > v:
+                        mask |= 1 << i
+                    prev = v
+                counts[mask] += 1
+    return DescentTable(n=n, signed=signed, data=_pack(counts, _slot_width(n, signed)))
 
 
 def _bitset(universe: int) -> bytearray:
@@ -400,7 +466,9 @@ def rho(n: int) -> Fraction:
 
 def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
     """The distinct values of a table, and how many subsets take each."""
-    counts = Counter(table.values)
+    counts: Counter[int] = Counter()
+    for block in table.chunks():
+        counts.update(block)
     return list(counts), list(counts.values())
 
 
@@ -464,16 +532,15 @@ def mod_p_prediction(n: int, q: int, S) -> int:
             scaled |= 1 << (e // q - 1)
         else:
             outside += 1
-    small = beta_table(r).values[scaled]
+    small = beta_table(r).value(scaled)
     sign = -1 if outside % 2 else 1
     return (sign * small) % p
 
 
 def _write_lines(table: DescentTable, f) -> None:
     f.write(f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
-    values = table.values
-    for lo in range(0, len(values), _SAVE_BLOCK):
-        f.write("\n".join(map(str, values[lo : lo + _SAVE_BLOCK])))
+    for block in table.chunks():
+        f.write("\n".join(map(str, block)))
         f.write("\n")
 
 
@@ -531,7 +598,10 @@ def load_table(path) -> DescentTable:
 
     Raises :class:`CacheError` on any malformation, including bytes that
     are not text and a value sum that disagrees with the permutation count.
-    The values are read line by line, so no copy of the text is held.
+    The values are parsed, checked and packed ``_SAVE_BLOCK`` lines at a
+    time, so neither the text nor the values are held whole.  A value is
+    checked for its sign before packing, where it would wrap; with every
+    value nonnegative, the sum check bounds each by the slot width.
     """
     try:
         with open(path, encoding="ascii") as f:
@@ -545,11 +615,19 @@ def load_table(path) -> DescentTable:
                     "values than the file can hold"
                 )
             expected = 1 << (n + signed_flag - 1)
+            width = _slot_width(n, bool(signed_flag))
+            parts: list[bytes] = []
+            got = total = 0
+            negative = False
             try:
-                values = tuple(map(int, islice(f, expected)))
+                while block := list(map(int, islice(f, min(_SAVE_BLOCK, expected - got)))):
+                    got += len(block)
+                    negative = negative or min(block) < 0
+                    total += sum(block)
+                    parts.append(_pack(block, width))
             except ValueError as exc:  # undecodable bytes land here too
                 raise CacheError(f"{path}: non-integer table entry") from exc
-            got = len(values) + sum(1 for _ in f)
+            got += sum(1 for _ in f)
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -559,8 +637,8 @@ def load_table(path) -> DescentTable:
             f"{path}: expected {expected} values for n={n} signed={signed_flag}, "
             f"got {got}"
         )
-    if any(v < 0 for v in values):
+    if negative:
         raise CacheError(f"{path}: negative table entry")
-    if sum(values) != math.factorial(n) << (n if signed_flag else 0):
+    if total != math.factorial(n) << (n if signed_flag else 0):
         raise CacheError(f"{path}: table sum does not match the permutation count")
-    return DescentTable(n=n, signed=bool(signed_flag), values=values)
+    return DescentTable(n=n, signed=bool(signed_flag), data=b"".join(parts))

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import _bit_count, _bitset, _packed_transform, _subset_transform
+from .descent import (
+    DEFAULT_LIMITS,
+    _bit_count,
+    _bitset,
+    _packed_transform,
+    _subset_transform,
+)
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import composition_to_mask, mask_to_composition
 
@@ -233,15 +239,19 @@ def f_cubical_B(n: int) -> QSymPoly:
 def odd_fundamental_count(n: int) -> int:
     """Number of subsets S with an odd fundamental coefficient in f_boolean(n).
 
-    Works for any practical n: modulo 2 the n-th power of M_(1) collapses to
-    the product of one M_(2^j) per binary digit of n, whose odd support has
-    at most an ordered-Bell-of-popcount size.  The support is set as one bit
-    per subset, and the basis change to L is the packed engine of
+    Modulo 2 the n-th power of M_(1) collapses to the product of one
+    M_(2^j) per binary digit of n, whose odd support has at most an
+    ordered-Bell-of-popcount size.  The support is set as one bit per
+    subset, and the basis change to L is the packed engine of
     :mod:`descentlab.descent` with XOR over 1-bit slots, the same transform
-    as the parity route there.
+    as the parity route there.  That buffer holds 2**(n-1) bits, so n above
+    ``DEFAULT_LIMITS["parity"]`` is refused, as by the parity route.
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
+    limit = DEFAULT_LIMITS["parity"]
+    if n > limit:
+        raise ResourceLimitError(f"odd_fundamental_count(n={n}) exceeds the limit {limit}")
     support: dict[tuple[int, ...], int] = {(): 1}
     for j in range(n.bit_length()):
         if n >> j & 1:

@@ -392,6 +392,28 @@ def test_cache_dir_used_by_factors(tmp_path, capsys):
     assert (tmp_path / "table-v1-n5-s0.txt").exists()
 
 
+def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
+    # table, factors and the cache stream slot blocks; none of them may
+    # build the whole tuple of values
+    def refuse(self):
+        raise AssertionError("built the whole tuple of table values")
+
+    monkeypatch.setattr(descent.DescentTable, "values", property(refuse))
+    code, out, err = run(capsys, "table", "--n", "12")
+    assert (code, err) == (0, "")
+    assert out.strip() == (
+        "n=12 signed=0 subsets=2048 sum=479001600 sum_ok=yes max=2702765 max_ok=yes"
+    )
+    code, out, err = run(capsys, "factors", "--n", "12", "--golden", "builtin")
+    assert (code, err) == (0, "")
+    assert "golden match" in out
+    cache = str(tmp_path)
+    cold = run(capsys, "table", "--n", "12", "--signed", "--cache-dir", cache)
+    warm = run(capsys, "table", "--n", "12", "--signed", "--cache-dir", cache)
+    assert cold == warm and cold[0] == 0 and cold[2] == ""
+    assert (tmp_path / "table-v1-n12-s1.txt").exists()
+
+
 def test_env_smoke_subprocess():
     import subprocess
     import sys

@@ -5,6 +5,7 @@ import random
 import stat
 import threading
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -25,10 +26,14 @@ from descentlab.descent import (
     rho,
     save_table,
 )
+from descentlab import descent
 from descentlab.descent import (
     _CHUNK_BYTES,
     _chain_positions,
+    _pack,
+    _packed_alpha,
     _packed_transform,
+    _slot_width,
     _subset_transform,
     _unpack,
 )
@@ -58,12 +63,12 @@ def test_beta_specific_value():
 
 def test_alpha_is_subset_sum_of_beta():
     for n in (1, 2, 3, 5, 7):
-        table = beta_table(n)
+        values = beta_table(n).values
         for mask in range(1 << (n - 1)):
             total = 0
             sub = mask
             while True:
-                total += table.values[sub]
+                total += values[sub]
                 if sub == 0:
                     break
                 sub = (sub - 1) & mask
@@ -72,12 +77,12 @@ def test_alpha_is_subset_sum_of_beta():
 
 def test_alpha_signed_is_subset_sum_of_beta():
     for n in (1, 2, 3, 4, 6):
-        table = beta_table(n, signed=True)
+        values = beta_table(n, signed=True).values
         for mask in range(1 << n):
             total = 0
             sub = mask
             while True:
-                total += table.values[sub]
+                total += values[sub]
                 if sub == 0:
                     break
                 sub = (sub - 1) & mask
@@ -112,7 +117,7 @@ def test_universe_and_value_lookup():
     with pytest.raises(ContractViolationError):
         t.value(0b1000)  # outside the universe {1, 2, 3}
     with pytest.raises(ContractViolationError):
-        DescentTable(n=3, signed=False, values=(1, 2, 2))
+        DescentTable(n=3, signed=False, data=bytes(3))  # 4 one-byte slots
 
 
 def test_limits():
@@ -241,6 +246,9 @@ def test_load_rejects_corruption(tmp_path):
         "\n".join([good[0]] + good[1:-1]),  # truncated
         "\n".join([good[0]] + good[1:-1] + ["x"]),  # non-integer
         "\n".join([good[0]] + good[1:-1] + ["-1"]),  # negative
+        # -1 in place of the last 1, the first 1 raised by 2: the sum is
+        # still 4!, and packed unchecked the -1 would wrap to 255
+        "\n".join([good[0], str(int(good[1]) + 2)] + good[2:-1] + ["-1"]),
         "\n".join([good[0]] + good[1:-1] + ["99"]),  # wrong sum
         "descentlab-table v1 n=4 signed=2\n" + "\n".join(good[1:]),
     ]
@@ -256,14 +264,14 @@ def test_load_rejects_corruption(tmp_path):
 def test_complement_symmetry(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
     t = beta_table(n)
-    assert t.values[mask] == t.values[((1 << (n - 1)) - 1) ^ mask]
+    assert t.value(mask) == t.value(((1 << (n - 1)) - 1) ^ mask)
 
 
 @given(st.integers(min_value=2, max_value=10), st.data())
 def test_signed_complement_symmetry(n, data):
     mask = data.draw(st.integers(min_value=0, max_value=(1 << n) - 1))
     t = beta_table(n, signed=True)
-    assert t.values[mask] == t.values[((1 << n) - 1) ^ mask]
+    assert t.value(mask) == t.value(((1 << n) - 1) ^ mask)
 
 
 @pytest.mark.parametrize("signed", [False, True])
@@ -275,6 +283,65 @@ def test_packed_route_matches_list_route(signed):
         vals = [count(n, mask) for mask in range(1 << universe)]
         _subset_transform(vals, operator.sub)
         assert beta_table(n, signed=signed).values == tuple(vals), n
+
+
+def reference_alpha(n: int, signed: bool, width: int) -> bytearray:
+    """The alpha construction that the direct-write one replaced: each run
+    of slots with one top element is kept as one int, built by OR-ing the
+    earlier runs, times their binomials, into place."""
+    universe = n if signed else n - 1
+    total = n + 1 if signed else n
+    buf = bytearray(width << universe)
+    buf[0] = 1
+    bits = 8 * width
+    blocks: list[int] = []
+    for s in range(1, universe + 1):
+        block = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
+        for t, prev in enumerate(blocks, 1):
+            block |= math.comb(total - t, s - t) * prev << (bits << (t - 1))
+        blocks.append(block)
+        start = width << (s - 1)
+        buf[start : 2 * start] = block.to_bytes(start, "little")
+    return buf
+
+
+SMALL_TABLES = [(n, False) for n in range(1, 15)] + [(n, True) for n in range(1, 11)]
+
+
+# a block of 3 slots splits every run of two or more slots unevenly
+@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+def test_packed_alpha_matches_block_or_route(monkeypatch, block):
+    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
+    for n, signed in SMALL_TABLES:
+        width = _slot_width(n, signed)
+        assert _packed_alpha(n, signed, width) == reference_alpha(n, signed, width), n
+
+
+@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
+    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
+    for n, signed in SMALL_TABLES:
+        t = beta_table(n, signed=signed)
+        whole = _unpack(t.data, t.width)
+        chunks = list(t.chunks())
+        assert all(len(c) == block for c in chunks[:-1])
+        assert list(chain.from_iterable(chunks)) == whole
+        assert t.values == tuple(whole)
+        assert [t.value(mask) for mask in range(len(whole))] == whole
+
+
+@given(st.data())
+def test_pack_round_trip(data):
+    # widths 1..11 take one or two eight-byte limbs, values pass 2**64 from
+    # width 9, and the lengths are arbitrary, not whole blocks
+    width = data.draw(st.integers(min_value=1, max_value=11))
+    top = (1 << (8 * width)) - 1
+    values = data.draw(
+        st.lists(st.one_of(st.integers(0, top), st.sampled_from([0, top])), max_size=300)
+    )
+    packed = _pack(values, width)
+    assert packed == b"".join(v.to_bytes(width, "little") for v in values)
+    assert _unpack(packed, width) == values
 
 
 def reference_xor_zeta(bits: int, universe: int) -> int:

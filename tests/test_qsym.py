@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from descentlab.descent import beta_table, rho
+from descentlab import qsym
+from descentlab.descent import DEFAULT_LIMITS, beta_table, rho
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import composition_to_mask
 from descentlab.qsym import (
@@ -191,6 +192,17 @@ def test_power_limits():
 @pytest.mark.parametrize("n", list(range(1, 13)) + [16, 17, 18])
 def test_odd_fundamental_count_matches_rho(n):
     assert odd_fundamental_count(n) == rho(n) * (1 << (n - 1))
+
+
+def test_odd_fundamental_count_is_bounded(monkeypatch):
+    # n = 32 would want a 2**31-bit buffer; the limit refuses it first
+    def refuse(universe):
+        raise AssertionError(f"allocated a 2**{universe}-bit buffer")
+
+    monkeypatch.setattr(qsym, "_bitset", refuse)
+    assert DEFAULT_LIMITS["parity"] < 32
+    with pytest.raises(ResourceLimitError):
+        odd_fundamental_count(32)
 
 
 def test_odd_fundamental_count_small_direct():
