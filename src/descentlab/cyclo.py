@@ -8,12 +8,14 @@ cyclotomic polynomial divides it (and to what order) is then decided without
 building Phi_m: Q[t]/(t**m - 1) splits as the product of the fields Q(zeta_d)
 over d | m, and multiplying the residues by (1 - t**(m/p)) for every prime
 p | m zeroes every factor but Q(zeta_m), where it is a unit.  The product is
-zero exactly when Phi_m divides, at m * omega(m) integer subtractions.
+zero exactly when Phi_m divides.  On one big int of byte slots that never
+carry, times t**s rotates the slots and a pair (a, b) stands for a - b.
 
 A factor scan shares the passes: it packs the candidate indexes into groups
 whose lcm L stays at most the number of distinct values, takes one histogram
-mod L per group and order, and reduces it mod each member m, exactly, since
-(v mod L) mod m = v mod m.
+mod L per group and order, packs it once, and folds it mod each member m,
+adding the top half of its m-slot blocks onto the bottom half, exactly,
+since (v mod L) mod m = v mod m.
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
@@ -31,11 +33,12 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .descent import (
     DescentTable,
     ResidueHistogram,
+    _pack,
     _residue_counts,
     _value_counts,
     residue_histogram,
@@ -174,13 +177,30 @@ def cyclotomic(k: int) -> IntPoly:
 
 
 def _phi_divides(counts: Sequence[int], m: int) -> bool:
-    """Whether Phi_m divides sum_r counts[r] * t**r, a residue mod t**m - 1."""
-    c = counts
-    for p in prime_divisors(m):
-        # multiply by 1 - t**s: c[i] -= c[(i - s) % m]
-        s = m // p
-        c = list(map(operator.sub, c, c[-s:] + c[:-s]))
-    return not any(c)
+    """Whether Phi_m divides sum_r counts[r] * t**r, a residue mod t**m - 1.
+
+    Negative counts are first raised by -min(counts), a constant vector,
+    which every (1 - t**s) sends to zero."""
+    low = min(min(counts), 0)
+    return next(_phi_divides_each([c - low for c in counts], [m]))
+
+
+def _phi_divides_each(hist: Sequence[int], members: list[int]) -> Iterator[bool]:
+    """For each m in ``members``, whether Phi_m divides a nonnegative residue
+    histogram taken mod a multiple of m, packed once into byte slots wide
+    enough for its total times 2**omega(m), which bounds every slot."""
+    width = (sum(hist).bit_length() + max(len(prime_divisors(m)) for m in members) + 7) // 8
+    whole, bits = int.from_bytes(_pack(hist, width), "little"), 8 * width
+    for m in members:
+        x, blocks, size = whole, len(hist) // m, m * bits
+        while blocks > 1:
+            blocks -= blocks // 2
+            x = (x & ((1 << blocks * size) - 1)) + (x >> blocks * size)
+        a, b, mask = x, 0, (1 << size) - 1
+        for p in prime_divisors(m):
+            up, down = m // p * bits, (m - m // p) * bits
+            a, b = a + (((b << up) & mask) | (b >> down)), b + (((a << up) & mask) | (a >> down))
+        yield a == b
 
 
 def _as_histogram(source, m: int, order: int) -> ResidueHistogram:
@@ -277,27 +297,20 @@ def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
     return groups
 
 
-def _fold(hist: list[int], m: int) -> list[int]:
-    """A residue histogram mod a multiple of m, reduced mod m."""
-    if m == len(hist):
-        return hist
-    return [sum(hist[r::m]) for r in range(m)]
-
-
 def _group_multiplicities(
     values: list[int], mults: list[int], group: list[int], max_mult: int
 ) -> list[tuple[int, int]]:
     """(m, multiplicity of Phi_m) for every member of a group.
 
     Each order takes one pass over the values into a histogram mod the lcm
-    L of the members still alive, and each member m folds its residues off
-    it, since (v mod L) mod m = v mod m when m divides L.
+    L of the members still alive, which every member m is tested on, since
+    (v mod L) mod m = v mod m when m divides L.
     """
     out = []
     alive = group
     for order in range(max_mult):
         hist = _residue_counts(values, mults, math.lcm(*alive), order)
-        divides = [_phi_divides(_fold(hist, m), m) for m in alive]
+        divides = list(_phi_divides_each(hist, alive))
         del hist
         out += [(m, order) for m, d in zip(alive, divides) if not d]
         alive = list(compress(alive, divides))
@@ -331,11 +344,11 @@ def factor_scan(
     Divisibility is decided in exact integer arithmetic by the same test as
     :func:`divides_order`, on residues counted per group of candidates: the
     candidates are packed into groups whose lcm stays at most the number V of
-    distinct table values, so that reducing a group's histogram mod each
-    member, O(lcm), costs no more than the pass over the values, O(V), that
-    it saves.  ``workers`` parallelizes over the groups, at most one process
-    per CPU, without changing the result or its order.  ``max_index`` above
-    MAX_INDEX raises :class:`ResourceLimitError`.
+    distinct table values, so that folding a group's packed histogram mod
+    each member, big-int adds over O(lcm) slots, costs no more than the pass
+    over the values, O(V), that it saves.  ``workers`` parallelizes over the
+    groups, at most one process per CPU, without changing the result or its
+    order.  ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
         raise ContractViolationError(

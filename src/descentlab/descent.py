@@ -109,13 +109,14 @@ class DescentTable:
         width = self.width
         return int.from_bytes(self.data[k * width : (k + 1) * width], "little")
 
-    def chunks(self) -> Iterator[list[int]]:
-        """The values in mask order, in lists of ``_SAVE_BLOCK`` (fewer when
-        the table is smaller)."""
+    def chunks(self, stop: int | None = None) -> Iterator[list[int]]:
+        """The values of the masks below ``stop`` (default all) in mask order,
+        in lists of ``_SAVE_BLOCK`` (fewer when the table is smaller)."""
         width = self.width
         step = width * _SAVE_BLOCK
-        for lo in range(0, len(self.data), step):
-            yield _unpack(self.data[lo : lo + step], width)
+        end = len(self.data) if stop is None else stop * width
+        for lo in range(0, end, step):
+            yield _unpack(self.data[lo : min(lo + step, end)], width)
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -465,11 +466,16 @@ def rho(n: int) -> Fraction:
 
 
 def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
-    """The distinct values of a table, and how many subsets take each."""
+    """The distinct values of a table, and how many subsets take each.
+
+    Taking each entry v to n + 1 - v (to -v when signed) complements the
+    descent set, so only the masks with the top bit clear are counted, twice."""
+    if not table.universe:  # one mask, its own complement
+        return list(table.values), [1]
     counts: Counter[int] = Counter()
-    for block in table.chunks():
+    for block in table.chunks(1 << (table.universe - 1)):
         counts.update(block)
-    return list(counts), list(counts.values())
+    return list(counts), [2 * c for c in counts.values()]
 
 
 def _residue_counts(values: list[int], mults: list[int], modulus: int, order: int) -> list[int]:

@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from collections import Counter
 from functools import lru_cache
@@ -255,6 +256,109 @@ def test_congruence_agrees_with_division(case, a, b):
     hist = [x + y for x, y in zip(c, shape)]
     by_division = reference_remainder(hist, m) == reference_remainder(shape, m)
     assert checks._congruent(hist, terms) == by_division
+
+
+def list_fold(hist, m):
+    """A residue histogram mod a multiple of m, reduced mod m: the list fold
+    that the packed fold replaced."""
+    if m == len(hist):
+        return hist
+    return [sum(hist[r::m]) for r in range(m)]
+
+
+def list_phi_divides(counts, m):
+    """The list form of the divisibility test that the packed kernel
+    replaced: one subtraction per entry and prime of m."""
+    c = list(counts)
+    for p in prime_divisors(m):
+        # multiply by 1 - t**s: c[i] -= c[(i - s) % m]
+        s = m // p
+        c = list(map(operator.sub, c, c[-s:] + c[:-s]))
+    return not any(c)
+
+
+def packed_verdict(hist, m):
+    """The packed kernel on a histogram mod a multiple of m."""
+    return next(cyclo._phi_divides_each(hist, [m]))
+
+
+def periodic_sum(rng, m, blocks, top):
+    """A histogram mod blocks * m, the sum over the primes p | m of a vector
+    of period m/p: its fold mod m has period m/p in each term, so Phi_m
+    divides it."""
+    out = [0] * (blocks * m)
+    for p in prime_divisors(m):
+        tile = [rng.randrange(top + 1) for _ in range(m // p)]
+        out = list(map(operator.add, out, tile * (blocks * p)))
+    return out
+
+
+# prime powers, four and five distinct primes, and small indexes
+kernel_indexes = st.one_of(
+    st.integers(min_value=2, max_value=300), st.sampled_from([8192, 729, 210, 2310, 4620])
+)
+
+
+@st.composite
+def folded_histograms(draw):
+    """A histogram mod L and a divisor m of L, half of them folding mod m to
+    a multiple of Phi_m, with entries from sparse and small to 2**80."""
+    m = draw(kernel_indexes)
+    blocks = draw(st.integers(min_value=1, max_value=max(1, 20_000 // m)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    top = (1 << draw(st.integers(min_value=0, max_value=80))) - 1
+    if draw(st.booleans()):
+        return periodic_sum(rng, m, blocks, top), m
+    density = draw(st.sampled_from([0.0, 0.01, 0.5, 1.0]))
+    hist = [rng.randrange(top + 1) if rng.random() < density else 0 for _ in range(blocks * m)]
+    return hist, m
+
+
+@given(folded_histograms())
+def test_packed_kernel_matches_list_reference(case):
+    hist, m = case
+    assert packed_verdict(hist, m) == list_phi_divides(list_fold(hist, m), m)
+
+
+@given(folded_histograms(), st.integers(min_value=-(2**70), max_value=0), st.data())
+def test_phi_divides_matches_list_reference_on_negative_counts(case, shift, data):
+    # _congruent subtracts terms, so entries go negative; a constant shift
+    # keeps a multiple of Phi_m one
+    hist, m = case
+    counts = [c + shift for c in list_fold(hist, m)]
+    for e in data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=3)):
+        counts[e] -= data.draw(st.integers(min_value=0, max_value=2**40))
+    assert cyclo._phi_divides(counts, m) == list_phi_divides(counts, m)
+
+
+def spread(folded):
+    """A histogram mod 3 * m that folds to ``folded``, each entry split into
+    a quarter, a half and the rest, so the fold sums exceed every entry."""
+    quarters, halves = [x // 4 for x in folded], [x // 2 for x in folded]
+    return quarters + halves + [x - q - h for x, q, h in zip(folded, quarters, halves)]
+
+
+@pytest.mark.parametrize("m", [2, 6, 12, 210, 729, 2310, 8192])
+def test_packed_kernel_edges(m):
+    # all-zero histograms, and totals 2**k - 1, which fill bit_length(total)
+    # + omega(m) bits: a whole number of slot bytes when k + omega(m) is a
+    # multiple of 8
+    for blocks in (1, 2, 3):
+        assert packed_verdict([0] * (blocks * m), m)
+    p = prime_divisors(m)[-1]
+    for k in range(1, 100):
+        total = (1 << k) - 1
+        spike = [total] + [0] * (m - 1)
+        periodic = [0] * m  # period m/p, so a multiple of Phi_m
+        if total % p == 0:
+            periodic[:: m // p] = [total // p] * p
+        near = periodic.copy()  # a miss by one bit, lost if a slot is short
+        near[0] += 1 << (k - 1)
+        for folded in (spike, periodic, near):
+            verdict = list_phi_divides(folded, m)
+            assert packed_verdict(folded, m) == packed_verdict(spread(folded), m) == verdict
+        assert not cyclo._phi_divides([-total] + [0] * (m - 1), m)
+        assert cyclo._phi_divides([-total] * m, m)
 
 
 @pytest.mark.parametrize("p,magnitude", [(3, 24), (5, 800), (7, 54656)])

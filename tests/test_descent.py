@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import threading
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 
@@ -328,6 +329,20 @@ def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
         assert list(chain.from_iterable(chunks)) == whole
         assert t.values == tuple(whole)
         assert [t.value(mask) for mask in range(len(whole))] == whole
+        stop = len(whole) // 2 + 1
+        assert list(chain.from_iterable(t.chunks(stop))) == whole[:stop]
+
+
+@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+def test_half_table_value_counts_match_full_table(monkeypatch, block):
+    # counts over the masks with the top bit clear, doubled, against a
+    # Counter over every mask, as multisets
+    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
+    for n, signed in SMALL_TABLES:
+        t = beta_table(n, signed=signed)
+        values, mults = descent._value_counts(t)
+        assert len(set(values)) == len(values)
+        assert dict(zip(values, mults)) == Counter(t.values)
 
 
 @given(st.data())
