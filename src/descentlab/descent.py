@@ -7,12 +7,18 @@ materializing the exact table.
 
 An exact table is built and kept packed: slot k of one byte buffer holds
 the value for mask k in a fixed number of bytes, enough for n! (times 2**n
-when signed).  The alpha values (permutations with descent set inside S) are
-written run by run, one big-int multiply per pair of top elements, straight
-into the buffer.  The paths that run at large n (the ``table`` summary, the
-value histogram behind the factor scan, the cache file) read the slots in
-blocks of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never exist as
-Python ints all at once.
+when signed).  Only the lower half is computed, the masks without the top
+element of the universe.  Every subset of such a mask lacks the top element
+too, so the Moebius inversion of the lower half of alpha is the lower half
+of beta.  Complementing the values of a permutation (negating them, when
+signed) complements its descent set, so beta_n(S) = beta_n(complement of S)
+and the upper half is the lower half in reverse slot order, copied one slot
+byte at a time.  The alpha values (permutations with descent set inside S)
+are written run by run, one big-int multiply per pair of top elements,
+straight into the buffer.  The paths that run at large n (the ``table``
+summary, the value histogram behind the factor scan, the cache file) read
+the slots in blocks of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never
+exist as Python ints all at once.
 
 One engine, :func:`_packed_transform`, runs the subset transforms over
 packed slots as big-int operations on cache-sized chunks, with two
@@ -215,25 +221,26 @@ def _tile(run: int, total: int) -> int:
 _CHUNK_BYTES = 1 << 15
 
 
-def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
-    """alpha over every mask, mask k in bytes [k * width, (k + 1) * width).
+def _packed_alpha(n: int, signed: bool, view: memoryview, width: int) -> None:
+    """alpha over the masks of ``view``, mask k in its bytes
+    [k * width, (k + 1) * width).
 
-    The masks with top element s are {s} followed by, for each t < s, the
-    masks with top t with s added; adding s multiplies alpha by one binomial
-    that depends on s and t only, so each such run of slots is the run for
-    top t, read back from the buffer, times that binomial: big-int
-    multiplies of at most ``_SAVE_BLOCK`` slots each.  No slot overflows
-    into the next, since alpha is at most the slot bound.  The factor
-    2**(n + 1 - first element) of the signed count is set by the seed
-    alpha({s}) and rides along.
+    ``view`` is zeroed and holds 2**u slots for some u up to the universe,
+    so its masks are those with top element at most u; :func:`_table`
+    passes the lower half of the table, the masks without the top element
+    of the universe.  The masks with top element s are {s} followed by,
+    for each t < s, the masks with top t with s added; adding s multiplies
+    alpha by one binomial that depends on s and t only, so each such run of
+    slots is the run for top t, read back from the buffer, times that
+    binomial: big-int multiplies of at most ``_SAVE_BLOCK`` slots each.  No
+    slot overflows into the next, since alpha is at most the slot bound.
+    The factor 2**(n + 1 - first element) of the signed count is set by the
+    seed alpha({s}) and rides along.
     """
-    universe = n if signed else n - 1
     total = n + 1 if signed else n  # the gap compositions are of total
-    buf = bytearray(width << universe)
-    buf[0] = 1
-    view = memoryview(buf)
+    view[0] = 1
     step = width * _SAVE_BLOCK
-    for s in range(1, universe + 1):
+    for s in range(1, (len(view) // width).bit_length()):
         top = width << (s - 1)  # the masks with top s start at slot 2**(s-1)
         seed = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
         view[top : top + width] = seed.to_bytes(width, "little")
@@ -244,10 +251,9 @@ def _packed_alpha(n: int, signed: bool, width: int) -> bytearray:
                 end = min(at + step, 2 * lo)
                 run = factor * int.from_bytes(view[at:end], "little")
                 view[top + at : top + end] = run.to_bytes(end - at, "little")
-    return buf
 
 
-def _packed_transform(buf: bytearray, universe: int, bits: int, op) -> None:
+def _packed_transform(buf: bytearray | memoryview, universe: int, bits: int, op) -> None:
     """:func:`_subset_transform` under ``op`` of the packed slots of ``buf``.
 
     Slot k, the entry for mask k, is the ``bits`` bits from bit k * bits of
@@ -344,8 +350,18 @@ def _pack(values: list[int], width: int) -> bytes:
 def _table(n: int, signed: bool) -> DescentTable:
     universe = n if signed else n - 1
     width = _slot_width(n, signed)
-    buf = _packed_alpha(n, signed, width)
-    _packed_transform(buf, universe, 8 * width, operator.sub)
+    buf = bytearray(width << universe)
+    if universe:
+        # the lower half inverts on its own, and slot half + j of the upper
+        # half is its complement, slot half - 1 - j (see the module docstring)
+        half = len(buf) // 2
+        lower = memoryview(buf)[:half]
+        _packed_alpha(n, signed, lower, width)
+        _packed_transform(lower, universe - 1, 8 * width, operator.sub)
+        for b in range(width):
+            buf[half + b :: width] = buf[b:half:width][::-1]
+    else:  # one mask, alpha = beta = 1
+        buf[0] = 1
     return DescentTable(n=n, signed=signed, data=bytes(buf))
 
 
@@ -419,20 +435,20 @@ def _bit_count(buf: bytearray) -> int:
 def _chain_positions(n: int) -> bytearray:
     # alpha_n(S) is odd iff the elements of S form a chain under bitwise
     # containment whose top is a proper submask of n, so the odd positions
-    # are enumerated by extending chains one strict superset at a time.
+    # are enumerated by extending chains one strict superset at a time, from
+    # a stack of (position, top) pairs still to extend.
     out = _bitset(n - 1)
-
-    def visit(pos: int, top: int) -> None:
+    stack = [(0, 0)]
+    while stack:
+        pos, top = stack.pop()
         out[pos >> 3] |= 1 << (pos & 7)
         room = n & ~top
         sub = room
         while sub:
             t = top | sub
             if t != n:
-                visit(pos | (1 << (t - 1)), t)
+                stack.append((pos | (1 << (t - 1)), t))
             sub = (sub - 1) & room
-
-    visit(0, 0)
     return out
 
 
@@ -468,8 +484,10 @@ def rho(n: int) -> Fraction:
 def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
     """The distinct values of a table, and how many subsets take each.
 
-    Taking each entry v to n + 1 - v (to -v when signed) complements the
-    descent set, so only the masks with the top bit clear are counted, twice."""
+    Taking each entry of a permutation to n + 1 minus it (to its negative
+    when signed) complements the descent set, so only the masks with the top
+    bit clear, the half of the table that :func:`_table` builds, are
+    counted, twice."""
     if not table.universe:  # one mask, its own complement
         return list(table.values), [1]
     counts: Counter[int] = Counter()
