@@ -6,7 +6,8 @@ optional golden comparison), ``verify`` (runs the suites of
 :mod:`descentlab.checks` at desk or full scale), ``observations`` (prints the
 empirical regularities report of :mod:`descentlab.checks`, never asserting).
 
-Exit codes: 0 success, 1 mismatch, 2 usage error, 3 resource limit.
+Exit codes: 0 success, 1 mismatch, 2 usage error, 3 resource limit (a
+refused size or an allocation that ran out of memory).
 """
 
 from __future__ import annotations
@@ -253,6 +254,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"resource limit: {args.command} ran out of memory", file=sys.stderr)
         return 3
     except ContractViolationError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

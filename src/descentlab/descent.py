@@ -7,27 +7,37 @@ materializing the exact table.
 
 An exact table is built and kept packed: slot k of one byte buffer holds
 the value for mask k in a fixed number of bytes, enough for n! (times 2**n
-when signed).  Only the lower half is computed, the masks without the top
-element of the universe.  Every subset of such a mask lacks the top element
-too, so the Moebius inversion of the lower half of alpha is the lower half
-of beta.  Complementing the values of a permutation (negating them, when
-signed) complements its descent set, so beta_n(S) = beta_n(complement of S)
-and the upper half is the lower half in reverse slot order, copied one slot
-byte at a time.  The alpha values (permutations with descent set inside S)
-are written run by run, one big-int multiply per pair of top elements,
-straight into the buffer.  The paths that run at large n (the ``table``
-summary, the value histogram behind the factor scan, the cache file) read
-the slots in blocks of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never
-exist as Python ints all at once.
+when signed).  It is built by a recursion on the top element s of a mask
+S' + {s}, with S' inside {1, ..., s-1}.  Choose which s values fill the
+first s positions, arrange them with descent set exactly S', and put the
+rest after them in increasing order: the descent set is S' or S' + {s},
+and the first case takes in every permutation with descent set S'.  So
 
-One engine, :func:`_packed_transform`, runs the subset transforms over
-packed slots as big-int operations on cache-sized chunks, with two
-operations.  The exact table takes the Moebius inversion of alpha with
-subtraction over byte slots: no slot borrows from the next, since after
-the passes over any set P of elements slot S counts the permutations whose
-descent set agrees with S on P and lies inside S off P, a number between 0
-and alpha(S).  The parity route takes the zeta transform mod 2 with XOR
-over 1-bit slots, which cannot carry at all.
+    beta_m(S' + {s}) = C(m, s) beta_s(S') - beta_m(S').
+
+Signed, descents are read with a leading zero, so position 1 is a descent
+when the first entry is negative and S' is carried by the first s - 1
+entries; the m - s + 1 increasing entries after them take any signs:
+
+    beta^B_m(S' + {s}) = C(m, s-1) 2**(m-s+1) beta^B_(s-1)(S') - beta^B_m(S').
+
+The masks with top s are one run of slots, so the run is a whole smaller
+table times one binomial minus the run's own prefix: one big-int multiply
+and one subtraction per block of slots.  No slot carries into or borrows
+from the next: each product is beta_m(S' + {s}) + beta_m(S'), at most the
+slot bound, and each difference is a count, so nonnegative.  Only the lower
+half is built, the masks without the top element of the universe.
+Complementing the values of a permutation (negating them, when signed)
+complements its descent set, so beta_n(S) = beta_n(complement of S) and the
+upper half is the lower half in reverse slot order, copied one slot byte at
+a time.  The paths that run at large n (the ``table`` summary, the value
+histogram behind the factor scan, the cache file) read the slots in blocks
+of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never exist as Python
+ints all at once.
+
+The parity route takes the subset zeta transform mod 2 with
+:func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
+cache-sized chunks; XOR cannot carry.
 """
 
 from __future__ import annotations
@@ -80,7 +90,7 @@ _SAVE_BLOCK = 1 << 16
 
 def _slot_width(n: int, signed: bool) -> int:
     """Bytes per packed slot: enough for the number of (signed) permutations,
-    which bounds every slot before and after the Moebius passes."""
+    which bounds every value and every product of the table recursion."""
     return ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
 
 
@@ -205,8 +215,8 @@ def _tile(run: int, total: int) -> int:
     """``total`` bits of alternating runs of ``run`` ones and ``run`` zeros,
     starting with ones at bit 0.
 
-    When ``run`` spans 2**b packed slots, the ones cover the slots whose mask
-    lacks bit b: the partners that a subset transform pass moves up by 2**b.
+    When ``run`` is 2**b, the ones cover the bits whose mask lacks bit b:
+    the partners that a subset transform pass moves up by 2**b.
     """
     tile = (1 << run) - 1
     span = 2 * run
@@ -216,62 +226,27 @@ def _tile(run: int, total: int) -> int:
     return tile
 
 
-# The packed transform runs over chunks of at most this many bytes, small
-# enough that a chunk and its temporaries stay in the processor's cache.
+# The packed transform and the table recursion run over chunks of at most
+# this many bytes, small enough that a chunk and its temporaries stay in
+# the processor's cache.
 _CHUNK_BYTES = 1 << 15
 
 
-def _packed_alpha(n: int, signed: bool, view: memoryview, width: int) -> None:
-    """alpha over the masks of ``view``, mask k in its bytes
-    [k * width, (k + 1) * width).
+def _packed_transform(buf: bytearray, universe: int) -> None:
+    """The subset zeta transform mod 2 of the bits of ``buf``, in place:
+    :func:`_subset_transform` under XOR, with bit k the entry for mask k.
 
-    ``view`` is zeroed and holds 2**u slots for some u up to the universe,
-    so its masks are those with top element at most u; :func:`_table`
-    passes the lower half of the table, the masks without the top element
-    of the universe.  The masks with top element s are {s} followed by,
-    for each t < s, the masks with top t with s added; adding s multiplies
-    alpha by one binomial that depends on s and t only, so each such run of
-    slots is the run for top t, read back from the buffer, times that
-    binomial: big-int multiplies of at most ``_SAVE_BLOCK`` slots each.  No
-    slot overflows into the next, since alpha is at most the slot bound.
-    The factor 2**(n + 1 - first element) of the signed count is set by the
-    seed alpha({s}) and rides along.
-    """
-    total = n + 1 if signed else n  # the gap compositions are of total
-    view[0] = 1
-    step = width * _SAVE_BLOCK
-    for s in range(1, (len(view) // width).bit_length()):
-        top = width << (s - 1)  # the masks with top s start at slot 2**(s-1)
-        seed = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
-        view[top : top + width] = seed.to_bytes(width, "little")
-        for t in range(1, s):
-            factor = math.comb(total - t, s - t)
-            lo = width << (t - 1)  # the masks with top t: bytes [lo, 2 * lo)
-            for at in range(lo, 2 * lo, step):
-                end = min(at + step, 2 * lo)
-                run = factor * int.from_bytes(view[at:end], "little")
-                view[top + at : top + end] = run.to_bytes(end - at, "little")
-
-
-def _packed_transform(buf: bytearray | memoryview, universe: int, bits: int, op) -> None:
-    """:func:`_subset_transform` under ``op`` of the packed slots of ``buf``.
-
-    Slot k, the entry for mask k, is the ``bits`` bits from bit k * bits of
-    the little-endian buffer.  A run of slots is one big integer, so ``op``
-    must never carry or borrow across a slot boundary (see the module
-    docstring for why XOR and the Moebius subtraction do not).
-
-    A chunk is the largest power of two of slots within ``_CHUNK_BYTES``,
+    A chunk is the largest power of two of bits within ``_CHUNK_BYTES``,
     or the whole buffer when that is smaller; inside it each pass is one
-    big-int operation with a tile built once.  The elements above the chunk
-    size pair whole chunks, in two rounds so that only a few chunks are
-    held as ints at a time (all of them at once would double the memory of
-    the buffer): first among neighbouring chunks, then among chunks a group
+    big-int XOR with a tile built once.  The elements above the chunk size
+    pair whole chunks, in two rounds so that only a few chunks are held as
+    ints at a time (all of them at once would double the memory of the
+    buffer): first among neighbouring chunks, then among chunks a group
     apart.
     """
-    low = min(universe, (8 * _CHUNK_BYTES // bits).bit_length() - 1)
-    chunk = max((bits << low) // 8, 1)
-    passes = [(_tile(bits << b, 8 * chunk), bits << b) for b in range(low)]
+    low = min(universe, (8 * _CHUNK_BYTES).bit_length() - 1)
+    chunk = max((1 << low) // 8, 1)
+    passes = [(_tile(1 << b, 8 * chunk), 1 << b) for b in range(low)]
     count = 1 << (universe - low)
     group = 1 << ((universe - low + 1) // 2)
     view = memoryview(buf)
@@ -281,9 +256,9 @@ def _packed_transform(buf: bytearray | memoryview, universe: int, bits: int, op)
         for i in indexes:
             x = int.from_bytes(view[i * chunk : (i + 1) * chunk], "little")
             for tile, shift in inner:
-                x = op(x, (x & tile) << shift)
+                x ^= (x & tile) << shift
             xs.append(x)
-        _subset_transform(xs, op)
+        _subset_transform(xs, operator.xor)
         for i, x in zip(indexes, xs):
             view[i * chunk : (i + 1) * chunk] = x.to_bytes(chunk, "little")
 
@@ -348,20 +323,34 @@ def _pack(values: list[int], width: int) -> bytes:
 
 @lru_cache(maxsize=8)
 def _table(n: int, signed: bool) -> DescentTable:
+    # Run i of the table of universe u, the slots [2**i, 2**(i+1)) of the
+    # masks with top element i + 1, is the whole table of universe i times
+    # one binomial, minus the run's own prefix (see the module docstring).
+    # The tables of universe u < universe - 1 are built first, by the same
+    # loop, into the upper half, that of u in the 2**u slots from slot
+    # half + 2**u; then the lower half, which needs them all, and the
+    # complement copy over them.
     universe = n if signed else n - 1
     width = _slot_width(n, signed)
     buf = bytearray(width << universe)
+    view = memoryview(buf)
+    half = len(buf) // 2
+    starts = [half + (width << u) for u in range(universe - 1)]
+    step = max(_CHUNK_BYTES // width, 1) * width  # whole slots, cache-sized
+    for u, base in [*enumerate(starts), (universe, 0)]:
+        view[base] = 1
+        for i in range(min(u, universe - 1)):
+            factor = math.comb(u, i) << (u - i) if signed else math.comb(u + 1, i + 1)
+            source, lo = starts[i], width << i
+            for at in range(0, lo, step):
+                end = min(at + step, lo)
+                run = factor * int.from_bytes(view[source + at : source + end], "little")
+                run -= int.from_bytes(view[base + at : base + end], "little")
+                view[base + lo + at : base + lo + end] = run.to_bytes(end - at, "little")
     if universe:
-        # the lower half inverts on its own, and slot half + j of the upper
-        # half is its complement, slot half - 1 - j (see the module docstring)
-        half = len(buf) // 2
-        lower = memoryview(buf)[:half]
-        _packed_alpha(n, signed, lower, width)
-        _packed_transform(lower, universe - 1, 8 * width, operator.sub)
+        # slot half + j is the complement of slot half - 1 - j
         for b in range(width):
             buf[half + b :: width] = buf[b:half:width][::-1]
-    else:  # one mask, alpha = beta = 1
-        buf[0] = 1
     return DescentTable(n=n, signed=signed, data=bytes(buf))
 
 
@@ -461,7 +450,7 @@ def _parity_bits(n: int) -> bytearray:
     if n > limit:
         raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
     buf = _chain_positions(n)
-    _packed_transform(buf, n - 1, 1, operator.xor)
+    _packed_transform(buf, n - 1)
     return buf
 
 

@@ -261,5 +261,5 @@ def odd_fundamental_count(n: int) -> int:
     for comp in support:
         mask = composition_to_mask(comp)
         buf[mask >> 3] |= 1 << (mask & 7)
-    _packed_transform(buf, n - 1, 1, operator.xor)
+    _packed_transform(buf, n - 1)
     return _bit_count(buf)

@@ -111,6 +111,18 @@ def test_table_respects_limits(capsys, monkeypatch):
     assert "sum_ok=yes" in out
 
 
+def test_table_out_of_memory_maps_to_3(capsys, monkeypatch):
+    def build(n, signed):
+        raise MemoryError
+
+    monkeypatch.setattr(descent, "_table", build)
+    code, out, err = run(capsys, "table", "--n", "20")
+    assert code == 3
+    assert out == ""
+    assert err == "resource limit: table ran out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_rho_respects_limit(capsys):
     code, _, err = run(capsys, "rho", "--n", "40")
     assert code == 3

@@ -33,7 +33,6 @@ from descentlab.descent import (
     _CHUNK_BYTES,
     _chain_positions,
     _pack,
-    _packed_alpha,
     _packed_transform,
     _slot_width,
     _subset_transform,
@@ -287,74 +286,60 @@ def test_packed_route_matches_list_route(signed):
         assert beta_table(n, signed=signed).values == tuple(vals), n
 
 
-def reference_alpha(n: int, signed: bool, width: int) -> bytearray:
-    """The alpha construction that the direct-write one replaced: each run
-    of slots with one top element is kept as one int, built by OR-ing the
-    earlier runs, times their binomials, into place."""
-    universe = n if signed else n - 1
-    total = n + 1 if signed else n
-    buf = bytearray(width << universe)
-    buf[0] = 1
-    bits = 8 * width
-    blocks: list[int] = []
-    for s in range(1, universe + 1):
-        block = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
-        for t, prev in enumerate(blocks, 1):
-            block |= math.comb(total - t, s - t) * prev << (bits << (t - 1))
-        blocks.append(block)
-        start = width << (s - 1)
-        buf[start : 2 * start] = block.to_bytes(start, "little")
-    return buf
-
-
 SMALL_TABLES = [(n, False) for n in range(1, 15)] + [(n, True) for n in range(1, 11)]
 
 
-# a block of 3 slots splits every run of two or more slots unevenly
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
-def test_packed_alpha_matches_block_or_route(monkeypatch, block):
-    # the table build fills the lower half, the masks without the top
-    # element; unsigned n = 1 has one mask and no halves
-    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
-    for n, signed in SMALL_TABLES[1:]:
-        width = _slot_width(n, signed)
-        want = reference_alpha(n, signed, width)
-        lower = bytearray(len(want) // 2)
-        _packed_alpha(n, signed, memoryview(lower), width)
-        assert lower == want[: len(lower)], (n, signed)
-
-
 def full_build(n: int, signed: bool) -> bytes:
-    """The table build that the half build replaced: alpha over every mask,
-    run by run, then the Moebius inversion over the whole universe."""
+    """The table build that the top-element recursion replaced: alpha over
+    every mask, run by run, then the Moebius inversion over the whole
+    universe."""
     universe = n if signed else n - 1
     total = n + 1 if signed else n
     width = _slot_width(n, signed)
     buf = bytearray(width << universe)
     buf[0] = 1
-    view = memoryview(buf)
-    step = width * descent._SAVE_BLOCK
     for s in range(1, universe + 1):
         top = width << (s - 1)
         seed = math.comb(n, s - 1) << (n + 1 - s) if signed else math.comb(n, s)
-        view[top : top + width] = seed.to_bytes(width, "little")
+        buf[top : top + width] = seed.to_bytes(width, "little")
         for t in range(1, s):
-            factor = math.comb(total - t, s - t)
             lo = width << (t - 1)
-            for at in range(lo, 2 * lo, step):
-                end = min(at + step, 2 * lo)
-                run = factor * int.from_bytes(view[at:end], "little")
-                view[top + at : top + end] = run.to_bytes(end - at, "little")
-    _packed_transform(buf, universe, 8 * width, operator.sub)
-    return bytes(buf)
+            run = math.comb(total - t, s - t) * int.from_bytes(buf[lo : 2 * lo], "little")
+            buf[top + lo : top + 2 * lo] = run.to_bytes(lo, "little")
+    vals = _unpack(bytes(buf), width)
+    _subset_transform(vals, operator.sub)
+    return _pack(vals, width)
 
 
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+# Blocks of 3 slots split every run of more than 3 slots unevenly, blocks of
+# _SAVE_BLOCK slots hold every run of these tables whole, and None leaves
+# the default, cache-sized blocks.
+@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK, None])
 def test_half_build_matches_full_build(monkeypatch, block):
-    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
-    descent._table.cache_clear()  # build every table at this block size
     for n, signed in [(n, False) for n in range(1, 17)] + [(n, True) for n in range(1, 13)]:
+        if block is not None:
+            monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
+        descent._table.cache_clear()  # build every table at this block size
         assert beta_table(n, signed=signed).data == full_build(n, signed), (n, signed)
+
+
+def test_brute_force_tables_satisfy_the_top_element_recursion():
+    # the identities the table build runs on, on tables counted one
+    # permutation at a time: for every s and every S' inside {1, ..., s-1},
+    # beta_n(S' + {s}) = C(n, s) beta_s(S') - beta_n(S'), and signed
+    # beta^B_n(S' + {s}) = C(n, s-1) 2**(n-s+1) beta^B_(s-1)(S') - beta^B_n(S')
+    for n, signed in [(n, False) for n in range(1, 9)] + [(n, True) for n in range(1, 7)]:
+        big = brute_force_table(n, signed=signed).values
+        for s in range(1, (n if signed else n - 1) + 1):
+            if signed:
+                factor = math.comb(n, s - 1) << (n - s + 1)
+                small = brute_force_table(s - 1, signed=True).values if s > 1 else (1,)
+            else:
+                factor = math.comb(n, s)
+                small = brute_force_table(s).values
+            top = 1 << (s - 1)
+            for sub in range(top):
+                assert big[top | sub] == factor * small[sub] - big[sub], (n, signed, s, sub)
 
 
 def test_brute_force_tables_are_complement_symmetric():
@@ -448,22 +433,6 @@ def reference_xor_zeta(bits: int, universe: int) -> int:
     return bits
 
 
-@pytest.mark.parametrize("universe, bits", [(0, 9), (3, 100), (11, 40), (13, 70), (14, 150)])
-def test_packed_moebius_on_wide_slots(universe, bits):
-    # The subset sums of nonnegative counts have the shape of alpha, so the
-    # packed passes never borrow; here the values pass 64 bits, the chunks
-    # number one or more, and every slot has two spare zero bytes.
-    rng = random.Random(universe * bits)
-    counts = [rng.getrandbits(rng.choice((7, 40, bits))) for _ in range(1 << universe)]
-    sums = list(counts)
-    _subset_transform(sums, operator.add)
-    width = (max(sums).bit_length() + 7) // 8 + 2
-    buf = bytearray(b"".join(v.to_bytes(width, "little") for v in sums))
-    _packed_transform(buf, universe, 8 * width, operator.sub)
-    assert buf == b"".join(v.to_bytes(width, "little") for v in counts)
-    assert _unpack(buf, width) == counts
-
-
 # 1-bit slots: a chunk holds 2**18 of them, so 18 is the chunk size; above
 # it the chunks pair among neighbours (19), then also a group apart (20, 21)
 @pytest.mark.parametrize("universe", [0, 1, 2, 3, 10, 17, 18, 19, 20, 21])
@@ -472,7 +441,7 @@ def test_packed_xor_zeta_matches_whole_integer(universe):
     rng = random.Random(universe)
     bits = rng.getrandbits(1 << universe)
     buf = bytearray(bits.to_bytes(max((1 << universe) >> 3, 1), "little"))
-    _packed_transform(buf, universe, 1, operator.xor)
+    _packed_transform(buf, universe)
     assert int.from_bytes(buf, "little") == reference_xor_zeta(bits, universe)
 
 
