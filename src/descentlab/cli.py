@@ -31,8 +31,6 @@ from .errors import (
 
 __all__ = ["build_parser", "main"]
 
-ENV_CACHE = "DESCENTLAB_CACHE"
-
 
 # ---------------------------------------------------------------------------
 # table plumbing
@@ -40,8 +38,7 @@ ENV_CACHE = "DESCENTLAB_CACHE"
 
 def _get_table(args: argparse.Namespace) -> descent.DescentTable:
     n, signed = args.n, args.signed
-    cache_dir = args.cache_dir or os.environ.get(ENV_CACHE)
-    path = cache_dir and os.path.join(cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
+    path = args.cache_dir and os.path.join(args.cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
     if path and os.path.exists(path):
         try:
             table = descent.load_table(path)
@@ -130,7 +127,6 @@ def cmd_factors(args: argparse.Namespace) -> int:
         max_index=args.max_index,
         max_multiplicity=args.multiplicity,
         policy=args.policy,
-        workers=args.workers,
     )
     if args.fmt == "text":
         print(cyclo.format_report(report))
@@ -204,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--signed", action="store_true")
     t.add_argument("--max-n", type=int, default=None, help="raise the size ceiling")
-    t.add_argument("--cache-dir", default=None, help=f"table cache (or ${ENV_CACHE})")
+    t.add_argument("--cache-dir", default=None, help="table cache directory")
     t.add_argument("--out", default=None, help="also write the table to this file")
 
     r = sub.add_parser("rho", help="fraction of subsets with an odd count")
@@ -216,10 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-index", type=int, default=10_000)
     f.add_argument("--multiplicity", type=int, default=3)
     f.add_argument("--policy", choices=("heuristic", "exhaustive"), default="heuristic")
-    f.add_argument("--workers", type=int, default=1)
     f.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
     f.add_argument("--golden", default=None, help="'builtin' or a file with one recorded line")
-    f.add_argument("--cache-dir", default=None, help=f"table cache (or ${ENV_CACHE})")
+    f.add_argument("--cache-dir", default=None, help="table cache directory")
     f.add_argument("--max-n", type=int, default=None, help="raise the size ceiling")
 
     v = sub.add_parser("verify", help="run theorem and identity suites")

@@ -27,9 +27,7 @@ integer and lets the integer multiply do the convolution.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import operator
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, compress, count, repeat
@@ -319,24 +317,11 @@ def _group_multiplicities(
     return out + [(m, max_mult) for m in alive]
 
 
-_SCAN_STATE: dict = {}
-
-
-def _scan_init(values, mults, max_mult: int) -> None:
-    _SCAN_STATE.update(values=values, mults=mults, max_mult=max_mult)
-
-
-def _scan_group(group: list[int]) -> list[tuple[int, int]]:
-    s = _SCAN_STATE
-    return _group_multiplicities(s["values"], s["mults"], group, s["max_mult"])
-
-
 def factor_scan(
     table: DescentTable,
     max_index: int = 10_000,
     max_multiplicity: int = 3,
     policy: str = "heuristic",
-    workers: int = 1,
 ) -> FactorReport:
     """Find every cyclotomic factor Phi_m, m up to max_index, of the table's
     descent polynomial, with multiplicities (capped at max_multiplicity).
@@ -346,9 +331,8 @@ def factor_scan(
     candidates are packed into groups whose lcm stays at most the number V of
     distinct table values, so that folding a group's packed histogram mod
     each member, big-int adds over O(lcm) slots, costs no more than the pass
-    over the values, O(V), that it saves.  ``workers`` parallelizes over the
-    groups, at most one process per CPU, without changing the result or its
-    order.  ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
+    over the values, O(V), that it saves.  ``max_index`` above MAX_INDEX
+    raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
         raise ContractViolationError(
@@ -362,22 +346,13 @@ def factor_scan(
         raise ContractViolationError(
             f"max_multiplicity must be >= 1, got {max_multiplicity}"
         )
-    if workers < 1:
-        raise ContractViolationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
     values, mults = _value_counts(table)
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)
     else:
         candidates = list(range(2, max_index + 1))
     groups = _group_candidates(candidates, len(values))
-    if workers == 1 or len(groups) < 2:
-        results = [_group_multiplicities(values, mults, g, max_multiplicity) for g in groups]
-    else:
-        with multiprocessing.Pool(
-            workers, initializer=_scan_init, initargs=(values, mults, max_multiplicity)
-        ) as pool:
-            results = pool.map(_scan_group, groups, chunksize=1)
+    results = [_group_multiplicities(values, mults, g, max_multiplicity) for g in groups]
     factors = tuple(sorted((m, k) for rows in results for m, k in rows if k > 0))
     return FactorReport(
         n=table.n,

@@ -1,10 +1,11 @@
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from descentlab import cyclo, descent
-from descentlab.cli import main
+from descentlab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -53,11 +54,12 @@ def test_table_cache_round_trip(tmp_path, capsys):
     assert path.read_text() == before
 
 
-def test_table_cache_env_var(tmp_path, capsys, monkeypatch):
+def test_table_ignores_cache_env_var(tmp_path, capsys, monkeypatch):
+    # only --cache-dir turns the cache on; the environment is not read
     monkeypatch.setenv("DESCENTLAB_CACHE", str(tmp_path))
     code, _, _ = run(capsys, "table", "--n", "4")
     assert code == 0
-    assert (tmp_path / "table-v1-n4-s0.txt").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -334,6 +336,27 @@ def test_usage_errors(capsys):
     assert run(capsys, "rho")[0] == 2          # missing --n
     assert run(capsys, "frobnicate")[0] == 2   # unknown command
     assert run(capsys, )[0] == 2               # no command
+    # factors has no --workers: the scan always runs in one process
+    assert run(capsys, "factors", "--n", "5", "--workers", "2")[:2] == (2, "")
+
+
+def _readme_commands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("descentlab ")
+    ]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def test_contract_violation_maps_to_2(capsys):

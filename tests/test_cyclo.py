@@ -510,38 +510,6 @@ def test_factor_scan_policies_agree():
         factor_scan(beta_table(6), policy="fast")
 
 
-def test_factor_scan_workers_do_not_change_output():
-    one = factor_scan(beta_table(9), max_index=300, workers=1)
-    four = factor_scan(beta_table(9), max_index=300, workers=4)
-    assert one == four
-
-
-def test_factor_scan_caps_workers_at_cpu_count(monkeypatch):
-    requested = []
-
-    class SerialPool:
-        def __init__(self, processes, initializer, initargs):
-            requested.append(processes)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(cyclo.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cyclo.multiprocessing, "Pool", SerialPool)
-    report = factor_scan(beta_table(9), max_index=300, workers=10**9)
-    assert requested == [2]
-    assert report == factor_scan(beta_table(9), max_index=300)
-    with pytest.raises(ContractViolationError):
-        factor_scan(beta_table(9), workers=0)
-
-
 def test_report_serialization_round_trip():
     r = factor_scan(beta_table(6, signed=True), max_index=200)
     line = format_report(r)
