@@ -69,10 +69,15 @@ def _writing(path: str):
 
 def cmd_table(args: argparse.Namespace) -> int:
     table = _get_table(args)
+    # every mask that is not stored holds its complement's value, so the sum
+    # over the stored ones is doubled (the one mask of an empty universe is
+    # its own complement)
     total = top = 0
-    for block in table.chunks():
+    for block in table.chunks(table.stored):
         total += sum(block)
         top = max(top, max(block))
+    if table.universe:
+        total *= 2
     expected_total = math.factorial(args.n) << (args.n if args.signed else 0)
     expected_top = (
         numbers.signed_euler_number(args.n)

@@ -25,15 +25,18 @@ The masks with top s are one run of slots, so the run is a whole smaller
 table times one binomial minus the run's own prefix: one big-int multiply
 and one subtraction per block of slots.  No slot carries into or borrows
 from the next: each product is beta_m(S' + {s}) + beta_m(S'), at most the
-slot bound, and each difference is a count, so nonnegative.  Only the lower
-half is built, the masks without the top element of the universe.
+slot bound, and each difference is a count, so nonnegative.
+
 Complementing the values of a permutation (negating them, when signed)
-complements its descent set, so beta_n(S) = beta_n(complement of S) and the
-upper half is the lower half in reverse slot order, copied one slot byte at
-a time.  The paths that run at large n (the ``table`` summary, the value
-histogram behind the factor scan, the cache file) read the slots in blocks
-of ``_SAVE_BLOCK`` values, so the 2**(n-1) values never exist as Python
-ints all at once.
+complements its descent set, so beta_n(S) = beta_n(complement of S): the
+upper half of a table, the masks with the top element of the universe, is
+the lower half in reverse slot order.  So a table holds only its lower
+half, and a mask in the upper half is read from the slot of its
+complement; nothing is copied.  The paths that run at large n (the
+``table`` summary, the value histogram behind the factor scan, the cache
+file) read the slots in blocks of ``_SAVE_BLOCK`` values, so the 2**(n-1)
+values never exist as Python ints all at once, and the first two read
+only the stored half.
 
 The parity route takes the subset zeta transform mod 2 with
 :func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
@@ -55,7 +58,7 @@ from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
 from typing import Iterator
 
-from .errors import CacheError, ContractViolationError, ResourceLimitError
+from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
 from .numbers import as_mask, mask_to_composition, multinomial, prime_divisors
 
 __all__ = [
@@ -100,12 +103,15 @@ class DescentTable:
 
     The subsets range over {1, ..., n-1} in the unsigned case and
     {1, ..., n} in the signed case.  ``data`` holds one slot of
-    ``_slot_width(n, signed)`` bytes per subset: bytes [k * width,
-    (k + 1) * width), read little-endian, are the count for the subset whose
-    mask is k.  ``value(S)`` decodes one slot and ``chunks()`` yields the
-    values in mask order, ``_SAVE_BLOCK`` at a time; ``values`` builds the
-    whole tuple, which at n = 23 is 4,194,304 ints, so only small tables
-    should be read through it.
+    ``_slot_width(n, signed)`` bytes for each of the ``stored`` masks
+    without the top element of the universe (the one mask, when the
+    universe is empty): bytes [k * width, (k + 1) * width), read
+    little-endian, are the count for the subset whose mask is k.  A mask k
+    at or above ``stored`` is read from the slot of its complement,
+    2**universe - 1 - k.  ``value(S)`` decodes one slot and ``chunks()``
+    yields the values of every mask in mask order, ``_SAVE_BLOCK`` at a
+    time; ``values`` builds the whole tuple, which at n = 23 is 4,194,304
+    ints, so only small tables should be read through it.
     """
 
     n: int
@@ -117,22 +123,42 @@ class DescentTable:
         return self.n if self.signed else self.n - 1
 
     @property
+    def stored(self) -> int:
+        """The number of slots held: 2**(universe - 1), or 1 when the
+        universe is empty."""
+        return 1 << max(self.universe - 1, 0)
+
+    @property
     def width(self) -> int:
-        return len(self.data) >> self.universe
+        return len(self.data) // self.stored
 
     def value(self, S) -> int:
         k = as_mask(S, self.universe)
+        if k >= self.stored:
+            k = (1 << self.universe) - 1 - k
         width = self.width
         return int.from_bytes(self.data[k * width : (k + 1) * width], "little")
 
+    def _slots(self, lo: int, hi: int) -> list[int]:
+        """The values held in slots [lo, hi)."""
+        width = self.width
+        return _unpack(self.data[lo * width : hi * width], width)
+
     def chunks(self, stop: int | None = None) -> Iterator[list[int]]:
         """The values of the masks below ``stop`` (default all) in mask order,
-        in lists of ``_SAVE_BLOCK`` (fewer when the table is smaller)."""
-        width = self.width
-        step = width * _SAVE_BLOCK
-        end = len(self.data) if stop is None else stop * width
-        for lo in range(0, end, step):
-            yield _unpack(self.data[lo : min(lo + step, end)], width)
+        in lists of ``_SAVE_BLOCK`` (fewer when the table is smaller).
+
+        Below ``stored`` a block is a run of slots; above it, the run of
+        their complements' slots reversed."""
+        full = 1 << self.universe
+        stop = full if stop is None else stop
+        stored = self.stored
+        for lo in range(0, stop, _SAVE_BLOCK):
+            hi = min(lo + _SAVE_BLOCK, stop)
+            block = self._slots(lo, min(hi, stored)) if lo < stored else []
+            if hi > stored:
+                block += self._slots(full - hi, full - max(lo, stored))[::-1]
+            yield block
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -141,10 +167,10 @@ class DescentTable:
 
     def __post_init__(self) -> None:
         width = _slot_width(self.n, self.signed)
-        if len(self.data) != width << self.universe:
+        if len(self.data) != width * self.stored:
             raise ContractViolationError(
                 f"table for n={self.n} signed={self.signed} needs "
-                f"{1 << self.universe} slots of {width} bytes, got {len(self.data)} bytes"
+                f"{self.stored} slots of {width} bytes, got {len(self.data)} bytes"
             )
 
 
@@ -326,32 +352,29 @@ def _table(n: int, signed: bool) -> DescentTable:
     # Run i of the table of universe u, the slots [2**i, 2**(i+1)) of the
     # masks with top element i + 1, is the whole table of universe i times
     # one binomial, minus the run's own prefix (see the module docstring).
-    # The tables of universe u < universe - 1 are built first, by the same
-    # loop, into the upper half, that of u in the 2**u slots from slot
-    # half + 2**u; then the lower half, which needs them all, and the
-    # complement copy over them.
+    # The whole tables of universe u < universe - 1 are built first, by the
+    # same loop, into a scratch buffer, that of u at slots [2**u, 2**(u+1));
+    # then the lower half of the table of the universe, which needs them
+    # all.  The scratch buffer is freed before the copy into bytes, so the
+    # peak is about two halves.
     universe = n if signed else n - 1
     width = _slot_width(n, signed)
-    buf = bytearray(width << universe)
-    view = memoryview(buf)
-    half = len(buf) // 2
-    starts = [half + (width << u) for u in range(universe - 1)]
+    size = width << max(universe - 1, 0)
+    smaller, half = memoryview(bytearray(size)), memoryview(bytearray(size))
     step = max(_CHUNK_BYTES // width, 1) * width  # whole slots, cache-sized
-    for u, base in [*enumerate(starts), (universe, 0)]:
+    builds = [(u, smaller, width << u) for u in range(universe - 1)]
+    for u, view, base in [*builds, (universe, half, 0)]:
         view[base] = 1
         for i in range(min(u, universe - 1)):
             factor = math.comb(u, i) << (u - i) if signed else math.comb(u + 1, i + 1)
-            source, lo = starts[i], width << i
+            lo = width << i  # the table of universe i starts at slot 2**i
             for at in range(0, lo, step):
                 end = min(at + step, lo)
-                run = factor * int.from_bytes(view[source + at : source + end], "little")
+                run = factor * int.from_bytes(smaller[lo + at : lo + end], "little")
                 run -= int.from_bytes(view[base + at : base + end], "little")
                 view[base + lo + at : base + lo + end] = run.to_bytes(end - at, "little")
-    if universe:
-        # slot half + j is the complement of slot half - 1 - j
-        for b in range(width):
-            buf[half + b :: width] = buf[b:half:width][::-1]
-    return DescentTable(n=n, signed=signed, data=bytes(buf))
+    del builds, smaller
+    return DescentTable(n=n, signed=signed, data=bytes(half))
 
 
 def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> DescentTable:
@@ -371,19 +394,9 @@ def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> Descen
     return _table(n, bool(signed))
 
 
-def brute_force_table(n: int, signed: bool = False) -> DescentTable:
-    """The same table by direct enumeration of all (signed) permutations.
-
-    Exists as an independent oracle for the closed-form route; refuses
-    n above 9 (unsigned) or 7 (signed).
-    """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = BRUTE_FORCE_LIMITS["signed" if signed else "unsigned"]
-    if n > limit:
-        raise ResourceLimitError(
-            f"brute_force_table(n={n}, signed={signed}) exceeds the limit {limit}"
-        )
+def _enumerate_counts(n: int, signed: bool) -> list[int]:
+    """The number of (signed) permutations with each descent set, counted
+    one permutation at a time, ``counts[k]`` for mask k."""
     if not signed:
         counts = [0] * (1 << (n - 1))
         for pi in permutations(range(1, n + 1)):
@@ -404,7 +417,30 @@ def brute_force_table(n: int, signed: bool = False) -> DescentTable:
                         mask |= 1 << i
                     prev = v
                 counts[mask] += 1
-    return DescentTable(n=n, signed=signed, data=_pack(counts, _slot_width(n, signed)))
+    return counts
+
+
+def brute_force_table(n: int, signed: bool = False) -> DescentTable:
+    """The same table by direct enumeration of all (signed) permutations.
+
+    Exists as an independent oracle for the closed-form route; refuses
+    n above 9 (unsigned) or 7 (signed).  Every mask is counted, and the
+    counts must be complement symmetric before the lower half is kept.
+    """
+    if n < 1:
+        raise ContractViolationError(f"n must be >= 1, got {n}")
+    limit = BRUTE_FORCE_LIMITS["signed" if signed else "unsigned"]
+    if n > limit:
+        raise ResourceLimitError(
+            f"brute_force_table(n={n}, signed={signed}) exceeds the limit {limit}"
+        )
+    counts = _enumerate_counts(n, signed)
+    if counts != counts[::-1]:
+        raise DescentLabError(
+            f"enumerated table for n={n} signed={signed} is not complement symmetric"
+        )
+    half = counts[: max(len(counts) // 2, 1)]
+    return DescentTable(n=n, signed=signed, data=_pack(half, _slot_width(n, signed)))
 
 
 def _bitset(universe: int) -> bytearray:
@@ -474,15 +510,14 @@ def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
     """The distinct values of a table, and how many subsets take each.
 
     Taking each entry of a permutation to n + 1 minus it (to its negative
-    when signed) complements the descent set, so only the masks with the top
-    bit clear, the half of the table that :func:`_table` builds, are
-    counted, twice."""
-    if not table.universe:  # one mask, its own complement
-        return list(table.values), [1]
+    when signed) complements the descent set, so only the stored slots,
+    the masks with the top bit clear, are counted, twice (once when the
+    universe is empty and its one mask is its own complement)."""
     counts: Counter[int] = Counter()
-    for block in table.chunks(1 << (table.universe - 1)):
+    for block in table.chunks(table.stored):
         counts.update(block)
-    return list(counts), [2 * c for c in counts.values()]
+    twice = 2 if table.universe else 1
+    return list(counts), [twice * c for c in counts.values()]
 
 
 def _residue_counts(values: list[int], mults: list[int], modulus: int, order: int) -> list[int]:
@@ -610,11 +645,14 @@ def load_table(path) -> DescentTable:
     """Read a cache file written by :func:`save_table`.
 
     Raises :class:`CacheError` on any malformation, including bytes that
-    are not text and a value sum that disagrees with the permutation count.
-    The values are parsed, checked and packed ``_SAVE_BLOCK`` lines at a
-    time, so neither the text nor the values are held whole.  A value is
-    checked for its sign before packing, where it would wrap; with every
-    value nonnegative, the sum check bounds each by the slot width.
+    are not text, an upper half that is not the lower half reversed, and a
+    value sum that disagrees with the permutation count.  The values are
+    parsed ``_SAVE_BLOCK`` lines at a time, so neither the text nor the
+    values are held whole: those of the lower half are checked and packed,
+    and each block of the upper half is compared with the slots of its
+    complements.  A value is checked for its sign before packing, where it
+    would wrap; with every value nonnegative, the sum check bounds each by
+    the slot width.
     """
     try:
         with open(path, encoding="ascii") as f:
@@ -628,16 +666,25 @@ def load_table(path) -> DescentTable:
                     "values than the file can hold"
                 )
             expected = 1 << (n + signed_flag - 1)
+            stored = max(expected >> 1, 1)
             width = _slot_width(n, bool(signed_flag))
             parts: list[bytes] = []
             got = total = 0
-            negative = False
+            negative = unmirrored = False
             try:
-                while block := list(map(int, islice(f, min(_SAVE_BLOCK, expected - got)))):
+                while block := list(map(int, islice(f, min(_SAVE_BLOCK, stored - got)))):
                     got += len(block)
                     negative = negative or min(block) < 0
                     total += sum(block)
                     parts.append(_pack(block, width))
+                data = b"".join(parts)
+                while block := list(map(int, islice(f, min(_SAVE_BLOCK, expected - got)))):
+                    # masks [got, got + len) mirror slots [expected - got - len, expected - got)
+                    end = (expected - got) * width
+                    mirror = _unpack(data[end - len(block) * width : end], width)
+                    got += len(block)
+                    total += sum(block)
+                    unmirrored = unmirrored or block != mirror[::-1]
             except ValueError as exc:  # undecodable bytes land here too
                 raise CacheError(f"{path}: non-integer table entry") from exc
             got += sum(1 for _ in f)
@@ -652,6 +699,8 @@ def load_table(path) -> DescentTable:
         )
     if negative:
         raise CacheError(f"{path}: negative table entry")
+    if unmirrored:
+        raise CacheError(f"{path}: halves are not complements")
     if total != math.factorial(n) << (n if signed_flag else 0):
         raise CacheError(f"{path}: table sum does not match the permutation count")
-    return DescentTable(n=n, signed=bool(signed_flag), data=b"".join(parts))
+    return DescentTable(n=n, signed=bool(signed_flag), data=data)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from descentlab import cyclo, descent
+from descentlab import cli, cyclo, descent
 from descentlab.cli import build_parser, main
 
 
@@ -29,6 +29,22 @@ def test_table_signed_summary(capsys):
     code, out, _ = run(capsys, "table", "--n", "3", "--signed")
     assert code == 0
     assert "sum=48 sum_ok=yes max=11 max_ok=yes" in out
+
+
+# The summary doubles the sum over the stored half, except for the empty
+# universe of n = 1, whose one mask is its own complement.
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--n", "1"], "n=1 signed=0 subsets=1 sum=1 sum_ok=yes max=1 max_ok=yes"),
+        (["--n", "1", "--signed"], "n=1 signed=1 subsets=2 sum=2 sum_ok=yes max=1 max_ok=yes"),
+        (["--n", "2"], "n=2 signed=0 subsets=2 sum=2 sum_ok=yes max=1 max_ok=yes"),
+        (["--n", "2", "--signed"], "n=2 signed=1 subsets=4 sum=8 sum_ok=yes max=3 max_ok=yes"),
+    ],
+    ids=["1", "1-signed", "2", "2-signed"],
+)
+def test_table_summary_of_the_smallest_universes(capsys, argv, line):
+    assert run(capsys, "table", *argv) == (0, line + "\n", "")
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -69,8 +85,12 @@ def test_table_ignores_cache_env_var(tmp_path, capsys, monkeypatch):
         b"\xff\xfe\x00garbage",
         # the header's n is refused before 2**(n - 1) values are sized
         b"descentlab-table v1 n=100000000000000000000 signed=0\n",
+        # the values of masks 1 and 2 swapped: the count and the sum match,
+        # but the upper half is no longer the lower half reversed
+        b"descentlab-table v1 n=5 signed=0\n"
+        + b"".join(b"%d\n" % v for v in (1, 9, 4, 6, 9, 16, 11, 4, 4, 11, 16, 9, 6, 9, 4, 1)),
     ],
-    ids=["text", "binary", "huge-n"],
+    ids=["text", "binary", "huge-n", "swapped"],
 )
 def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
     path = tmp_path / "table-v1-n5-s0.txt"
@@ -81,6 +101,7 @@ def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
     assert "sum_ok=yes" in out
     # the bad file was replaced with a loadable one
     assert path.read_text().startswith("descentlab-table v1")
+    assert descent.load_table(path) == descent.beta_table(5)
 
 
 def test_table_unwritable_path(tmp_path, capsys):
@@ -429,11 +450,15 @@ def test_cache_dir_used_by_factors(tmp_path, capsys):
 
 def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
     # table, factors and the cache stream slot blocks; none of them may
-    # build the whole tuple of values
+    # build the whole tuple of values, and each table holds only its lower
+    # half
     def refuse(self):
         raise AssertionError("built the whole tuple of table values")
 
     monkeypatch.setattr(descent.DescentTable, "values", property(refuse))
+    tables = []
+    get_table = cli._get_table
+    monkeypatch.setattr(cli, "_get_table", lambda args: tables.append(get_table(args)) or tables[-1])
     code, out, err = run(capsys, "table", "--n", "12")
     assert (code, err) == (0, "")
     assert out.strip() == (
@@ -447,6 +472,10 @@ def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
     warm = run(capsys, "table", "--n", "12", "--signed", "--cache-dir", cache)
     assert cold == warm and cold[0] == 0 and cold[2] == ""
     assert (tmp_path / "table-v1-n12-s1.txt").exists()
+    assert len(tables) == 4
+    for table in tables:
+        assert len(table.data) == table.width << (table.universe - 1)
+        assert table.width == descent._slot_width(table.n, table.signed)
 
 
 def test_env_smoke_subprocess():
@@ -460,3 +489,26 @@ def test_env_smoke_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "n=7 popcount=3 rho=1/2 half_minus_rho=0"
+
+
+# The summary over the stored half at full scale, in a fresh process: the
+# sum doubled and the maximum must still match n! (times 2**n) and the
+# Euler number.
+@pytest.mark.golden
+@pytest.mark.parametrize("argv", [["--n", "23"], ["--n", "18", "--signed"]], ids=["23", "18-signed"])
+def test_full_scale_table_summary_subprocess(argv):
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "descentlab", "table", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "sum_ok=yes" in proc.stdout.split()
+    assert "max_ok=yes" in proc.stdout.split()

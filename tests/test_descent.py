@@ -38,7 +38,12 @@ from descentlab.descent import (
     _subset_transform,
     _unpack,
 )
-from descentlab.errors import CacheError, ContractViolationError, ResourceLimitError
+from descentlab.errors import (
+    CacheError,
+    ContractViolationError,
+    DescentLabError,
+    ResourceLimitError,
+)
 from descentlab.numbers import euler_number, signed_euler_number
 
 # hand-enumerated before the closed forms were written
@@ -118,7 +123,7 @@ def test_universe_and_value_lookup():
     with pytest.raises(ContractViolationError):
         t.value(0b1000)  # outside the universe {1, 2, 3}
     with pytest.raises(ContractViolationError):
-        DescentTable(n=3, signed=False, data=bytes(3))  # 4 one-byte slots
+        DescentTable(n=3, signed=False, data=bytes(3))  # 2 one-byte slots
 
 
 def test_limits():
@@ -259,6 +264,14 @@ def test_load_rejects_corruption(tmp_path):
             load_table(path)
     with pytest.raises(CacheError):
         load_table(tmp_path / "missing.txt")
+    # two lower-half values swapped: the count and the sum still match
+    save_table(beta_table(5), path)
+    lines = path.read_text().splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    assert lines[2] != lines[3]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CacheError, match="halves are not complements"):
+        load_table(path)
 
 
 @given(st.integers(min_value=2, max_value=10), st.data())
@@ -320,7 +333,12 @@ def test_half_build_matches_full_build(monkeypatch, block):
         if block is not None:
             monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
         descent._table.cache_clear()  # build every table at this block size
-        assert beta_table(n, signed=signed).data == full_build(n, signed), (n, signed)
+        t, full = beta_table(n, signed=signed), full_build(n, signed)
+        width = _slot_width(n, signed)
+        stored = max(len(full) // width // 2, 1)
+        assert t.data == full[: stored * width], (n, signed)
+        # the upper half, read through the complements, against the full build
+        assert t.values == tuple(_unpack(full, width)), (n, signed)
 
 
 def test_brute_force_tables_satisfy_the_top_element_recursion():
@@ -343,19 +361,27 @@ def test_brute_force_tables_satisfy_the_top_element_recursion():
 
 
 def test_brute_force_tables_are_complement_symmetric():
-    # the identity the half build copies by, on tables counted one
-    # permutation at a time: reversing the mask order complements each mask
+    # the identity a half table is read by, on the counts of every mask,
+    # one permutation at a time: reversing the mask order complements each
+    # mask
     for n, signed in [(n, False) for n in range(1, 9)] + [(n, True) for n in range(1, 7)]:
-        values = brute_force_table(n, signed=signed).values
-        assert values == values[::-1], (n, signed)
+        counts = descent._enumerate_counts(n, signed)
+        assert counts == counts[::-1], (n, signed)
+
+
+def test_brute_force_table_refuses_asymmetric_counts(monkeypatch):
+    monkeypatch.setattr(descent, "_enumerate_counts", lambda n, signed: [1, 3, 5, 3, 3, 5, 1, 3])
+    with pytest.raises(DescentLabError, match="not complement symmetric"):
+        brute_force_table(4)
 
 
 @pytest.mark.golden
 @pytest.mark.parametrize("n, signed", [(23, False), (18, True)])
 def test_full_scale_table_upper_half(n, signed):
-    # Factor rows read only the lower half, so the copied upper half is
-    # checked here: the sum and the maximum over every mask, and alpha as
-    # the sum of beta over the subsets of sampled masks with the top element.
+    # Factor rows read only the lower half, so the upper half, read as the
+    # mirror of the lower, is checked here: the sum and the maximum over
+    # every mask, and alpha as the sum of beta over the subsets of sampled
+    # masks with the top element.
     try:
         t = beta_table(n, signed=signed)
         total = peak = 0
@@ -387,7 +413,7 @@ def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
     monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
     for n, signed in SMALL_TABLES:
         t = beta_table(n, signed=signed)
-        whole = _unpack(t.data, t.width)
+        whole = _unpack(full_build(n, signed), t.width)
         chunks = list(t.chunks())
         assert all(len(c) == block for c in chunks[:-1])
         assert list(chain.from_iterable(chunks)) == whole
