@@ -86,6 +86,10 @@ DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 
+# Ceiling on a residue modulus, and so on a factor scan's bound: the
+# candidate list and the histogram of a lone candidate are both that long.
+MAX_INDEX = 1_000_000
+
 CACHE_FORMAT = "descentlab-table v1"
 # Values per block: a table is read, saved and loaded this many at a time.
 _SAVE_BLOCK = 1 << 16
@@ -541,9 +545,12 @@ def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHis
 
     Order 0 counts subsets per residue class; order j gives the residue data
     of the j-th derivative of the generating polynomial sum_S t^beta(S).
+    ``m`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if m < 1:
         raise ContractViolationError(f"modulus must be >= 1, got {m}")
+    if m > MAX_INDEX:
+        raise ResourceLimitError(f"modulus {m} exceeds the limit {MAX_INDEX}")
     if order < 0:
         raise ContractViolationError(f"order must be >= 0, got {order}")
     counts = _residue_counts(*_value_counts(table), m, order)

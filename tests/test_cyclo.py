@@ -214,6 +214,18 @@ def test_divides_order_agrees_with_division(case):
     assert divides_order(ResidueHistogram(m, 0, tuple(c)), m) == by_division
 
 
+def test_modulus_bound_refused_before_allocating(monkeypatch):
+    def no_histogram(*args):
+        raise AssertionError("a histogram was allocated")
+
+    monkeypatch.setattr(descent, "_residue_counts", no_histogram)
+    t = beta_table(5)
+    with pytest.raises(ResourceLimitError):
+        residue_histogram(t, cyclo.MAX_INDEX + 1)
+    with pytest.raises(ResourceLimitError):
+        divides_order(t, 10**10)
+
+
 def test_divides_order_accepts_prepared_histogram():
     t = beta_table(6)
     h = residue_histogram(t, 6, 0)
@@ -266,15 +278,20 @@ def list_fold(hist, m):
     return [sum(hist[r::m]) for r in range(m)]
 
 
-def list_phi_divides(counts, m):
-    """The list form of the divisibility test that the packed kernel
-    replaced: one subtraction per entry and prime of m."""
+def list_phi_product(counts, m):
+    """The residues mod t**m - 1 times (1 - t**(m/p)) for every prime p | m,
+    in the list form that the packed kernel replaced: one subtraction per
+    entry and prime of m."""
     c = list(counts)
     for p in prime_divisors(m):
         # multiply by 1 - t**s: c[i] -= c[(i - s) % m]
         s = m // p
         c = list(map(operator.sub, c, c[-s:] + c[:-s]))
-    return not any(c)
+    return c
+
+
+def list_phi_divides(counts, m):
+    return not any(list_phi_product(counts, m))
 
 
 def packed_verdict(hist, m):
@@ -318,6 +335,33 @@ def folded_histograms(draw):
 def test_packed_kernel_matches_list_reference(case):
     hist, m = case
     assert packed_verdict(hist, m) == list_phi_divides(list_fold(hist, m), m)
+
+
+@given(folded_histograms())
+def test_phi_contents_match_list_reference(case):
+    hist, m = case
+    want = math.gcd(*list_phi_product(list_fold(hist, m), m))
+    assert next(cyclo._phi_contents(hist, [m])) == want
+
+
+def test_phi_contents_small():
+    # d = 1 has no prime divisor, so its content is the total, the value at
+    # t = 1; mod 2 the histogram is constant, mod 4 the product by 1 - t**2
+    # is (-3, -9, 3, 9)
+    assert list(cyclo._phi_contents([3, 0, 6, 9], [1, 2, 4])) == [18, 0, 3]
+
+
+def test_sieve_tests_two_when_multiplicities_are_odd():
+    # unsigned n = 1: one subset, so the polynomial is t and its multiplicity
+    # 1 is not doubled; p = 2 is a real test there, and nothing survives
+    values, mults = descent._value_counts(beta_table(1))
+    assert (values, mults) == ([1], [1])
+    assert cyclo._sieve(values, mults, list(range(2, 200))) == []
+    # elsewhere every multiplicity is even, so p = 2 tests nothing and the
+    # powers of 2 reach the exact scan; 3 and 9 fail at d = 1, as 3 does not
+    # divide the total 16
+    values, mults = descent._value_counts(beta_table(5))
+    assert cyclo._sieve(values, mults, [2, 3, 4, 8, 9, 16]) == [2, 4, 8, 16]
 
 
 @given(folded_histograms(), st.integers(min_value=-(2**70), max_value=0), st.data())
@@ -485,6 +529,96 @@ def test_factor_scan_matches_reference_across_group_shapes(n, signed, bound, pol
     assert any(k >= 2 for _, k in report.factors)
 
 
+def unsieved_scan(table, bound, max_mult):
+    """The exhaustive grouped scan over every candidate, without the sieve."""
+    values, mults = descent._value_counts(table)
+    groups = cyclo._group_candidates(list(range(2, bound + 1)), len(values))
+    rows = [row for g in groups for row in cyclo._group_multiplicities(values, mults, g, max_mult)]
+    return tuple(sorted(row for row in rows if row[1]))
+
+
+@pytest.mark.parametrize(
+    "n,signed", [(n, False) for n in range(1, 13)] + [(n, True) for n in range(1, 10)]
+)
+def test_sieved_scan_matches_unsieved_scan(n, signed):
+    table = beta_table(n, signed=signed)
+    want = unsieved_scan(table, 3000, 3)
+    for max_mult in (1, 2, 3):
+        report = factor_scan(table, max_index=3000, max_multiplicity=max_mult, policy="exhaustive")
+        assert report.factors == tuple((m, min(k, max_mult)) for m, k in want)
+
+
+def reference_sieve(table, candidates):
+    """The candidates that pass every sieve test, each test the list product
+    over the table's residues mod t**d - 1, read mod p."""
+    pairs = Counter(table.values).items()
+    vacuous = math.gcd(*(c for _, c in pairs))
+
+    @lru_cache(maxsize=None)
+    def residues(d):
+        counts = [0] * d
+        for v, c in pairs:
+            counts[v % d] += c
+        return counts
+
+    def passes(m, p):
+        d = m
+        while d % p == 0:
+            d //= p
+        if vacuous % p == 0 or d > cyclo._SIEVE_LIMIT:
+            return True
+        return all(c % p == 0 for c in list_phi_product(residues(d), d))
+
+    return [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))]
+
+
+@pytest.mark.parametrize(
+    "n,signed,policy,bound",
+    [
+        (1, False, "exhaustive", 300),
+        (12, False, "exhaustive", 3000),
+        (9, True, "exhaustive", 3000),
+        (11, False, "heuristic", 10_000),
+        (16, False, "heuristic", 10_000),
+    ],
+)
+def test_sieve_matches_reference_sieve(n, signed, policy, bound):
+    table = beta_table(n, signed=signed)
+    candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
+    survivors = cyclo._sieve(*descent._value_counts(table), list(candidates))
+    assert survivors == reference_sieve(table, candidates)
+    assert len(survivors) < len(candidates) // 4
+
+
+def mul_mod_p(a, b, p):
+    """The product of two coefficient lists with entries in [0, p), mod p,
+    by one multiply of byte-slot packed ints."""
+    width = (2 * p.bit_length() + min(len(a), len(b)).bit_length() + 7) // 8
+    x, y = (int.from_bytes(descent._pack(c, width), "little") for c in (a, b))
+    slots = descent._unpack((x * y).to_bytes(width * (len(a) + len(b) - 1), "little"), width)
+    return [c % p for c in slots]
+
+
+def test_cyclotomic_reduction_mod_p():
+    """Phi_m = Phi_d**phi(q) mod p for m = d q, q = p**e and p not dividing d,
+    the fact the factor scan's sieve rests on.  Multiplied by Phi_d**(q/p),
+    which is Phi_d(t**(q/p)) mod p, it reads Phi_m Phi_d(t**(q/p)) =
+    Phi_d(t**q) mod p, equivalent in F_p[t], which has no zero divisors."""
+    try:
+        for m in range(2, 2000):
+            for p in prime_divisors(m):
+                q = p
+                while m % (q * p) == 0:
+                    q *= p
+                phi_d = reference_cyclotomic(m // q)
+                lhs = [c % p for c in reference_cyclotomic(m).coeffs]
+                rhs = [c % p for c in substitute_power(phi_d, q).coeffs]
+                factor = [c % p for c in substitute_power(phi_d, q // p).coeffs]
+                assert mul_mod_p(lhs, factor, p) == rhs, (m, p)
+    finally:
+        reference_cyclotomic.cache_clear()
+
+
 def test_factor_scan_bound_ceiling():
     with pytest.raises(ResourceLimitError):
         factor_scan(beta_table(5), max_index=cyclo.MAX_INDEX + 1)
@@ -557,7 +691,7 @@ def test_factor_scan_matches_golden_signed(n):
 
 
 @pytest.mark.parametrize(
-    "n,signed", [(17, False), (18, False)] + [(n, True) for n in range(11, 17)]
+    "n,signed", [(17, False), (18, False), (19, False)] + [(n, True) for n in range(11, 18)]
 )
 def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
     got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
@@ -566,7 +700,7 @@ def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
 
 @pytest.mark.golden
 @pytest.mark.parametrize(
-    "n,signed", [(n, False) for n in range(19, 24)] + [(17, True), (18, True)]
+    "n,signed", [(n, False) for n in range(20, 24)] + [(18, True)]
 )
 def test_factor_scan_matches_every_golden_row(n, signed):
     try:
