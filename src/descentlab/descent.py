@@ -40,7 +40,9 @@ only the stored half.
 
 The parity route takes the subset zeta transform mod 2 with
 :func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
-cache-sized chunks; XOR cannot carry.
+cache-sized chunks; XOR cannot carry.  The symmetry holds mod 2 as well,
+so it too holds only the lower half, 2**(n-2) bits, and reads the upper
+half as its mirror.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ __all__ = [
 
 # Ceilings on n.  beta_table refuses a larger n unless the caller raises
 # max_n.  The parity route (beta_parity_bitset, rho) has no override: at
-# n = 31 its 2**30-bit table is 128 MB, and `rho --n 31` peaks at about
-# 150 MB.
+# n = 31 its lower half of 2**29 bits is 64 MB, and `rho --n 31` peaks at
+# about 85 MB.
 DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
@@ -465,8 +467,11 @@ def _chain_positions(n: int) -> bytearray:
     # alpha_n(S) is odd iff the elements of S form a chain under bitwise
     # containment whose top is a proper submask of n, so the odd positions
     # are enumerated by extending chains one strict superset at a time, from
-    # a stack of (position, top) pairs still to extend.
-    out = _bitset(n - 1)
+    # a stack of (position, top) pairs still to extend.  Only the lower half
+    # is kept, the positions without element n - 1, so only tops below n - 1
+    # are extended: n is never a top, and a chain through n - 1 (a submask
+    # of n only when n is odd) stays in the upper half.
+    out = _bitset(max(n - 2, 0))
     stack = [(0, 0)]
     while stack:
         pos, top = stack.pop()
@@ -475,23 +480,29 @@ def _chain_positions(n: int) -> bytearray:
         sub = room
         while sub:
             t = top | sub
-            if t != n:
+            if t < n - 1:
                 stack.append((pos | (1 << (t - 1)), t))
             sub = (sub - 1) & room
     return out
 
 
 def _parity_bits(n: int) -> bytearray:
-    """beta_n mod 2 over all subsets, bit k for mask k: the mod-2 zeta
-    transform of the odd alpha positions."""
+    """beta_n mod 2 over the lower half, the masks without element n - 1
+    (all of the one mask when n = 1), bit k for mask k: the mod-2 zeta
+    transform of the odd alpha positions there.  Every subset of such a
+    mask is one too, so this is the lower half of the whole transform."""
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
     limit = DEFAULT_LIMITS["parity"]
     if n > limit:
         raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
     buf = _chain_positions(n)
-    _packed_transform(buf, n - 1)
+    _packed_transform(buf, max(n - 2, 0))
     return buf
+
+
+# Byte b's bits in reverse order.
+_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def beta_parity_bitset(n: int) -> int:
@@ -499,15 +510,25 @@ def beta_parity_bitset(n: int) -> int:
 
     Bit k is beta_n(S) mod 2 for the subset S with mask k.  Runs in time and
     memory proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]``
-    is refused.
+    is refused.  The upper half is the lower half mirrored, as in a
+    :class:`DescentTable`: mask 2**(n-1) - 1 - k holds the bit of mask k.
     """
-    return int.from_bytes(_parity_bits(n), "little")
+    buf = _parity_bits(n)
+    lower = int.from_bytes(buf, "little")
+    if n < 2:
+        return lower
+    half = 1 << (n - 2)
+    # bytes bit-reversed and read big-endian reverse all 8 * len(buf) bits;
+    # the shift drops the padding above the half, present when n <= 4
+    upper = int.from_bytes(buf.translate(_BIT_REVERSE), "big") >> (8 * len(buf) - half)
+    return lower | upper << half
 
 
 @lru_cache(maxsize=None)
 def rho(n: int) -> Fraction:
-    """Fraction of subsets S of {1, ..., n-1} with beta_n(S) odd."""
-    return Fraction(_bit_count(_parity_bits(n)), 1 << (n - 1))
+    """Fraction of subsets S of {1, ..., n-1} with beta_n(S) odd: that of
+    the lower half, whose mirror is the upper half."""
+    return Fraction(_bit_count(_parity_bits(n)), 1 << max(n - 2, 0))
 
 
 def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:

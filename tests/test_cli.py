@@ -1,4 +1,7 @@
+import os
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,9 +482,6 @@ def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
 
 
 def test_env_smoke_subprocess():
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "descentlab.cli", "rho", "--n", "7"],
         capture_output=True,
@@ -491,24 +491,48 @@ def test_env_smoke_subprocess():
     assert proc.stdout.strip() == "n=7 popcount=3 rho=1/2 half_minus_rho=0"
 
 
+def _src_env() -> dict:
+    """The environment of a fresh process that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 # The summary over the stored half at full scale, in a fresh process: the
 # sum doubled and the maximum must still match n! (times 2**n) and the
 # Euler number.
 @pytest.mark.golden
 @pytest.mark.parametrize("argv", [["--n", "23"], ["--n", "18", "--signed"]], ids=["23", "18-signed"])
 def test_full_scale_table_summary_subprocess(argv):
-    import os
-    import subprocess
-    import sys
-
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "descentlab", "table", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_src_env(),
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert "sum_ok=yes" in proc.stdout.split()
     assert "max_ok=yes" in proc.stdout.split()
+
+
+# The parity route at its ceiling holds only the lower half of the mod-2
+# table, 64 MB at n = 31, and peaks at about 85 MB; the whole table peaked
+# at 149 MB.
+@pytest.mark.golden
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_rho_31_peak_rss_subprocess(tmp_path):
+    out, err = tmp_path / "out", tmp_path / "err"
+    with out.open("w") as stdout, err.open("w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "descentlab", "rho", "--n", "31"],
+            stdout=stdout,
+            stderr=stderr,
+            env=_src_env(),
+        )
+        # reaped here rather than by Popen, for the child's resource usage;
+        # Popen is told the exit code, or it warns that the child still runs
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert (proc.returncode, err.read_text()) == (0, "")
+    assert "rho=3991/8192" in out.read_text().split()
+    assert usage.ru_maxrss < 110 * 1024

@@ -34,6 +34,7 @@ from descentlab.descent import (
     _chain_positions,
     _pack,
     _packed_transform,
+    _parity_bits,
     _slot_width,
     _subset_transform,
     _unpack,
@@ -471,15 +472,35 @@ def test_packed_xor_zeta_matches_whole_integer(universe):
     assert int.from_bytes(buf, "little") == reference_xor_zeta(bits, universe)
 
 
+def reference_chain_positions(n: int) -> int:
+    """The odd alpha_n positions over the whole universe, as the parity
+    route enumerated them before it kept only the lower half."""
+    out = bytearray(max((1 << (n - 1)) >> 3, 1))
+    stack = [(0, 0)]
+    while stack:
+        pos, top = stack.pop()
+        out[pos >> 3] |= 1 << (pos & 7)
+        room = n & ~top
+        sub = room
+        while sub:
+            t = top | sub
+            if t != n:
+                stack.append((pos | (1 << (t - 1)), t))
+            sub = (sub - 1) & room
+    return int.from_bytes(out, "little")
+
+
 def test_parity_bitset_matches_whole_integer_route():
     for n in range(1, 23):
-        chains = int.from_bytes(_chain_positions(n), "little")
-        assert beta_parity_bitset(n) == reference_xor_zeta(chains, n - 1), n
+        expected = reference_xor_zeta(reference_chain_positions(n), n - 1)
+        assert beta_parity_bitset(n) == expected, n
+        assert rho(n) == Fraction(expected.bit_count(), 1 << (n - 1)), n
+        assert len(_parity_bits(n)) == max((1 << max(n - 2, 0)) >> 3, 1), n
 
 
 def test_chain_positions_leaves_no_reference_cycle():
     # the parity buffer is freed with its last reference, not at the next
-    # cyclic collection: at n = 31 it is 128 MB
+    # cyclic collection: at n = 31 it is 64 MB
     gc.collect()
     gc.disable()
     try:
