@@ -19,6 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
@@ -163,9 +164,8 @@ def _parity(at, only) -> list[CheckResult]:
     for n in _keep(only, at.ns):
         bits = descent.beta_parity_bitset(n)
         table = descent.beta_table(n)
-        ok = all(
-            (bits >> k & 1) == (v & 1) for k, v in enumerate(table.values)
-        )
+        lower = chain.from_iterable(table.chunks(table.stored))
+        ok = bits == sum((v & 1) << k for k, v in enumerate(lower))
         out.append(CheckResult(f"parity.n{n}", ok, "bitset == exact table mod 2"))
     return out
 

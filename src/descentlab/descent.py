@@ -41,8 +41,8 @@ only the stored half.
 The parity route takes the subset zeta transform mod 2 with
 :func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
 cache-sized chunks; XOR cannot carry.  The symmetry holds mod 2 as well,
-so it too holds only the lower half, 2**(n-2) bits, and reads the upper
-half as its mirror.
+so it too builds and returns only the lower half, 2**(n-2) bits, whose
+mirror is the upper half.
 """
 
 from __future__ import annotations
@@ -501,27 +501,17 @@ def _parity_bits(n: int) -> bytearray:
     return buf
 
 
-# Byte b's bits in reverse order.
-_BIT_REVERSE = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
 def beta_parity_bitset(n: int) -> int:
-    """Parities of beta_n over all subsets, packed into one integer.
+    """Parities of beta_n over the lower half, packed into one integer.
 
-    Bit k is beta_n(S) mod 2 for the subset S with mask k.  Runs in time and
-    memory proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]``
-    is refused.  The upper half is the lower half mirrored, as in a
-    :class:`DescentTable`: mask 2**(n-1) - 1 - k holds the bit of mask k.
+    Bit k is beta_n(S) mod 2 for the subset S with mask k, for the
+    2**(n-2) masks without element n - 1 (the one mask when n = 1).  As in
+    a :class:`DescentTable`, the upper half is the lower half mirrored:
+    mask 2**(n-1) - 1 - k has the bit of mask k.  Runs in time and memory
+    proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]`` is
+    refused.
     """
-    buf = _parity_bits(n)
-    lower = int.from_bytes(buf, "little")
-    if n < 2:
-        return lower
-    half = 1 << (n - 2)
-    # bytes bit-reversed and read big-endian reverse all 8 * len(buf) bits;
-    # the shift drops the padding above the half, present when n <= 4
-    upper = int.from_bytes(buf.translate(_BIT_REVERSE), "big") >> (8 * len(buf) - half)
-    return lower | upper << half
+    return int.from_bytes(_parity_bits(n), "little")
 
 
 @lru_cache(maxsize=None)

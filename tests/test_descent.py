@@ -1,6 +1,5 @@
 import gc
 import math
-import operator
 import os
 import random
 import stat
@@ -36,7 +35,7 @@ from descentlab.descent import (
     _packed_transform,
     _parity_bits,
     _slot_width,
-    _subset_transform,
+    _tile,
     _unpack,
 )
 from descentlab.errors import (
@@ -66,34 +65,6 @@ def test_beta_specific_value():
     # beta_9({4}) = C(9,4) - C(9,9) ... inclusion-exclusion by hand: 125
     assert beta_table(9).value({4}) == 125
     assert beta_table(9).value(1 << 3) == 125
-
-
-def test_alpha_is_subset_sum_of_beta():
-    for n in (1, 2, 3, 5, 7):
-        values = beta_table(n).values
-        for mask in range(1 << (n - 1)):
-            total = 0
-            sub = mask
-            while True:
-                total += values[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert alpha(n, mask) == total
-
-
-def test_alpha_signed_is_subset_sum_of_beta():
-    for n in (1, 2, 3, 4, 6):
-        values = beta_table(n, signed=True).values
-        for mask in range(1 << n):
-            total = 0
-            sub = mask
-            while True:
-                total += values[sub]
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert alpha_signed(n, mask) == total
 
 
 def test_alpha_values():
@@ -147,9 +118,12 @@ def test_limits():
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_parity_bitset_matches_exact_table(n):
+    # every mask: the bitset holds the lower half, and a mask of the upper
+    # half has the bit of its complement, which the parity suite never reads
     bits = beta_parity_bitset(n)
+    full = (1 << (n - 1)) - 1
     for mask, v in enumerate(beta_table(n).values):
-        assert bits >> mask & 1 == v & 1
+        assert bits >> min(mask, full - mask) & 1 == v & 1
 
 
 def test_rho_table():
@@ -289,24 +263,16 @@ def test_signed_complement_symmetry(n, data):
     assert t.value(mask) == t.value(((1 << n) - 1) ^ mask)
 
 
-@pytest.mark.parametrize("signed", [False, True])
-def test_packed_route_matches_list_route(signed):
-    # the list route: alpha per mask, then the list Moebius transform
-    for n in range(1, 15):
-        universe = n if signed else n - 1
-        count = alpha_signed if signed else alpha
-        vals = [count(n, mask) for mask in range(1 << universe)]
-        _subset_transform(vals, operator.sub)
-        assert beta_table(n, signed=signed).values == tuple(vals), n
-
-
 SMALL_TABLES = [(n, False) for n in range(1, 15)] + [(n, True) for n in range(1, 11)]
+# The tables tier-1 checks whole; the golden tier checks those above.
+TIER_1_TABLES = [(n, False) for n in range(1, 17)] + [(n, True) for n in range(1, 15)]
 
 
-def full_build(n: int, signed: bool) -> bytes:
-    """The table build that the top-element recursion replaced: alpha over
-    every mask, run by run, then the Moebius inversion over the whole
-    universe."""
+def alpha_table(n: int, signed: bool) -> bytearray:
+    """alpha_n(S) (signed: alpha^B_n(S)) over every mask, packed as a table
+    is, run by run: in run s, the masks with top element s, {s} is C(n, s)
+    (signed: C(n, s-1) 2**(n+1-s)), and the masks whose next element is t
+    are run t times C(n - t, s - t) (signed: C(n + 1 - t, s - t))."""
     universe = n if signed else n - 1
     total = n + 1 if signed else n
     width = _slot_width(n, signed)
@@ -320,26 +286,69 @@ def full_build(n: int, signed: bool) -> bytes:
             lo = width << (t - 1)
             run = math.comb(total - t, s - t) * int.from_bytes(buf[lo : 2 * lo], "little")
             buf[top + lo : top + 2 * lo] = run.to_bytes(lo, "little")
-    vals = _unpack(bytes(buf), width)
-    _subset_transform(vals, operator.sub)
-    return _pack(vals, width)
+    return buf
+
+
+def packed_zeta(buf: bytearray, width: int, universe: int) -> None:
+    """The subset zeta transform (sums over subsets) of the ``width``-byte
+    slots of ``buf`` in place, slot k the entry for mask k.
+
+    As in the library's mod-2 engine, a chunk of 2**low slots is one big
+    int: each element b below low is one add of the chunk's slots without
+    b, moved up by 2**b slots, and each element above low adds whole chunks.
+    No slot carries: each partial sum is at most alpha, within the slot."""
+    low = min(universe, max((_CHUNK_BYTES // width).bit_length() - 1, 0))
+    size = width << low
+    count = len(buf) // size
+    passes = [(_tile(8 * width << b, 8 * size), 8 * width << b) for b in range(low)]
+    view = memoryview(buf)
+
+    def chunk(i: int) -> int:
+        return int.from_bytes(view[i * size : (i + 1) * size], "little")
+
+    for i in range(count):
+        x = chunk(i)
+        for tile, shift in passes:
+            x += (x & tile) << shift
+        view[i * size : (i + 1) * size] = x.to_bytes(size, "little")
+    for b in range(universe - low):
+        for i in range(count):
+            if i >> b & 1:
+                x = chunk(i) + chunk(i ^ 1 << b)
+                view[i * size : (i + 1) * size] = x.to_bytes(size, "little")
+
+
+def assert_zeta_is_alpha(n: int, signed: bool) -> None:
+    """The whole table, read through chunks() so that the upper half is its
+    mirror read, sums over subsets to closed-form alpha at every mask.  The
+    zeta transform is invertible, so this pins every value."""
+    t = beta_table(n, signed=signed)
+    alpha = alpha_table(n, signed)  # before the whole table: a lower peak
+    whole = bytearray()
+    for block in t.chunks():
+        whole += _pack(block, t.width)
+    packed_zeta(whole, t.width, t.universe)
+    same = whole == alpha  # outside the assert, which would diff 40 MB
+    assert same, (n, signed)
 
 
 # Blocks of 3 slots split every run of more than 3 slots unevenly, blocks of
 # _SAVE_BLOCK slots hold every run of these tables whole, and None leaves
 # the default, cache-sized blocks.
 @pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK, None])
-def test_half_build_matches_full_build(monkeypatch, block):
-    for n, signed in [(n, False) for n in range(1, 17)] + [(n, True) for n in range(1, 13)]:
+def test_table_sums_over_subsets_to_alpha(monkeypatch, block):
+    for n, signed in TIER_1_TABLES:
         if block is not None:
             monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
         descent._table.cache_clear()  # build every table at this block size
-        t, full = beta_table(n, signed=signed), full_build(n, signed)
-        width = _slot_width(n, signed)
-        stored = max(len(full) // width // 2, 1)
-        assert t.data == full[: stored * width], (n, signed)
-        # the upper half, read through the complements, against the full build
-        assert t.values == tuple(_unpack(full, width)), (n, signed)
+        assert_zeta_is_alpha(n, signed)
+
+
+def test_alpha_table_matches_alpha():
+    for n, signed in TIER_1_TABLES:
+        count = alpha_signed if signed else alpha
+        got = _unpack(alpha_table(n, signed), _slot_width(n, signed))
+        assert got == [count(n, mask) for mask in range(len(got))], (n, signed)
 
 
 def test_brute_force_tables_satisfy_the_top_element_recursion():
@@ -376,35 +385,17 @@ def test_brute_force_table_refuses_asymmetric_counts(monkeypatch):
         brute_force_table(4)
 
 
+# every shipped table above tier-1's; the factor scans read only half of each
 @pytest.mark.golden
-@pytest.mark.parametrize("n, signed", [(23, False), (18, True)])
-def test_full_scale_table_upper_half(n, signed):
-    # Factor rows read only the lower half, so the upper half, read as the
-    # mirror of the lower, is checked here: the sum and the maximum over
-    # every mask, and alpha as the sum of beta over the subsets of sampled
-    # masks with the top element.
+@pytest.mark.parametrize(
+    "n, signed", [(n, False) for n in range(17, 24)] + [(n, True) for n in range(13, 19)]
+)
+def test_full_scale_table_sums_over_subsets_to_alpha(n, signed):
     try:
+        assert_zeta_is_alpha(n, signed)
         t = beta_table(n, signed=signed)
-        total = peak = 0
-        for block in t.chunks():
-            total += sum(block)
-            peak = max(peak, max(block))
-        assert total == math.factorial(n) << (n if signed else 0)
+        peak = max(max(block) for block in t.chunks(t.stored))
         assert peak == (signed_euler_number(n) if signed else euler_number(n))
-        count = alpha_signed if signed else alpha
-        top = t.universe - 1
-        rng = random.Random(n)
-        for _ in range(24):
-            below = rng.sample(range(top), rng.randrange(12))
-            mask = 1 << top | sum(1 << i for i in below)
-            got = 0
-            sub = mask
-            while True:
-                got += t.value(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & mask
-            assert got == count(n, mask), mask
     finally:
         descent._table.cache_clear()
 
@@ -414,12 +405,11 @@ def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
     monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
     for n, signed in SMALL_TABLES:
         t = beta_table(n, signed=signed)
-        whole = _unpack(full_build(n, signed), t.width)
+        whole = [t.value(mask) for mask in range(1 << t.universe)]
         chunks = list(t.chunks())
         assert all(len(c) == block for c in chunks[:-1])
         assert list(chain.from_iterable(chunks)) == whole
         assert t.values == tuple(whole)
-        assert [t.value(mask) for mask in range(len(whole))] == whole
         stop = len(whole) // 2 + 1
         assert list(chain.from_iterable(t.chunks(stop))) == whole[:stop]
 
@@ -493,7 +483,7 @@ def reference_chain_positions(n: int) -> int:
 def test_parity_bitset_matches_whole_integer_route():
     for n in range(1, 23):
         expected = reference_xor_zeta(reference_chain_positions(n), n - 1)
-        assert beta_parity_bitset(n) == expected, n
+        assert beta_parity_bitset(n) == expected & ((1 << (1 << max(n - 2, 0))) - 1), n
         assert rho(n) == Fraction(expected.bit_count(), 1 << (n - 1)), n
         assert len(_parity_bits(n)) == max((1 << max(n - 2, 0)) >> 3, 1), n
 
