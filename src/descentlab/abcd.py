@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .descent import DescentTable, beta_table
 from .errors import ContractViolationError, DescentLabError
-from .numbers import as_mask
+from .numbers import as_mask, reverse_mask
 
 __all__ = [
     "AbPoly",
@@ -123,14 +123,6 @@ def cd_to_ab(p: CdPoly) -> AbPoly:
     return AbPoly(degree=p.degree, coeffs=tuple(coeffs))
 
 
-def _lex_key(mask: int, degree: int) -> int:
-    # word order (a before b, leftmost letter first) = reversed-bit order
-    out = 0
-    for i in range(degree):
-        out = (out << 1) | (mask >> i & 1)
-    return out
-
-
 def _cd_letters(mask: int, degree: int) -> tuple[str, bool]:
     """Leftmost scan of the ab-word of ``mask`` into c/d letters: ab is a d,
     any other letter a c.  Also says whether some letter starts with b."""
@@ -159,7 +151,8 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
     with the stuck remainder when the input is outside the cd-span.
     """
     residual = list(p.coeffs)
-    order = sorted(range(1 << p.degree), key=lambda m: _lex_key(m, p.degree))
+    # word order (a before b, leftmost letter first) = reversed-bit order
+    order = sorted(range(1 << p.degree), key=lambda m: reverse_mask(m, p.degree))
     terms: dict[str, int] = {}
     while True:
         lead = next((m for m in order if residual[m]), None)

@@ -76,16 +76,22 @@ def _keep(only: int | None, instances) -> list:
 def _verdict(name: str, bad: list, detail: str, label: str) -> CheckResult:
     """A check that passes when ``bad`` is empty, and otherwise names it.
 
-    A check over a list of instances is made only when ``--n`` kept some,
-    and a check that takes no n only when ``--n`` is absent.
+    A check that takes no n is made only when ``--n`` is absent.
     """
     return CheckResult(name, not bad, detail + (f"; {label} {bad}" if bad else ""))
 
 
-def _span(only: int | None, instances) -> str:
-    """The n range an aggregate check compared: all of ``instances``, or
-    the one n that ``--n`` kept."""
-    return f"n<={instances[-1]}" if only is None else f"n={only}"
+def _aggregate(
+    name: str, only: int | None, ns, claim: str, label: str, failures: Callable
+) -> list[CheckResult]:
+    """One check over the n of ``ns`` that ``--n`` keeps, none when it keeps
+    none.  ``failures(kept)`` lists what fails among the kept n, and the
+    detail names the range compared: all of ``ns``, or the one n kept."""
+    kept = _keep(only, ns)
+    if not kept:
+        return []
+    span = f"n<={ns[-1]}" if only is None else f"n={only}"
+    return [_verdict(name, failures(kept), f"{claim} for {span}", label)]
 
 
 _RHO_LANDMARKS = {
@@ -131,15 +137,15 @@ def _popcount(at, only) -> list[CheckResult]:
                 f"n={ns} rho={sorted(values)}",
             )
         )
-    dual = _keep(only, at.dualroute)
-    bad = [
-        n
-        for n in dual
-        if Fraction(qsym.odd_fundamental_count(n), 1 << (n - 1)) != descent.rho(n)
-    ]
-    if dual:
-        detail = f"odd counts agree with parities for {_span(only, at.dualroute)}"
-        out.append(_verdict("popcount.dualroute", bad, detail, "mismatches at"))
+    out += _aggregate(
+        "popcount.dualroute", only, at.dualroute,
+        "odd counts agree with parities", "mismatches at",
+        lambda ns: [
+            n
+            for n in ns
+            if Fraction(qsym.odd_fundamental_count(n), 1 << (n - 1)) != descent.rho(n)
+        ],
+    )
     return out
 
 
@@ -178,15 +184,7 @@ def _symmetry(at, only) -> list[CheckResult]:
         size = 1 << (n - 1)
         full = size - 1
         comp_ok = all(values[m] == values[full ^ m] for m in range(size))
-        rev_ok = True
-        for m in range(size):
-            r = 0
-            for i in range(n - 1):
-                if m >> i & 1:
-                    r |= 1 << (n - 2 - i)
-            if values[m] != values[r]:
-                rev_ok = False
-                break
+        rev_ok = all(values[m] == values[numbers.reverse_mask(m, n - 1)] for m in range(size))
         out.append(
             CheckResult(
                 f"symmetry.unsigned.n{n}",
@@ -318,17 +316,15 @@ def _congruent(counts, terms: dict[int, int]) -> bool:
     ),
 )
 def _theoremq(at, only) -> list[CheckResult]:
-    out = []
-    minus1 = _keep(only, at.minus1)
-    bad = [
-        n
-        for n in minus1
-        if cyclo.eval_special(descent.beta_table(n), -1)
-        != (1 << (n - 1)) - 2 * _odd_count(n)
-    ]
-    if minus1:
-        detail = f"value at -1 matches 2^n(1/2 - rho) for {_span(only, at.minus1)}"
-        out.append(_verdict("theoremQ.minus1", bad, detail, "mismatches at"))
+    out = _aggregate(
+        "theoremQ.minus1", only, at.minus1,
+        "value at -1 matches 2^n(1/2 - rho)", "mismatches at",
+        lambda ns: [
+            n
+            for n in ns
+            if cyclo.eval_special(descent.beta_table(n), -1) != (1 << (n - 1)) - 2 * _odd_count(n)
+        ],
+    )
     for n in _keep(only, at.imag):
         got = cyclo.eval_special(descent.beta_table(n), "i")
         out.append(
@@ -336,30 +332,22 @@ def _theoremq(at, only) -> list[CheckResult]:
                 f"theoremQ.imag.n{n}", got == (0, 0), f"value at i = {got}"
             )
         )
-    for q in _keep(only, at.primepower):
-        p = 3 if q == 9 else q
-        m = 2 * p
-        hist = descent.residue_histogram(descent.beta_table(q), m)
-        coeff = _odd_count(q) - (1 << (q - 2))
-        out.append(
-            CheckResult(
-                f"theoremQ.primepower.q{q}",
-                _congruent(hist.counts, {1: coeff, m - 1: coeff}),
-                f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
+    # Phi_2p at n = q and n = 2q, q a power of the prime p: the value at a
+    # primitive 2p-th root is 2**(n - q) * (odd count of q - 2**(q - 2))
+    # times (t + t**(2p - 1))
+    kinds = (("primepower", "q", [(q, q) for q in at.primepower]), ("double", "n", at.double))
+    for kind, tag, instances in kinds:
+        for n, q in _keep(only, instances):
+            m = 2 * numbers.prime_divisors(q)[0]
+            hist = descent.residue_histogram(descent.beta_table(n), m)
+            coeff = (_odd_count(q) - (1 << (q - 2))) << (n - q)
+            out.append(
+                CheckResult(
+                    f"theoremQ.{kind}.{tag}{n}",
+                    _congruent(hist.counts, {1: coeff, m - 1: coeff}),
+                    f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
+                )
             )
-        )
-    for n, q in _keep(only, at.double):
-        p = 3 if q == 9 else q
-        m = 2 * p
-        hist = descent.residue_histogram(descent.beta_table(n), m)
-        coeff = (1 << q) * _odd_count(q) - (1 << (2 * q - 2))
-        out.append(
-            CheckResult(
-                f"theoremQ.double.n{n}",
-                _congruent(hist.counts, {1: coeff, m - 1: coeff}),
-                f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
-            )
-        )
     # negative controls: odd prime power indexes never divide, and even ones
     # with the wrong prime are blocked by the value at -1
     odd_pp = [3, 5, 7, 9, 11, 13, 25, 27]
@@ -515,18 +503,15 @@ def _structure(at, only) -> list[CheckResult]:
                     "signed sums vanish on every odd-run pattern",
                 )
             )
-    roundtrip = _keep(only, at.roundtrip)
-    bad = []
-    for n in roundtrip:
-        poly = abcd.ab_index(descent.beta_table(n))
-        if abcd.cd_to_ab(abcd.ab_to_cd(poly)).coeffs != poly.coeffs:
-            bad.append(n)
-    if roundtrip:
-        detail = (
-            "cd rewriting round-trips the unsigned ab-index for "
-            + _span(only, at.roundtrip)
-        )
-        out.append(_verdict("structure.roundtrip", bad, detail, "failures at"))
+    out += _aggregate(
+        "structure.roundtrip", only, at.roundtrip,
+        "cd rewriting round-trips the unsigned ab-index", "failures at",
+        lambda ns: [
+            n
+            for n, poly in ((n, abcd.ab_index(descent.beta_table(n))) for n in ns)
+            if abcd.cd_to_ab(abcd.ab_to_cd(poly)).coeffs != poly.coeffs
+        ],
+    )
     # the product checks take no n, so --n selects none of them
     if only is None:
         bad_pairs = 0
@@ -566,22 +551,17 @@ def _structure(at, only) -> list[CheckResult]:
                 f"[{word}] = {got}, expected {expected_coef[p]}",
             )
         )
-    flagroutes = _keep(only, at.flagroutes)
-    bad = []
-    for n in flagroutes:
-        if qsym.m_to_l(qsym.f_boolean(n)).coeffs != descent.beta_table(n).values:
-            bad.append(("boolean", n))
-        if (
-            qsym.m_to_l(qsym.f_cubical_B(n)).coeffs
-            != descent.beta_table(n, signed=True).values
-        ):
-            bad.append(("cube", n))
-    if flagroutes:
-        detail = (
-            "flag enumerator L-coefficients match both tables for "
-            + _span(only, at.flagroutes)
-        )
-        out.append(_verdict("structure.flagroutes", bad, detail, "failures"))
+    routes = (("boolean", qsym.f_boolean, False), ("cube", qsym.f_cubical_B, True))
+    out += _aggregate(
+        "structure.flagroutes", only, at.flagroutes,
+        "flag enumerator L-coefficients match both tables", "failures",
+        lambda ns: [
+            (route, n)
+            for n in ns
+            for route, flags, signed in routes
+            if qsym.m_to_l(flags(n)).coeffs != descent.beta_table(n, signed).values
+        ],
+    )
     if only is None:
         bad_lists = []
         for parts in at.partitions:
@@ -696,103 +676,91 @@ def observations(max_n: int = 12, bound: int = 600) -> list[str]:
         }
 
     unsigned, signed = scan(False, max_n), scan(True, min(max_n, 8))
+    every = [*unsigned.values(), *signed.values()]
+    index_sets = {n: {m for m, _ in r.factors} for n, r in unsigned.items()}
+    mults = {n: dict(r.factors) for n, r in unsigned.items()}
     lines = []
 
-    def line(tag: str, status: str, detail: str) -> None:
-        lines.append(f"observation {tag}: {status} ({detail})")
+    def line(tag: str, ok: bool, detail: str) -> None:
+        lines.append(f"observation {tag}: {'holds' if ok else 'fails'} ({detail})")
 
-    def indexes(report):
-        return [m for m, _ in report.factors]
+    def none_of(tag: str, bad: list, holds: str, label: str) -> None:
+        """A rule that holds when it finds no violation, and else lists them."""
+        line(tag, not bad, f"{label} {bad}" if bad else holds)
 
-    every = list(unsigned.values()) + list(signed.values())
-    odd_hits = [
-        (r.n, r.signed, m) for r in every for m in indexes(r) if m % 2
-    ]
-    line(
+    def per_row(tag: str, rows: list, empty: str, marks=("BAD", "ok")) -> None:
+        """A rule stated row by row: ``rows`` holds (n, text, ok), with ``ok``
+        None for a row whose index lies past the bound; the others are
+        tagged ``marks[ok]``."""
+        details = [
+            f"n={n} outside bound" if ok is None else f"n={n} {text} {marks[ok]}"
+            for n, text, ok in rows
+        ]
+        line(tag, all(ok is not False for *_, ok in rows), "; ".join(details) or empty)
+
+    none_of(
         "i",
-        "holds" if not odd_hits else "fails",
-        f"every factor index is even across {len(every)} scanned rows"
-        if not odd_hits
-        else f"odd indexes {odd_hits}",
+        [(r.n, r.signed, m) for r in every for m, _ in r.factors if m % 2],
+        f"every factor index is even across {len(every)} scanned rows",
+        "odd indexes",
     )
-
-    rough = [
-        (r.n, r.signed, m, p)
-        for r in every
-        for m in indexes(r)
-        for p in numbers.prime_divisors(m)
-        if p > r.n
-    ]
-    line(
+    none_of(
         "ii",
-        "holds" if not rough else "fails",
-        "every prime factor of every index stays at or below n"
-        if not rough
-        else f"violations {rough}",
+        [
+            (r.n, r.signed, m, p)
+            for r in every
+            for m, _ in r.factors
+            for p in numbers.prime_divisors(m)
+            if p > r.n
+        ],
+        "every prime factor of every index stays at or below n",
+        "violations",
     )
-
-    gcd_bad = []
-    for r in unsigned.values():
-        present = set(indexes(r))
-        for a in present:
-            for b in present:
-                if a < b and math.gcd(a, b) not in present:
-                    gcd_bad.append((r.n, a, b, math.gcd(a, b)))
-    line(
+    none_of(
         "iii",
-        "holds" if not gcd_bad else "fails",
-        "unsigned index sets are closed under gcd"
-        if not gcd_bad
-        else f"missing gcds {gcd_bad}",
+        [
+            (n, a, b, math.gcd(a, b))
+            for n, present in index_sets.items()
+            for a in present
+            for b in present
+            if a < b and math.gcd(a, b) not in present
+        ],
+        "unsigned index sets are closed under gcd",
+        "missing gcds",
     )
-
-    convex_bad = []
-    for r in unsigned.values():
-        present = set(indexes(r))
-        for a in present:
-            for c in present:
-                if a < c and c % a == 0:
-                    for b in range(2 * a, c, a):
-                        if c % b == 0 and b not in present:
-                            convex_bad.append((r.n, a, b, c))
-    line(
+    none_of(
         "iv",
-        "holds" if not convex_bad else "fails",
-        "unsigned index sets are convex in the divisor order"
-        if not convex_bad
-        else f"gaps {convex_bad}",
+        [
+            (n, a, b, c)
+            for n, present in index_sets.items()
+            for a in present
+            for c in present
+            if a < c and c % a == 0
+            for b in range(2 * a, c, a)
+            if c % b == 0 and b not in present
+        ],
+        "unsigned index sets are convex in the divisor order",
+        "gaps",
     )
-
-    mono_bad = []
-    for r in unsigned.values():
-        mult = dict(r.factors)
-        for a in mult:
-            for b in mult:
-                if a < b and b % a == 0 and mult[a] < mult[b]:
-                    mono_bad.append((r.n, a, b))
-    line(
+    none_of(
         "v",
-        "holds" if not mono_bad else "fails",
-        "multiplicity never increases along divisibility"
-        if not mono_bad
-        else f"violations {mono_bad}",
+        [
+            (n, a, b)
+            for n, mult in mults.items()
+            for a in mult
+            for b in mult
+            if a < b and b % a == 0 and mult[a] < mult[b]
+        ],
+        "multiplicity never increases along divisibility",
+        "violations",
     )
 
-    mersenne = {3, 7, 31}
-    vi_rows = []
-    for n, r in unsigned.items():
-        if numbers.prime_divisors(n) == (n,) and n not in mersenne:
-            if 2 * n > bound:
-                vi_rows.append(f"n={n} outside bound")
-            else:
-                top = max(indexes(r)) if r.factors else 0
-                vi_rows.append(f"n={n} largest={top} {'ok' if top == 2 * n else 'BAD'}")
-    vi_ok = all("BAD" not in row for row in vi_rows)
-    line(
-        "vi",
-        "holds" if vi_ok else "fails",
-        "; ".join(vi_rows) if vi_rows else "no non-Mersenne primes in range",
-    )
+    vi = []
+    for n, mult in mults.items():
+        if numbers.prime_divisors(n) == (n,) and n not in {3, 7, 31}:  # not Mersenne
+            top = max(mult, default=0)
+            vi.append((n, f"largest={top}", None if 2 * n > bound else top == 2 * n))
+    per_row("vi", vi, "no non-Mersenne primes in range")
 
     vii_holds = []
     vii_fails = []
@@ -801,46 +769,23 @@ def observations(max_n: int = 12, bound: int = 600) -> list[str]:
             (vii_holds if not r.factors else vii_fails).append(n)
     line(
         "vii",
-        "holds" if not vii_fails else "fails",
+        not vii_fails,
         f"rho != 1/2 rows without factors: {vii_holds}; with factors: {vii_fails}",
     )
 
-    viii_rows = []
-    for n, r in unsigned.items():
+    viii = []
+    for n, mult in mults.items():
         if n % 2 == 0 and numbers.prime_divisors(n // 2) == (n // 2,):
-            mult = dict(r.factors)
             got = mult.get(n, 0)
-            viii_rows.append(f"n={n} mult(Phi_{n})={got} {'ok' if got >= 2 else 'BAD'}")
-    viii_ok = all("BAD" not in row for row in viii_rows)
-    line(
-        "viii",
-        "holds" if viii_ok else "fails",
-        "; ".join(viii_rows) if viii_rows else "no doubled primes in range",
-    )
+            viii.append((n, f"mult(Phi_{n})={got}", got >= 2))
+    per_row("viii", viii, "no doubled primes in range")
 
-    ix_rows = []
-    ix_ok = True
-    for n, r in signed.items():
-        idx = 4 * n
-        if idx > bound:
-            ix_rows.append(f"n={n} outside bound")
-            continue
-        present = idx in dict(r.factors)
-        ix_ok = ix_ok and present
-        ix_rows.append(f"n={n} Phi_{idx} {'present' if present else 'MISSING'}")
-    line("ix", "holds" if ix_ok else "fails", "; ".join(ix_rows) or "no rows")
-
-    x_rows = []
-    x_ok = True
-    for n, r in signed.items():
-        if n < 5:
-            continue
-        idx = 4 * n * (n - 1)
-        if idx > bound:
-            x_rows.append(f"n={n} outside bound")
-            continue
-        present = idx in dict(r.factors)
-        x_ok = x_ok and present
-        x_rows.append(f"n={n} Phi_{idx} {'present' if present else 'MISSING'}")
-    line("x", "holds" if x_ok else "fails", "; ".join(x_rows) or "no rows in range")
+    # ix and x: Phi_4n in every signed row, and Phi_4n(n-1) in each from n = 5
+    for tag, first, index in (("ix", 3, lambda n: 4 * n), ("x", 5, lambda n: 4 * n * (n - 1))):
+        rows = [
+            (n, f"Phi_{index(n)}", None if index(n) > bound else index(n) in dict(r.factors))
+            for n, r in signed.items()
+            if n >= first
+        ]
+        per_row(tag, rows, "no rows in range", marks=("MISSING", "present"))
     return lines

@@ -111,8 +111,7 @@ def cmd_factors(args: argparse.Namespace) -> int:
     if args.golden == "builtin":
         rows = cyclo.load_golden(args.signed)
         if args.n not in rows:
-            print(f"no golden row for n={args.n} signed={int(args.signed)}", file=sys.stderr)
-            return 2
+            raise ContractViolationError(f"no golden row for n={args.n} signed={int(args.signed)}")
         golden = rows[args.n]
     elif args.golden is not None:
         try:

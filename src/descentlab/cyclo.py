@@ -33,7 +33,8 @@ No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
 checked against t**k - 1 by an independent route: :class:`IntPoly` has one
 product, a Kronecker substitution that packs each factor into one big
-integer and lets the integer multiply do the convolution.
+integer, in the byte slots of descent's slot packer (``_pack`` and
+``_unpack``), and lets the integer multiply do the convolution.
 """
 
 from __future__ import annotations
@@ -123,9 +124,10 @@ class IntPoly:
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # Pack coefficients into byte-aligned slots of one big integer and let
-    # the integer multiply do the convolution.  Slots never interfere since
-    # each convolution entry is below 2**(8 * width).
+    # Pack the positive and the negative parts of each factor into the byte
+    # slots of one big integer each and let the integer multiply do the
+    # convolution.  Slots never interfere since each convolution entry is
+    # below 2**(8 * width).
     bits = (
         max(abs(c) for c in a).bit_length()
         + max(abs(c) for c in b).bit_length()
@@ -134,29 +136,14 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     )
     width = (bits + 7) // 8
 
-    def pack(cs: Sequence[int]) -> tuple[int, int]:
-        pos = bytearray(width * len(cs))
-        neg = bytearray(width * len(cs))
-        for i, c in enumerate(cs):
-            if c > 0:
-                pos[i * width : i * width + width] = c.to_bytes(width, "little")
-            elif c < 0:
-                neg[i * width : i * width + width] = (-c).to_bytes(width, "little")
-        return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
+    def part(cs: Sequence[int], sign: int) -> int:
+        return int.from_bytes(_pack([max(sign * c, 0) for c in cs], width), "little")
 
-    ap, an = pack(a)
-    bp, bn = pack(b)
-    n_out = len(a) + len(b) - 1
-    total = width * n_out
-    plus = (ap * bp + an * bn).to_bytes(total, "little")
-    minus = (ap * bn + an * bp).to_bytes(total, "little")
-    out = []
-    for i in range(0, total, width):
-        out.append(
-            int.from_bytes(plus[i : i + width], "little")
-            - int.from_bytes(minus[i : i + width], "little")
-        )
-    return out
+    ap, an, bp, bn = part(a, 1), part(a, -1), part(b, 1), part(b, -1)
+    total = width * (len(a) + len(b) - 1)
+    plus = _unpack((ap * bp + an * bn).to_bytes(total, "little"), width)
+    minus = _unpack((ap * bn + an * bp).to_bytes(total, "little"), width)
+    return list(map(operator.sub, plus, minus))
 
 
 @lru_cache(maxsize=None)

@@ -364,8 +364,14 @@ def _table(n: int, signed: bool) -> DescentTable:
     # all.  The scratch buffer is freed before the copy into bytes, so the
     # peak is about two halves.
     universe = n if signed else n - 1
-    width = _slot_width(n, signed)
+    # the slot count, 2**(universe - 1), is checked before the slot width,
+    # which computes n!
+    width = 0 if universe > sys.maxsize.bit_length() else _slot_width(n, signed)
     size = width << max(universe - 1, 0)
+    if not width or size > sys.maxsize:
+        raise ResourceLimitError(
+            f"beta_table(n={n}, signed={signed}) needs more than {sys.maxsize} bytes"
+        )
     smaller, half = memoryview(bytearray(size)), memoryview(bytearray(size))
     step = max(_CHUNK_BYTES // width, 1) * width  # whole slots, cache-sized
     builds = [(u, smaller, width << u) for u in range(universe - 1)]
@@ -387,7 +393,9 @@ def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> Descen
     """Exact table of beta_n(S) over all subsets.
 
     Size doubles per unit of n; the default ceilings (24 unsigned, 18 signed)
-    can be raised with ``max_n`` by callers who accept the memory cost.
+    can be raised with ``max_n`` by callers who accept the memory cost.  A
+    table whose lower half would not fit in ``sys.maxsize`` bytes is refused
+    whatever ``max_n`` says.
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")

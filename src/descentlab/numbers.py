@@ -1,10 +1,10 @@
 """Integer and subset primitives used everywhere else.
 
 Everything here is exact.  A subset of {1, ..., n} is a plain int bitmask,
-bit i - 1 set when i is a member; a composition is a plain tuple of parts,
-converted to and from the mask of its partial sums.  Also here: multinomial
-coefficients, primes, and the two zigzag counting sequences (Euler numbers
-and their signed analogue).
+bit i - 1 set when i is a member, mirrored (i to n + 1 - i) by reversing its
+bits; a composition is a plain tuple of parts, converted to and from the mask
+of its partial sums.  Also here: multinomial coefficients, primes, and the
+two zigzag counting sequences (Euler numbers and their signed analogue).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "prime_divisors",
     "mask_to_composition",
     "composition_to_mask",
+    "reverse_mask",
     "euler_number",
     "signed_euler_number",
 ]
@@ -113,6 +114,15 @@ def composition_to_mask(parts) -> int:
         acc += part
         bits |= 1 << (acc - 1)
     return bits
+
+
+def reverse_mask(mask: int, width: int) -> int:
+    """The mask of the subset mirrored inside {1, ..., width}: bit i moves
+    to bit width - 1 - i."""
+    out = 0
+    for i in range(width):
+        out = (out << 1) | (mask >> i & 1)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -135,6 +135,21 @@ def test_table_respects_limits(capsys, monkeypatch):
     code, out, _ = run(capsys, "table", "--n", "11", "--max-n", "11")
     assert code == 0
     assert "sum_ok=yes" in out
+    # a lower half past sys.maxsize bytes is refused whatever --max-n says,
+    # a huge n before its slot width (which computes n!) is worked out
+    def assert_refused(n, *flags):
+        code, out, err = run(capsys, "table", "--n", n, "--max-n", n, *flags)
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+
+    assert_refused("60")
+    assert_refused("59", "--signed")
+    monkeypatch.setattr(descent, "_slot_width", _no_slot_width)
+    assert_refused(str(10**9))
+
+
+def _no_slot_width(n, signed):
+    raise AssertionError("computed the slot width")
 
 
 def test_table_out_of_memory_maps_to_3(capsys, monkeypatch):
@@ -245,7 +260,7 @@ def test_factors_golden_missing_row(capsys, monkeypatch):
     # recorded unsigned rows start at n=3
     code, out, err = run(capsys, "factors", "--n", "2", "--max-index", "4", "--golden", "builtin")
     assert (code, out) == (2, "")
-    assert "no golden row" in err
+    assert err.startswith("usage error: no golden row")
 
 
 @pytest.mark.parametrize("line", ["n=99 signed=1: -", "n=15 signed=1: -", "n=14 signed=0: -"])
@@ -418,6 +433,77 @@ def test_observations_refuses_a_range_without_rows(capsys, monkeypatch, max_n):
     assert code == 2
     assert out == ""
     assert err.startswith("usage error:")
+
+
+# Made-up factor rows, (n, signed) -> factors, that break every observation
+# but vii (which reads rho, not the rows): an odd index at unsigned 3, an
+# index with a prime above n at 5, a missing gcd at 6, a divisor-order gap at
+# 5, a multiplicity that grows along divisibility at 4, a wrong largest index
+# for the prime 5, a single Phi_6 at 6, and a missing Phi_12 and Phi_120 in
+# the signed rows.  Rows not listed have no factors.
+_BROKEN_ROWS = {
+    (3, False): ((3, 1),),
+    (4, False): ((2, 1), (4, 2)),
+    (5, False): ((2, 1), (8, 1), (14, 1)),
+    (6, False): ((4, 1), (6, 1)),
+    (4, True): ((16, 1),),
+    (5, True): ((20, 1), (80, 1)),
+    (6, True): ((24, 1),),
+}
+
+
+@pytest.mark.parametrize(
+    "max_n, bound, rows, expected",
+    [
+        (6, 600, _BROKEN_ROWS, [
+            "i: fails (odd indexes [(3, False, 3)])",
+            "ii: fails (violations [(5, False, 14, 7)])",
+            "iii: fails (missing gcds [(6, 4, 6, 2)])",
+            "iv: fails (gaps [(5, 2, 4, 8)])",
+            "v: fails (violations [(4, 2, 4)])",
+            "vi: fails (n=5 largest=14 BAD)",
+            "vii: fails (rho != 1/2 rows without factors: []; with factors: [4])",
+            "viii: fails (n=4 mult(Phi_4)=2 ok; n=6 mult(Phi_6)=1 BAD)",
+            "ix: fails (n=3 Phi_12 MISSING; n=4 Phi_16 present; n=5 Phi_20 present; "
+            "n=6 Phi_24 present)",
+            "x: fails (n=5 Phi_80 present; n=6 Phi_120 MISSING)",
+        ]),
+        (5, 9, {}, [
+            "i: holds (every factor index is even across 6 scanned rows)",
+            "ii: holds (every prime factor of every index stays at or below n)",
+            "iii: holds (unsigned index sets are closed under gcd)",
+            "iv: holds (unsigned index sets are convex in the divisor order)",
+            "v: holds (multiplicity never increases along divisibility)",
+            "vi: holds (n=5 outside bound)",
+            "vii: holds (rho != 1/2 rows without factors: [4]; with factors: [])",
+            "viii: fails (n=4 mult(Phi_4)=0 BAD)",
+            "ix: holds (n=3 outside bound; n=4 outside bound; n=5 outside bound)",
+            "x: holds (n=5 outside bound)",
+        ]),
+        (3, 9, {}, [
+            "i: holds (every factor index is even across 2 scanned rows)",
+            "ii: holds (every prime factor of every index stays at or below n)",
+            "iii: holds (unsigned index sets are closed under gcd)",
+            "iv: holds (unsigned index sets are convex in the divisor order)",
+            "v: holds (multiplicity never increases along divisibility)",
+            "vi: holds (no non-Mersenne primes in range)",
+            "vii: holds (rho != 1/2 rows without factors: []; with factors: [])",
+            "viii: holds (no doubled primes in range)",
+            "ix: holds (n=3 outside bound)",
+            "x: holds (no rows in range)",
+        ]),
+    ],
+    ids=["broken", "past-bound", "no-rows"],
+)
+def test_observations_report_each_failing_rule(capsys, monkeypatch, max_n, bound, rows, expected):
+    def scan(table, max_index, policy):
+        factors = rows.get((table.n, table.signed), ())
+        return cyclo.FactorReport(table.n, table.signed, factors, max_index, policy)
+
+    monkeypatch.setattr(cyclo, "factor_scan", scan)
+    code, out, err = run(capsys, "observations", "--max-n", str(max_n), "--bound", str(bound))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"observation {line}" for line in expected]
 
 
 # Recorded stdout of the two commands, e.g. `python -m descentlab verify

@@ -55,10 +55,12 @@ def test_mul_matches_naive(a, b):
 
 def test_kronecker_path_matches_schoolbook():
     rng = random.Random(11)
-    a = IntPoly([rng.randrange(-10**6, 10**6) for _ in range(300)])
-    b = IntPoly([rng.randrange(-10**6, 10**6) for _ in range(400)])
-    # long factors with wide coefficients, against the schoolbook reference
-    assert a * b == naive_mul(a, b)
+    # long factors with wide coefficients, against the schoolbook reference;
+    # near 2**70 a product needs slots wider than one 8-byte limb
+    for top in (10**6, 2**70):
+        a = IntPoly([rng.randrange(-top, top) for _ in range(300)])
+        b = IntPoly([rng.randrange(-top, top) for _ in range(400)])
+        assert a * b == naive_mul(a, b)
 
 
 def reference_divmod(num, den):
