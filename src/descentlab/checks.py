@@ -176,26 +176,32 @@ def _parity(at, only) -> list[CheckResult]:
     return out
 
 
+def _mirror_ok(n: int, signed: bool) -> bool:
+    """Whether the upper half a table reads from its mirror is the one the
+    top-element recursion gives from its lower half and the next smaller
+    table: beta_n(S' + {n-1}) = n beta_(n-1)(S') - beta_n(S') unsigned, and
+    beta^B_n(S' + {n}) = 2n beta^B_(n-1)(S') - beta^B_n(S') signed."""
+    values = descent.beta_table(n, signed).values
+    smaller = descent.beta_table(n - 1, signed).values
+    c, half = (2 * n if signed else n), len(smaller)
+    return values[half:] == tuple(c * b - v for b, v in zip(smaller, values[:half]))
+
+
 @_suite(desk=dict(ns=range(2, 11)), full=dict(ns=range(2, 13)))
 def _symmetry(at, only) -> list[CheckResult]:
     out = []
     for n in _keep(only, at.ns):
         values = descent.beta_table(n).values
-        size = 1 << (n - 1)
-        full = size - 1
-        comp_ok = all(values[m] == values[full ^ m] for m in range(size))
-        rev_ok = all(values[m] == values[numbers.reverse_mask(m, n - 1)] for m in range(size))
+        rev_ok = all(v == values[numbers.reverse_mask(m, n - 1)] for m, v in enumerate(values))
         out.append(
             CheckResult(
                 f"symmetry.unsigned.n{n}",
-                comp_ok and rev_ok,
+                _mirror_ok(n, False) and rev_ok,
                 "complement and reversal invariance",
             )
         )
     for n in _keep(only, at.ns):
-        values = descent.beta_table(n, signed=True).values
-        full = (1 << n) - 1
-        ok = all(values[m] == values[full ^ m] for m in range(1 << n))
+        ok = _mirror_ok(n, True)
         out.append(CheckResult(f"symmetry.signed.n{n}", ok, "complement invariance"))
     return out
 
@@ -566,14 +572,16 @@ def _structure(at, only) -> list[CheckResult]:
         bad_lists = []
         for parts in at.partitions:
             via_osp = qsym.product_monomial_singletons(parts)
-            # M_(a) has coefficient 1 on the one-part composition, which is mask 0
-            monos = [
-                qsym.QSymPoly(a, "M", (1,) + (0,) * ((1 << (a - 1)) - 1)) for a in parts
-            ]
-            acc = monos[0]
-            for mono in monos[1:]:
-                acc = qsym.multiply(acc, mono)
-            if acc.coeffs != via_osp.coeffs:
+            want = {
+                numbers.mask_to_composition(k, via_osp.degree): c
+                for k, c in enumerate(via_osp.coeffs)
+                if c
+            }
+            # the product the flag routes take, one quasi-shuffle per factor
+            acc = {(): 1}
+            for a in parts:
+                acc = qsym._times_monomial(acc, a)
+            if acc != want:
                 bad_lists.append(parts)
         detail = "ordered set partition expansion matches the quasi-shuffle product"
         out.append(_verdict("structure.partitionproduct", bad_lists, detail, "failures"))

@@ -443,7 +443,11 @@ def format_report(report: FactorReport, include_scan_info: bool = True) -> str:
 
 
 def parse_report_line(line: str) -> FactorReport:
-    """Parse a line produced by :func:`format_report`, scan info optional."""
+    """Parse a line produced by :func:`format_report`, scan info optional.
+
+    What it never writes is refused: a bound below 2, a signed flag other
+    than 0 or 1, a multiplicity below 1, or indexes out of ascending order.
+    """
     head, sep, body = line.partition(":")
     if not sep:
         raise ContractViolationError(f"missing ':' in report line {line!r}")
@@ -455,10 +459,12 @@ def parse_report_line(line: str) -> FactorReport:
         fields[key] = value
     try:
         n = int(fields["n"])
-        signed = bool(int(fields["signed"]))
+        signed = {"0": False, "1": True}[fields["signed"]]
+        bound = int(fields["bound"]) if "bound" in fields else 0
     except (KeyError, ValueError) as exc:
         raise ContractViolationError(f"bad report header in {line!r}") from exc
-    bound = int(fields["bound"]) if "bound" in fields else 0
+    if "bound" in fields and bound < 2:
+        raise ContractViolationError(f"bound must be >= 2 in {line!r}")
     policy = fields.get("policy", "golden")
     factors = []
     body = body.strip()
@@ -468,11 +474,17 @@ def parse_report_line(line: str) -> FactorReport:
                 raise ContractViolationError(f"bad factor token {token!r} in {line!r}")
             base, caret, mult = token[4:].partition("^")
             try:
-                factors.append((int(base), int(mult) if caret else 1))
+                m, k = int(base), int(mult) if caret else 1
             except ValueError as exc:
                 raise ContractViolationError(
                     f"bad factor token {token!r} in {line!r}"
                 ) from exc
+            if k < 1 or m <= (factors[-1][0] if factors else 1):
+                raise ContractViolationError(
+                    f"factor {token!r} needs a multiplicity >= 1 and an index "
+                    f"above the one before it in {line!r}"
+                )
+            factors.append((m, k))
     return FactorReport(
         n=n, signed=signed, factors=tuple(factors), bound=bound, policy=policy
     )

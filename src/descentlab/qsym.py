@@ -8,16 +8,16 @@ distinguished initial letter (per subset of {1, ..., n}).  :func:`m_to_l`
 takes the monomial basis to the fundamental one by subset Moebius
 inversion.
 
-Every product is one quasi-shuffle of compositions (Hoffman, J. Algebraic
-Combin. 11, 2000).  :func:`multiply` quasi-shuffles unsigned M-basis
-elements.  The flag enumerators f_boolean and f_cubical_B are built one rank
-at a time, each rank a product by the one-part monomial M_(1), so their
-fundamental-basis coefficients re-derive the descent tables along a route
-independent of the closed-form counting in :mod:`descentlab.descent`.
-:func:`odd_fundamental_count` takes the same products by M_(2^j) modulo 2 to
-count the odd fundamental coefficients of f_boolean(n).
-:func:`product_monomial_singletons` expands products of one-part monomials
-over ordered set partitions, a second route to the quasi-shuffle.
+Every product is by a one-part monomial M_(a), one quasi-shuffle of each
+composition with (a) (Hoffman, J. Algebraic Combin. 11, 2000).  The flag
+enumerators f_boolean and f_cubical_B are built one rank at a time, each
+rank a product by M_(1), so their fundamental-basis coefficients re-derive
+the descent tables along a route independent of the closed-form counting in
+:mod:`descentlab.descent`.  :func:`odd_fundamental_count` takes the same
+products by M_(2^j) modulo 2 to count the odd fundamental coefficients of
+f_boolean(n).  :func:`product_monomial_singletons` expands products of
+one-part monomials over ordered set partitions, a second route to the
+quasi-shuffle.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ from .descent import (
     _subset_transform,
 )
 from .errors import ContractViolationError, ResourceLimitError
-from .numbers import composition_to_mask, mask_to_composition
+from .numbers import composition_to_mask
 
 __all__ = [
     "QSymPoly",
     "m_to_l",
-    "multiply",
     "ordered_set_partitions",
     "product_monomial_singletons",
     "f_boolean",
@@ -109,29 +108,6 @@ def _quasi_shuffle(ga: tuple[int, ...], gb: tuple[int, ...]) -> tuple:
     return tuple(out.items())
 
 
-def multiply(p: QSymPoly, q: QSymPoly) -> QSymPoly:
-    """Product of two unsigned M-basis elements by quasi-shuffling compositions."""
-    if not isinstance(p, QSymPoly) or not isinstance(q, QSymPoly):
-        raise ContractViolationError("multiply needs two QSymPoly operands")
-    if p.signed or q.signed:
-        raise ContractViolationError("multiply works in the unsigned algebra")
-    if p.basis != "M" or q.basis != "M":
-        raise ContractViolationError("multiply works in the M basis")
-    degree = p.degree + q.degree
-    out = [0] * (1 << max(degree - 1, 0))
-    for ma, ca in enumerate(p.coeffs):
-        if not ca:
-            continue
-        ga = mask_to_composition(ma, p.degree)
-        for mb, cb in enumerate(q.coeffs):
-            if not cb:
-                continue
-            c = ca * cb
-            for comp, k in _quasi_shuffle(ga, mask_to_composition(mb, q.degree)):
-                out[composition_to_mask(comp)] += c * k
-    return QSymPoly(degree, "M", tuple(out))
-
-
 def ordered_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Yield every ordered set partition of {1, ..., k}.
 
@@ -156,7 +132,8 @@ def product_monomial_singletons(m_list: Iterable[int]) -> QSymPoly:
 
     Expanded by summing, over every ordered set partition of {1, ..., k}, the
     monomial of blockwise part sums.  This is the second, independent route
-    to the same product that :func:`multiply` computes by quasi-shuffles.
+    to the same product that :func:`_times_monomial` takes one factor at a
+    time by quasi-shuffles.
     """
     parts = tuple(m_list)
     if any(p < 1 for p in parts):

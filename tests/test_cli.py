@@ -1,3 +1,4 @@
+import doctest
 import os
 import shlex
 import subprocess
@@ -274,6 +275,20 @@ def test_factors_golden_row_for_another_table(tmp_path, capsys, monkeypatch, lin
     assert err.startswith(f"usage error: golden file {recorded} holds {line[:-3]}")
 
 
+# a recorded line that format_report never writes is a usage error too
+def test_factors_golden_file_malformed(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
+    recorded = tmp_path / "row.txt"
+    for line in [
+        "n=8 signed=0 bound=x: Phi_4^2", "n=8 signed=0 bound=1: -", "n=8 signed=0 bound=-4: -",
+        "n=8 signed=7: -", "n=8 signed=0: Phi_4^0 Phi_28", "n=8 signed=0: Phi_28 Phi_4^2",
+    ]:
+        recorded.write_text(line + "\n")
+        code, out, err = run(capsys, "factors", "--n", "8", "--golden", str(recorded))
+        assert (code, out) == (2, ""), line
+        assert err.startswith("usage error:") and err.count("\n") == 1, line
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "mod4", "--n", "8")
     assert code == 0
@@ -379,9 +394,11 @@ def test_usage_errors(capsys):
     assert run(capsys, "factors", "--n", "5", "--workers", "2")[:2] == (2, "")
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
     block = section.split("```", 2)[1]
     return [
         shlex.split(line, comments=True)[1:]
@@ -396,6 +413,19 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_examples_run():
+    # each python block up to its closing fence, which doctest would
+    # otherwise read as the last example's expected output
+    text = README.read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```python\n")[1:]]
+    runner, report = doctest.DocTestRunner(), []
+    for k, block in enumerate(blocks):
+        test = doctest.DocTestParser().get_doctest(block, {}, f"README block {k}", str(README), 0)
+        runner.run(test, out=report.append)
+    assert runner.tries >= 10
+    assert runner.failures == 0, "".join(report)
 
 
 def test_contract_violation_maps_to_2(capsys):

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from descentlab import checks, cyclo, descent
@@ -333,17 +333,20 @@ def folded_histograms(draw):
     return hist, m
 
 
-@given(folded_histograms())
-def test_packed_kernel_matches_list_reference(case):
+@given(folded_histograms(), st.integers(min_value=0), st.integers(min_value=0, max_value=2**70))
+def test_packed_kernel_matches_list_reference(case, pick, extra):
+    # one list product decides the verdict and gives the content; a constant
+    # shift leaves it unchanged, since every 1 - t**s sends a constant vector
+    # to zero, and shifting past one entry sends some entries negative, as
+    # _congruent's subtractions do
     hist, m = case
-    assert packed_verdict(hist, m) == list_phi_divides(list_fold(hist, m), m)
-
-
-@given(folded_histograms())
-def test_phi_contents_match_list_reference(case):
-    hist, m = case
-    want = math.gcd(*list_phi_product(list_fold(hist, m), m))
-    assert next(cyclo._phi_contents(hist, [m])) == want
+    folded = list_fold(hist, m)
+    product = list_phi_product(folded, m)
+    verdict = not any(product)
+    assert packed_verdict(hist, m) == verdict
+    assert next(cyclo._phi_contents(hist, [m])) == math.gcd(*product)
+    shift = folded[pick % m] + extra
+    assert cyclo._phi_divides([c - shift for c in folded], m) == verdict
 
 
 def test_phi_contents_small():
@@ -364,17 +367,6 @@ def test_sieve_tests_two_when_multiplicities_are_odd():
     # divide the total 16
     values, mults = descent._value_counts(beta_table(5))
     assert cyclo._sieve(values, mults, [2, 3, 4, 8, 9, 16]) == [2, 4, 8, 16]
-
-
-@given(folded_histograms(), st.integers(min_value=-(2**70), max_value=0), st.data())
-def test_phi_divides_matches_list_reference_on_negative_counts(case, shift, data):
-    # _congruent subtracts terms, so entries go negative; a constant shift
-    # keeps a multiple of Phi_m one
-    hist, m = case
-    counts = [c + shift for c in list_fold(hist, m)]
-    for e in data.draw(st.lists(st.integers(min_value=0, max_value=m - 1), max_size=3)):
-        counts[e] -= data.draw(st.integers(min_value=0, max_value=2**40))
-    assert cyclo._phi_divides(counts, m) == list_phi_divides(counts, m)
 
 
 def spread(folded):
@@ -430,27 +422,27 @@ def falling_factorial(v, j):
     return out
 
 
-def reference_multiplicity(pairs, m, max_mult):
-    """Multiplicity of Phi_m by one pass over the (value, count) pairs per
-    order, the per-candidate scan the grouped counting replaced."""
-    mult = 0
-    while mult < max_mult:
-        counts = [0] * m
-        for v, c in pairs:
-            counts[v % m] += c * falling_factorial(v, mult)
-        if not cyclo._phi_divides(counts, m):
-            break
-        mult += 1
-    return mult
-
-
 def reference_scan(table, bound, max_mult, policy):
+    """The factor rows by one pass over the (value, count) pairs per
+    candidate and order, each tested by the list product: the per-candidate
+    scan, with no grouping, no sieve and no packed kernel."""
     pairs = sorted(Counter(table.values).items())
+    weighted = [[(v, c * falling_factorial(v, j)) for v, c in pairs] for j in range(max_mult)]
+
+    def multiplicity(m):
+        for order, terms in enumerate(weighted):
+            counts = [0] * m
+            for v, w in terms:
+                counts[v % m] += w
+            if not list_phi_divides(counts, m):
+                return order
+        return max_mult
+
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, bound)
     else:
         candidates = range(2, bound + 1)
-    rows = ((m, reference_multiplicity(pairs, m, max_mult)) for m in candidates)
+    rows = ((m, multiplicity(m)) for m in candidates)
     return tuple((m, k) for m, k in rows if k)
 
 
@@ -495,61 +487,6 @@ def test_candidate_groups(case):
     assert groups == first_fit(candidates, cap)
 
 
-@st.composite
-def scan_cases(draw):
-    signed = draw(st.booleans())
-    table = beta_table(draw(st.integers(min_value=1, max_value=12)), signed=signed)
-    distinct = len(set(table.values))
-    bound = draw(st.integers(min_value=2, max_value=2 * distinct + 2))
-    policy = draw(st.sampled_from(["heuristic", "exhaustive"]))
-    return table, bound, draw(st.integers(min_value=1, max_value=3)), policy
-
-
-@settings(max_examples=30)
-@given(scan_cases())
-def test_factor_scan_matches_reference(case):
-    table, bound, max_mult, policy = case
-    report = factor_scan(table, max_index=bound, max_multiplicity=max_mult, policy=policy)
-    assert report.factors == reference_scan(table, bound, max_mult, policy)
-
-
-@pytest.mark.parametrize(
-    "n,signed,bound,policy",
-    [(12, False, 800, "exhaustive"), (10, False, 400, "heuristic"), (9, True, 1200, "heuristic")],
-)
-def test_factor_scan_matches_reference_across_group_shapes(n, signed, bound, policy):
-    table = beta_table(n, signed=signed)
-    distinct = len(set(table.values))
-    candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
-    groups = cyclo._group_candidates(list(candidates), distinct)
-    assert any(len(g) > 1 for g in groups)
-    assert any(g[0] > distinct for g in groups)  # lone candidates above the cap
-    for max_mult in (1, 2, 3):
-        report = factor_scan(table, max_index=bound, max_multiplicity=max_mult, policy=policy)
-        assert report.factors == reference_scan(table, bound, max_mult, policy)
-    # some candidate survived orders 0 and 1, so order 2 was counted
-    assert any(k >= 2 for _, k in report.factors)
-
-
-def unsieved_scan(table, bound, max_mult):
-    """The exhaustive grouped scan over every candidate, without the sieve."""
-    values, mults = descent._value_counts(table)
-    groups = cyclo._group_candidates(list(range(2, bound + 1)), len(values))
-    rows = [row for g in groups for row in cyclo._group_multiplicities(values, mults, g, max_mult)]
-    return tuple(sorted(row for row in rows if row[1]))
-
-
-@pytest.mark.parametrize(
-    "n,signed", [(n, False) for n in range(1, 13)] + [(n, True) for n in range(1, 10)]
-)
-def test_sieved_scan_matches_unsieved_scan(n, signed):
-    # the sieve never sees max_multiplicity, so one cap covers it; capping
-    # at 1, 2 and 3 is covered across group shapes above
-    table = beta_table(n, signed=signed)
-    report = factor_scan(table, max_index=3000, max_multiplicity=3, policy="exhaustive")
-    assert report.factors == unsieved_scan(table, 3000, 3)
-
-
 def reference_sieve(table, candidates):
     """The candidates that pass every sieve test, each test the list product
     over the table's residues mod t**d - 1, read mod p."""
@@ -590,6 +527,80 @@ def test_sieve_matches_reference_sieve(n, signed, policy, bound):
     survivors = cyclo._sieve(*descent._value_counts(table), list(candidates))
     assert survivors == reference_sieve(table, candidates)
     assert len(survivors) < len(candidates) // 4
+
+
+def scan_shapes(table, bound, policy):
+    """The shapes one scan takes, by name: the groups of p-free parts d that
+    share a sieve pass and the groups of survivors that share an exact pass,
+    each recorded as the scan forms them, against V distinct values, and
+    the rows it finds."""
+    groupings, group = [], cyclo._group_candidates
+
+    def record(candidates, cap):
+        groupings.append(group(candidates, cap))
+        return groupings[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclo, "_group_candidates", record)
+        rows = factor_scan(table, max_index=bound, policy=policy).factors
+    sieve_groups, exact_groups = groupings
+    values, mults = descent._value_counts(table)
+    shapes = set()
+    for layer, groups in (("sieve", sieve_groups), ("exact", exact_groups)):
+        if any(len(g) > 1 for g in groups):
+            shapes.add(f"shared {layer} pass")
+        if any(g[0] > len(values) for g in groups):
+            shapes.add(f"lone {layer} pass above V")
+    if math.gcd(*mults) % 2 and not exact_groups:
+        shapes.add("p = 2 tested, no survivor")
+    if any(k >= 2 for _, k in rows):
+        shapes.add("order 2 reached")
+    if rows and rows[-1][0] == bound:
+        shapes.add("factor at the bound")
+    return shapes
+
+
+SHARED_AND_LONE = {"shared exact pass", "lone exact pass above V", "shared sieve pass"}
+
+
+@pytest.mark.parametrize(
+    "n,signed,policy,bound,shapes",
+    [
+        pytest.param(
+            12, False, "exhaustive", 800, SHARED_AND_LONE | {"order 2 reached"},
+            id="12-exhaustive-800",
+        ),
+        pytest.param(
+            9, True, "heuristic", 1200,
+            SHARED_AND_LONE | {"lone sieve pass above V", "order 2 reached"},
+            id="signed9-heuristic-1200",
+        ),
+        pytest.param(
+            7, True, "exhaustive", 300, SHARED_AND_LONE | {"lone sieve pass above V"},
+            id="signed7-exhaustive-300",
+        ),
+        # the one multiplicity is 1, so p = 2 is a real test and drops all
+        pytest.param(
+            1, False, "exhaustive", 300, {"p = 2 tested, no survivor"}, id="1-exhaustive-300"
+        ),
+        # the one multiplicity is 2, so only the exact passes reject the
+        # powers of 2, each alone
+        pytest.param(
+            1, True, "exhaustive", 300, {"lone exact pass above V"}, id="signed1-exhaustive-300"
+        ),
+        pytest.param(
+            8, False, "exhaustive", 28, {"factor at the bound", "order 2 reached"},
+            id="8-exhaustive-28",
+        ),
+    ],
+)
+def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
+    table = beta_table(n, signed=signed)
+    want = reference_scan(table, bound, 3, policy)
+    for cap in (1, 2, 3):
+        report = factor_scan(table, max_index=bound, max_multiplicity=cap, policy=policy)
+        assert report.factors == tuple((m, min(k, cap)) for m, k in want)
+    assert shapes <= scan_shapes(table, bound, policy)
 
 
 def mul_mod_p(a, b, p):
@@ -661,7 +672,13 @@ def test_report_serialization_round_trip():
 
 
 def test_parse_report_line_rejects_garbage():
-    for bad in ["", "n=3 signed=0 Phi_2", "x=1: -", "n=3 signed=0: Phi_x"]:
+    for bad in [
+        "", "n=3 signed=0 Phi_2", "x=1: -", "n=3 signed=0: Phi_x",
+        # what format_report never writes
+        "n=3 signed=0 bound=x: -", "n=3 signed=0 bound=1: -", "n=3 signed=0 bound=-4: -",
+        "n=3 signed=7: -", "n=3 signed=00: -", "n=3 signed=0: Phi_2^0", "n=3 signed=0: Phi_2^-1",
+        "n=3 signed=0: Phi_4 Phi_2", "n=3 signed=0: Phi_2 Phi_2^2", "n=3 signed=0: Phi_1",
+    ]:
         with pytest.raises(ContractViolationError):
             parse_report_line(bad)
 
