@@ -6,6 +6,14 @@ optional golden comparison), ``verify`` (runs the suites of
 :mod:`descentlab.checks` at desk or full scale), ``observations`` (prints the
 empirical regularities report of :mod:`descentlab.checks`, never asserting).
 
+A launch imports only what its command runs: each ``cmd_*`` imports its own
+library modules, so ``--help`` loads this module and ``errors``, ``table``
+and ``rho`` add ``descent`` and ``numbers``, ``factors`` adds ``cyclo``, and
+only ``verify`` and ``observations`` load ``checks`` and, through it, every
+module.  ``verify --suite`` is therefore checked against ``checks.SUITES``
+when the command runs, not by argparse; an unknown name is a usage error
+that lists the suites.
+
 Exit codes: 0 success, 1 mismatch, 2 usage error, 3 resource limit (a
 refused size or an allocation that ran out of memory).
 """
@@ -14,14 +22,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import math
 import os
 import sys
-from fractions import Fraction
-from pathlib import Path
 
-from . import checks, cyclo, descent, numbers
 from .errors import (
     CacheError,
     ContractViolationError,
@@ -37,6 +40,8 @@ __all__ = ["build_parser", "main"]
 
 
 def _get_table(args: argparse.Namespace) -> descent.DescentTable:
+    from . import descent
+
     n, signed = args.n, args.signed
     path = args.cache_dir and os.path.join(args.cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
     if path and os.path.exists(path):
@@ -68,6 +73,10 @@ def _writing(path: str):
 
 
 def cmd_table(args: argparse.Namespace) -> int:
+    import math
+
+    from . import descent, numbers
+
     table = _get_table(args)
     # every mask that is not stored holds its complement's value, so the sum
     # over the stored ones is doubled (the one mask of an empty universe is
@@ -97,6 +106,10 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from . import descent
+
     value = descent.rho(args.n)
     print(
         f"n={args.n} popcount={args.n.bit_count()} rho={value} "
@@ -106,6 +119,8 @@ def cmd_rho(args: argparse.Namespace) -> int:
 
 
 def cmd_factors(args: argparse.Namespace) -> int:
+    from . import cyclo
+
     # the recorded row is resolved and checked before the table is built
     golden = None
     if args.golden == "builtin":
@@ -115,7 +130,8 @@ def cmd_factors(args: argparse.Namespace) -> int:
         golden = rows[args.n]
     elif args.golden is not None:
         try:
-            text = Path(args.golden).read_text(encoding="utf-8")
+            with open(args.golden, encoding="utf-8") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ContractViolationError(
                 f"cannot read golden file {args.golden}: {exc}"
@@ -139,6 +155,8 @@ def cmd_factors(args: argparse.Namespace) -> int:
         for m, k in report.factors:
             print(f"{report.n},{int(report.signed)},{m},{k}")
     else:
+        import json
+
         print(json.dumps(cyclo.report_to_json_dict(report), sort_keys=True))
     if golden is None:
         return 0
@@ -163,6 +181,14 @@ def cmd_factors(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
+    # checked here, not by argparse, so that parsing never imports checks
+    if args.suite != "all" and args.suite not in checks.SUITES:
+        choices = ", ".join(map(repr, ("all", *checks.SUITES)))
+        raise ContractViolationError(
+            f"argument --suite: invalid choice: {args.suite!r} (choose from {choices})"
+        )
     names = list(checks.SUITES) if args.suite == "all" else [args.suite]
     scale = "desk" if args.desk_scale else "full"
     failures = 0
@@ -184,6 +210,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_observations(args: argparse.Namespace) -> int:
+    from . import checks
+
     for line in checks.observations(args.max_n, args.bound):
         print(line)
     return 0
@@ -222,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--max-n", type=int, default=None, help="raise the size ceiling")
 
     v = sub.add_parser("verify", help="run theorem and identity suites")
-    v.add_argument("--suite", default="all", choices=("all", *checks.SUITES))
+    v.add_argument("--suite", default="all", help="'all' or the name of one suite")
     v.add_argument("--n", type=int, default=None, help="restrict a suite to one n")
     v.add_argument("--desk-scale", action="store_true", help="trim every suite to quick instances")
 

@@ -297,7 +297,19 @@ def heuristic_candidates(n: int, bound: int) -> list[int]:
     """
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
-    return [m for m in range(2, bound + 1, 2) if prime_divisors(m)[-1] <= n]
+    # 2 times every product of primes <= n, up to the bound, each built once
+    # with its primes in ascending order, so the work is the output's length
+    primes = [p for p in range(2, min(n, bound // 2) + 1) if prime_divisors(p) == (p,)]
+    out = []
+    stack = [(2, 0)] if n > 1 and bound > 1 else []
+    while stack:
+        m, first = stack.pop()
+        out.append(m)
+        for i in range(first, len(primes)):
+            if m * primes[i] > bound:
+                break
+            stack.append((m * primes[i], i))
+    return sorted(out)
 
 
 def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
@@ -446,7 +458,8 @@ def parse_report_line(line: str) -> FactorReport:
     """Parse a line produced by :func:`format_report`, scan info optional.
 
     What it never writes is refused: a bound below 2, a signed flag other
-    than 0 or 1, a multiplicity below 1, or indexes out of ascending order.
+    than 0 or 1, an empty factor list not written '-', a multiplicity below
+    1, indexes out of ascending order, or an index above the line's bound.
     """
     head, sep, body = line.partition(":")
     if not sep:
@@ -468,6 +481,8 @@ def parse_report_line(line: str) -> FactorReport:
     policy = fields.get("policy", "golden")
     factors = []
     body = body.strip()
+    if not body:
+        raise ContractViolationError(f"empty factor list (write '-') in {line!r}")
     if body != "-":
         for token in body.split():
             if not token.startswith("Phi_"):
@@ -483,6 +498,10 @@ def parse_report_line(line: str) -> FactorReport:
                 raise ContractViolationError(
                     f"factor {token!r} needs a multiplicity >= 1 and an index "
                     f"above the one before it in {line!r}"
+                )
+            if bound and m > bound:
+                raise ContractViolationError(
+                    f"factor {token!r} lies above the bound {bound} in {line!r}"
                 )
             factors.append((m, k))
     return FactorReport(
@@ -516,5 +535,7 @@ def load_golden(signed: bool) -> dict[int, FactorReport]:
         if not line or line.startswith("#"):
             continue
         report = parse_report_line(line)
+        if report.n in out:
+            raise ContractViolationError(f"{name}: a second row for n={report.n}: {line!r}")
         out[report.n] = report
     return out

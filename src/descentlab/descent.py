@@ -614,8 +614,7 @@ def mod_p_prediction(n: int, q: int, S) -> int:
 def _write_lines(table: DescentTable, f) -> None:
     f.write(f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
     for block in table.chunks():
-        f.write("\n".join(map(str, block)))
-        f.write("\n")
+        f.write(("%d\n" * len(block)) % tuple(block))
 
 
 def save_table(table: DescentTable, path) -> None:

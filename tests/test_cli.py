@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from descentlab import cli, cyclo, descent
+from descentlab import checks, cli, cyclo, descent
 from descentlab.cli import build_parser, main
 
 
@@ -282,6 +282,7 @@ def test_factors_golden_file_malformed(tmp_path, capsys, monkeypatch):
     for line in [
         "n=8 signed=0 bound=x: Phi_4^2", "n=8 signed=0 bound=1: -", "n=8 signed=0 bound=-4: -",
         "n=8 signed=7: -", "n=8 signed=0: Phi_4^0 Phi_28", "n=8 signed=0: Phi_28 Phi_4^2",
+        "n=8 signed=0 bound=100: Phi_4^2 Phi_28 Phi_200", "n=8 signed=0:",
     ]:
         recorded.write_text(line + "\n")
         code, out, err = run(capsys, "factors", "--n", "8", "--golden", str(recorded))
@@ -381,9 +382,10 @@ def test_verify_fails_on_a_wrong_value(capsys, monkeypatch, suite, failed, summa
 
 
 def test_verify_rejects_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "nonsense")
-    assert code == 2
-    assert "invalid choice" in err
+    code, out, err = run(capsys, "verify", "--suite", "nonsense")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: argument --suite: invalid choice: 'nonsense'")
+    assert all(repr(name) in err for name in ("all", *checks.SUITES))
 
 
 def test_usage_errors(capsys):
@@ -612,6 +614,63 @@ def _src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def _loaded_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the last stdout line it prints."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env()
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout.splitlines()[-1].split()
+
+
+_LOADED = "sorted(m for m in sys.modules if m.startswith('descentlab'))"
+_LAUNCH = ["descentlab", "descentlab.cli", "descentlab.errors"]
+
+
+# A launch imports the modules its command runs and no others; checks,
+# which imports every module, is loaded by verify alone.
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["--help"], []),
+        (["table", "--n", "3"], ["descent", "numbers"]),
+        (["rho", "--n", "5"], ["descent", "numbers"]),
+        (["factors", "--n", "8"], ["cyclo", "descent", "numbers"]),
+        (
+            ["verify", "--suite", "mod4", "--n", "4"],
+            ["abcd", "checks", "cyclo", "descent", "numbers", "qsym"],
+        ),
+    ],
+    ids=["help", "table", "rho", "factors", "verify"],
+)
+def test_a_launch_loads_only_the_modules_its_command_runs(argv, modules):
+    loaded = _loaded_after(
+        f"import sys\nfrom descentlab import cli\ncode = cli.main({argv!r})\nprint(code, *{_LOADED})"
+    )
+    assert loaded == ["0", *sorted(_LAUNCH + [f"descentlab.{m}" for m in modules])]
+
+
+def test_top_level_names_load_their_own_module():
+    # the README tour's import, from a package that has loaded nothing yet
+    loaded = _loaded_after(
+        f"import sys\nimport descentlab\nassert {_LOADED} == ['descentlab']\n"
+        f"from descentlab import beta_table, rho, alpha\nprint(*{_LOADED})"
+    )
+    assert loaded == ["descentlab", "descentlab.descent", "descentlab.errors", "descentlab.numbers"]
+
+
+def test_every_top_level_name_is_its_modules_own():
+    import importlib
+
+    import descentlab
+
+    for module, names in descentlab._EXPORTS.items():
+        for name in names:
+            assert getattr(descentlab, name) is getattr(importlib.import_module(f"descentlab.{module}"), name)
+    with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
+        descentlab.frobnicate
 
 
 # The summary over the stored half at full scale, in a fresh process: the

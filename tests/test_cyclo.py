@@ -1,3 +1,4 @@
+import importlib.resources
 import json
 import math
 import operator
@@ -415,6 +416,14 @@ def test_heuristic_candidates():
     assert heuristic_candidates(2, 20) == [2, 4, 8, 16]
 
 
+# the products of primes <= n against the trial division they replaced
+@pytest.mark.parametrize("bound", [2, 3, 300, 10_000])
+def test_heuristic_candidates_match_the_trial_division_filter(bound):
+    for n in range(1, 32):
+        want = [m for m in range(2, bound + 1, 2) if prime_divisors(m)[-1] <= n]
+        assert heuristic_candidates(n, bound) == want, (n, bound)
+
+
 def falling_factorial(v, j):
     out = 1
     for k in range(j):
@@ -681,6 +690,27 @@ def test_parse_report_line_rejects_garbage():
     ]:
         with pytest.raises(ContractViolationError):
             parse_report_line(bad)
+
+
+def test_parse_report_line_refuses_an_index_above_its_bound():
+    with pytest.raises(ContractViolationError, match="'Phi_200' lies above the bound 100"):
+        parse_report_line("n=8 signed=0 bound=100: Phi_4^2 Phi_28 Phi_200")
+    # an index at the bound is in range
+    assert parse_report_line("n=8 signed=0 bound=28: Phi_4^2 Phi_28").factors == ((4, 2), (28, 1))
+
+
+def test_parse_report_line_refuses_an_empty_factor_list():
+    for line in ["n=8 signed=0:", "n=8 signed=0 policy=heuristic bound=10000:  "]:
+        with pytest.raises(ContractViolationError, match="empty factor list"):
+            parse_report_line(line)
+    assert parse_report_line("n=8 signed=0: -").factors == ()
+
+
+def test_load_golden_refuses_two_rows_for_one_n(tmp_path, monkeypatch):
+    (tmp_path / "table_unsigned.txt").write_text("n=3 signed=0: Phi_2\nn=4 signed=0: -\nn=3 signed=0: -\n")
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+    with pytest.raises(ContractViolationError, match="a second row for n=3"):
+        load_golden(False)
 
 
 def test_golden_tables_load():

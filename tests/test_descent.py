@@ -175,6 +175,26 @@ def test_save_load_round_trip(tmp_path):
         assert load_table(path) == t
 
 
+def _join_writer(table, f):
+    # the writer that one %-format per block replaced
+    f.write(f"{descent.CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
+    for block in table.chunks():
+        f.write("\n".join(map(str, block)))
+        f.write("\n")
+
+
+@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+def test_save_table_bytes_match_the_join_writer(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
+    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    for n, signed in [(n, False) for n in range(1, 13)] + [(n, True) for n in range(1, 10)]:
+        t = beta_table(n, signed=signed)
+        save_table(t, new)
+        with open(old, "w") as f:
+            _join_writer(t, f)
+        assert new.read_bytes() == old.read_bytes(), (n, signed)
+
+
 def test_save_table_failure_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "t.txt"
     save_table(beta_table(4), path)
