@@ -546,13 +546,11 @@ def _value_counts(table: DescentTable) -> tuple[list[int], list[int]]:
 def _residue_counts(values: list[int], mults: list[int], modulus: int, order: int) -> list[int]:
     """hist[r] = sum of mult * ff(value, order) over the values = r mod modulus.
 
-    The weights are built lazily, one chain of maps per order, so a pass
-    holds no list beyond the histogram.
+    The weights are built lazily, so a pass holds no list beyond the
+    histogram.  ff(value, order) is ``math.perm(value, order)``, which is 0
+    for an order above the value, so any order takes one map.
     """
-    weights = mults
-    for k in range(order):
-        falling = map(operator.sub, values, repeat(k)) if k else values
-        weights = map(operator.mul, weights, falling)
+    weights = map(operator.mul, mults, map(math.perm, values, repeat(order))) if order else mults
     hist = [0] * modulus
     for v, w in zip(values, weights):
         hist[v % modulus] += w

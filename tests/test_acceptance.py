@@ -154,5 +154,9 @@ def test_c11_cli_verify_desk_scale(capsys):
 
 
 def test_every_suite_runs_at_full_scale_in_a_claim():
+    # the unit tests leave each claim to its checks, so a check that no
+    # claim's prefixes select would run in verify and nowhere in the gate
     claimed = {p.split(".")[0] for _, prefixes in CLAIMS.values() for p in prefixes}
     assert claimed == set(checks.SUITES)
+    every = {r.name for suite in checks.SUITES for r in full_scale(suite)}
+    assert {r.name for _, prefixes in CLAIMS.values() for r in selected(prefixes)} == every

@@ -22,19 +22,6 @@ def _no_scan(*args, **kwargs):
     raise AssertionError("the factor scan ran")
 
 
-def test_table_summary_line(capsys):
-    code, out, err = run(capsys, "table", "--n", "5")
-    assert code == 0
-    assert out.strip() == "n=5 signed=0 subsets=16 sum=120 sum_ok=yes max=16 max_ok=yes"
-    assert err == ""
-
-
-def test_table_signed_summary(capsys):
-    code, out, _ = run(capsys, "table", "--n", "3", "--signed")
-    assert code == 0
-    assert "sum=48 sum_ok=yes max=11 max_ok=yes" in out
-
-
 # The summary doubles the sum over the stored half, except for the empty
 # universe of n = 1, whose one mask is its own complement.
 @pytest.mark.parametrize(
@@ -44,8 +31,10 @@ def test_table_signed_summary(capsys):
         (["--n", "1", "--signed"], "n=1 signed=1 subsets=2 sum=2 sum_ok=yes max=1 max_ok=yes"),
         (["--n", "2"], "n=2 signed=0 subsets=2 sum=2 sum_ok=yes max=1 max_ok=yes"),
         (["--n", "2", "--signed"], "n=2 signed=1 subsets=4 sum=8 sum_ok=yes max=3 max_ok=yes"),
+        (["--n", "3", "--signed"], "n=3 signed=1 subsets=8 sum=48 sum_ok=yes max=11 max_ok=yes"),
+        (["--n", "5"], "n=5 signed=0 subsets=16 sum=120 sum_ok=yes max=16 max_ok=yes"),
     ],
-    ids=["1", "1-signed", "2", "2-signed"],
+    ids=["1", "1-signed", "2", "2-signed", "3-signed", "5"],
 )
 def test_table_summary_of_the_smallest_universes(capsys, argv, line):
     assert run(capsys, "table", *argv) == (0, line + "\n", "")
@@ -217,18 +206,12 @@ def test_factors_json(capsys):
     assert doc["factors"] == [{"index": 4, "multiplicity": 2}]
 
 
-def test_factors_golden_builtin_match(capsys):
-    code, out, _ = run(capsys, "factors", "--n", "7", "--golden", "builtin", "--max-index", "600")
+@pytest.mark.parametrize("n, signed", [(7, 0), (4, 1)], ids=["7", "4-signed"])
+def test_factors_golden_builtin_match(capsys, n, signed):
+    argv = ["--n", str(n)] + ["--signed"] * signed + ["--golden", "builtin", "--max-index", "600"]
+    code, out, _ = run(capsys, "factors", *argv)
     assert code == 0
-    assert "golden match (n=7 signed=0, indices <= 600)" in out
-
-
-def test_factors_golden_builtin_signed(capsys):
-    code, out, _ = run(
-        capsys, "factors", "--n", "4", "--signed", "--golden", "builtin", "--max-index", "600"
-    )
-    assert code == 0
-    assert "golden match" in out
+    assert out.splitlines()[-1] == f"golden match (n={n} signed={signed}, indices <= 600)"
 
 
 def test_factors_golden_file_mismatch(tmp_path, capsys):

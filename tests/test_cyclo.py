@@ -2,10 +2,14 @@ import importlib.resources
 import json
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,7 +29,7 @@ from descentlab.cyclo import (
     parse_report_line,
     report_to_json_dict,
 )
-from descentlab.descent import ResidueHistogram, beta_table, residue_histogram, rho
+from descentlab.descent import ResidueHistogram, beta_table, residue_histogram
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import prime_divisors
 
@@ -196,6 +200,16 @@ def test_divides_order_examples():
         divides_order(t5, 1, 0)
 
 
+def test_divides_order_at_an_order_far_above_the_degree():
+    # the derivative there is 0, which Phi_4 divides; weights nested one
+    # lazy map per order overflowed the C stack, so a child process runs it
+    code = "from descentlab import *; print(divides_order(beta_table(5), 4, 100_000))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cyclo.__file__).parents[1])}
+    argv = [sys.executable, "-c", code]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+
 @st.composite
 def residue_vectors(draw):
     """A residue vector mod t**m - 1, about half of them multiples of Phi_m."""
@@ -250,13 +264,6 @@ def test_eval_special():
     assert eval_special(t15, -1) == (1 << 15) * (32 - 29) // 64
     with pytest.raises(ContractViolationError):
         eval_special(t8, 2)
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_eval_special_minus_one_matches_rho(n):
-    t = beta_table(n)
-    odd = int(rho(n) * (1 << (n - 1)))
-    assert eval_special(t, -1) == (1 << (n - 1)) - 2 * odd
 
 
 @given(residue_vectors(), st.integers(-3, 3), st.integers(-3, 3))
@@ -398,14 +405,6 @@ def test_packed_kernel_edges(m):
             assert packed_verdict(folded, m) == packed_verdict(spread(folded), m) == verdict
         assert not cyclo._phi_divides([-total] + [0] * (m - 1), m)
         assert cyclo._phi_divides([-total] * m, m)
-
-
-@pytest.mark.parametrize("p,magnitude", [(3, 24), (5, 800), (7, 54656)])
-def test_signed_derivative_theorem(p, magnitude):
-    (result,) = checks.SUITES["derivative"]("full", p)
-    assert result == (
-        f"derivative.p{p}", True, f"derivative identity at 4p holds, magnitude {magnitude}"
-    )
 
 
 def test_heuristic_candidates():
@@ -725,33 +724,18 @@ def test_golden_tables_load():
     assert set(gs) == set(range(2, 19))
 
 
-@pytest.mark.parametrize("n", range(3, 11))
-def test_factor_scan_matches_golden_unsigned(n):
-    want = load_golden(False)[n].factors
-    got = factor_scan(beta_table(n), max_index=600).factors
-    assert got == tuple((m, k) for m, k in want if m <= 600)
-
-
-@pytest.mark.parametrize("n", range(2, 8))
-def test_factor_scan_matches_golden_signed(n):
-    want = load_golden(True)[n].factors
-    got = factor_scan(beta_table(n, signed=True), max_index=600).factors
-    assert got == tuple((m, k) for m, k in want if m <= 600)
-
-
+# Every shipped row above the ones the tables suite rescans at full scale:
+# tier-1 rescans unsigned 17..19 and signed 11..17, the golden tier the rest.
 @pytest.mark.parametrize(
-    "n,signed", [(17, False), (18, False), (19, False)] + [(n, True) for n in range(11, 18)]
+    "n,signed",
+    [(n, False) for n in range(17, 20)]
+    + [(n, True) for n in range(11, 18)]
+    + [
+        pytest.param(n, signed, marks=pytest.mark.golden)
+        for n, signed in [(n, False) for n in range(20, 24)] + [(18, True)]
+    ],
 )
 def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
-    got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
-    assert got == load_golden(signed)[n].factors
-
-
-@pytest.mark.golden
-@pytest.mark.parametrize(
-    "n,signed", [(n, False) for n in range(20, 24)] + [(18, True)]
-)
-def test_factor_scan_matches_every_golden_row(n, signed):
     try:
         got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
     finally:
