@@ -11,11 +11,12 @@ p | m zeroes every factor but Q(zeta_m), where it is a unit.  The product is
 zero exactly when Phi_m divides.  On one big int of byte slots that never
 carry, times t**s rotates the slots and a pair (a, b) stands for a - b.
 
-A factor scan shares the passes: it packs the candidate indexes into groups
-whose lcm L stays at most the number of distinct values, takes one histogram
-mod L per group and order, packs it once, and folds it mod each member m,
-adding the top half of its m-slot blocks onto the bottom half, exactly,
-since (v mod L) mod m = v mod m.
+A factor scan shares the passes, one order at a time: it packs every index
+still alive at that order into groups whose lcm L stays at most the number
+of distinct values, takes one histogram mod L per group, packs it once, and
+folds it mod each member m, adding the top half of its m-slot blocks onto
+the bottom half, exactly, since (v mod L) mod m = v mod m.  It stops at the
+first order that no index passes.
 
 Most candidates never get such a pass: a sieve drops them first, by
 reduction mod a prime.  Write m = d p**e with p prime and p not dividing d.
@@ -27,7 +28,8 @@ divide d, F_p[t]/(t**d - 1) is a product of fields too, and Phi_d divides
 there exactly when the same product on the residues mod t**d - 1 is 0 mod p:
 when p divides its content, the gcd of its entries.  The paper rules out
 doubled prime indexes this way (Phi_2p(-1) = p); that is the case d = 2.
-The p-free parts d are small, so many share one pass.
+The p-free parts d are small, so many share one pass; an index that is one
+of them needs no order-0 pass, as its content is 0 exactly when Phi_m divides.
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
@@ -333,14 +335,17 @@ def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
     return groups
 
 
-def _sieve(values: list[int], mults: list[int], candidates: list[int]) -> list[int]:
-    """The candidates m that pass every sieve test: for each prime p | m
-    whose p-free part d = m / p**v_p(m) is at most _SIEVE_LIMIT, Phi_d must
-    divide the polynomial over F_p, as it does when Phi_m divides it over Z.
+def _sieve(values: list[int], mults: list[int], candidates: list[int]) -> tuple[list, dict]:
+    """The candidates m that pass every sieve test, and {d: content} for the
+    d tested: for each prime p | m whose p-free part d = m / p**v_p(m) is at
+    most _SIEVE_LIMIT, Phi_d must divide the polynomial over F_p, as it does
+    when Phi_m divides it over Z.
 
     A prime dividing every multiplicity divides the whole polynomial, so its
-    tests pass vacuously and are skipped.  The distinct d are grouped like
-    the candidates, with one order-0 pass per group.
+    tests pass vacuously and are skipped.  The d up to the number V of
+    distinct values are grouped like the candidates, with one order-0 pass
+    per group.  A d above V takes a pass of its own, run the first time a
+    candidate that passed all its smaller tests needs it.
     """
     vacuous = math.gcd(*mults)
     tests = {}
@@ -352,37 +357,22 @@ def _sieve(values: list[int], mults: list[int], candidates: list[int]) -> list[i
                 while d % p == 0:
                     d //= p
                 if d <= _SIEVE_LIMIT:
-                    pairs.append((p, d))
-        tests[m] = pairs
-    ds = sorted({d for pairs in tests.values() for _, d in pairs})
+                    pairs.append((d, p))
+        tests[m] = sorted(pairs)
     content = {}
-    for group in _group_candidates(ds, len(values)):
+    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= len(values)})
+    for group in _group_candidates(shared, len(values)):
         hist = _residue_counts(values, mults, math.lcm(*group), 0)
         content.update(zip(group, _phi_contents(hist, group)))
         del hist
-    return [m for m in candidates if all(content[d] % p == 0 for p, d in tests[m])]
 
+    def content_of(d: int) -> int:
+        if d not in content:
+            content[d] = next(_phi_contents(_residue_counts(values, mults, d, 0), [d]))
+        return content[d]
 
-def _group_multiplicities(
-    values: list[int], mults: list[int], group: list[int], max_mult: int
-) -> list[tuple[int, int]]:
-    """(m, multiplicity of Phi_m) for every member of a group.
-
-    Each order takes one pass over the values into a histogram mod the lcm
-    L of the members still alive, which every member m is tested on, since
-    (v mod L) mod m = v mod m when m divides L.
-    """
-    out = []
-    alive = group
-    for order in range(max_mult):
-        hist = _residue_counts(values, mults, math.lcm(*alive), order)
-        divides = list(_phi_divides_each(hist, alive))
-        del hist
-        out += [(m, order) for m, d in zip(alive, divides) if not d]
-        alive = list(compress(alive, divides))
-        if not alive:
-            break
-    return out + [(m, max_mult) for m in alive]
+    survivors = [m for m in candidates if all(content_of(d) % p == 0 for d, p in tests[m])]
+    return survivors, content
 
 
 def factor_scan(
@@ -394,18 +384,14 @@ def factor_scan(
     """Find every cyclotomic factor Phi_m, m up to max_index, of the table's
     descent polynomial, with multiplicities (capped at max_multiplicity).
 
-    First a sieve drops every candidate m that fails a test mod a prime
-    p | m: Phi_m = Phi_d**phi(p**e) mod p for m = d p**e with p not dividing
-    d (Washington, *Introduction to Cyclotomic Fields*), so Phi_d must divide
-    the polynomial over F_p.  The sieve only drops candidates that cannot
-    divide, so it changes the cost and never the report.
-
-    Divisibility of the survivors is decided in exact integer arithmetic by
-    the same test as :func:`divides_order`, on residues counted per group of
-    candidates: the candidates are packed into groups whose lcm stays at
-    most the number V of distinct table values, so that folding a group's
-    packed histogram mod each member, big-int adds over O(lcm) slots, costs
-    no more than the pass over the values, O(V), that it saves.
+    A sieve mod the primes p | m (see the module docstring) drops only
+    candidates that cannot divide, so it changes the cost and never the
+    report.  A survivor that the sieve tested as a p-free part takes its
+    order-0 verdict from its content.  Every other test is the one
+    :func:`divides_order` makes, by order: the candidates alive at an order
+    share passes in groups whose lcm stays at most the number V of distinct
+    values, so that folding a group's histogram mod each member, O(lcm),
+    costs no more than the pass over the values, O(V), that it saves.
     ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
@@ -425,13 +411,23 @@ def factor_scan(
         candidates = heuristic_candidates(table.n, max_index)
     else:
         candidates = list(range(2, max_index + 1))
-    groups = _group_candidates(_sieve(values, mults, candidates), len(values))
-    results = [_group_multiplicities(values, mults, g, max_multiplicity) for g in groups]
-    factors = tuple(sorted((m, k) for rows in results for m, k in rows if k > 0))
+    alive, content = _sieve(values, mults, candidates)
+    factors = []
+    for order in range(max_multiplicity):
+        divides = {m: content[m] == 0 for m in alive if m in content} if order == 0 else {}
+        for group in _group_candidates([m for m in alive if m not in divides], len(values)):
+            hist = _residue_counts(values, mults, math.lcm(*group), order)
+            divides.update(zip(group, _phi_divides_each(hist, group)))
+            del hist
+        factors += [(m, order) for m in alive if order and not divides[m]]
+        alive = [m for m in alive if divides[m]]
+        if not alive:
+            break
+    factors += [(m, max_multiplicity) for m in alive]
     return FactorReport(
         n=table.n,
         signed=table.signed,
-        factors=factors,
+        factors=tuple(sorted(factors)),
         bound=max_index,
         policy=policy,
     )

@@ -229,11 +229,13 @@ def odd_fundamental_count(n: int) -> int:
     limit = DEFAULT_LIMITS["parity"]
     if n > limit:
         raise ResourceLimitError(f"odd_fundamental_count(n={n}) exceeds the limit {limit}")
+    # Each part so far sums distinct powers of 2 below 2**j, so the one part
+    # holding 2**j shows where M_(2**j) went and what it came from: every
+    # coefficient stays 1, and the support is the product's keys.
     support: dict[tuple[int, ...], int] = {(): 1}
     for j in range(n.bit_length()):
         if n >> j & 1:
-            product = _times_monomial(support, 1 << j)
-            support = {comp: 1 for comp, c in product.items() if c % 2}
+            support = _times_monomial(support, 1 << j)
     buf = _bitset(n - 1)
     for comp in support:
         mask = composition_to_mask(comp)

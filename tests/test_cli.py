@@ -1,5 +1,6 @@
 import doctest
 import os
+import resource
 import shlex
 import subprocess
 import sys
@@ -182,6 +183,24 @@ def test_factors_text(capsys):
     code, out, _ = run(capsys, "factors", "--n", "8")
     assert code == 0
     assert out.strip() == "n=8 signed=0 policy=heuristic bound=10000: Phi_4^2 Phi_28"
+
+
+# Phi_4 divides twice and Phi_28 once, so no index is alive after order 2
+# and the scan stops there, far below the cap; the timeout ends a scan that
+# runs on through every order.
+def test_factors_stop_at_the_first_order_nothing_passes():
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "descentlab", "factors", "--n", "8", "--multiplicity", "1000000000"],
+        capture_output=True,
+        text=True,
+        env=_src_env(),
+        timeout=10,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    line = "n=8 signed=0 policy=heuristic bound=10000: Phi_4^2 Phi_28\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, line, "")
+    assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 1
 
 
 def test_factors_csv(capsys):

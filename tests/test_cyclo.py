@@ -369,12 +369,13 @@ def test_sieve_tests_two_when_multiplicities_are_odd():
     # 1 is not doubled; p = 2 is a real test there, and nothing survives
     values, mults = descent._value_counts(beta_table(1))
     assert (values, mults) == ([1], [1])
-    assert cyclo._sieve(values, mults, list(range(2, 200))) == []
+    survivors, content = cyclo._sieve(values, mults, list(range(2, 200)))
+    assert survivors == [] and content[1] == 1
     # elsewhere every multiplicity is even, so p = 2 tests nothing and the
     # powers of 2 reach the exact scan; 3 and 9 fail at d = 1, as 3 does not
-    # divide the total 16
+    # divide the total 16, the one content the sieve takes
     values, mults = descent._value_counts(beta_table(5))
-    assert cyclo._sieve(values, mults, [2, 3, 4, 8, 9, 16]) == [2, 4, 8, 16]
+    assert cyclo._sieve(values, mults, [2, 3, 4, 8, 9, 16]) == ([2, 4, 8, 16], {1: 16})
 
 
 def spread(folded):
@@ -496,17 +497,18 @@ def test_candidate_groups(case):
 
 
 def reference_sieve(table, candidates):
-    """The candidates that pass every sieve test, each test the list product
-    over the table's residues mod t**d - 1, read mod p."""
+    """The candidates that pass every sieve test, each test the content of
+    the list product over the table's residues mod t**d - 1, read mod p;
+    and that content as a function of d."""
     pairs = Counter(table.values).items()
     vacuous = math.gcd(*(c for _, c in pairs))
 
     @lru_cache(maxsize=None)
-    def residues(d):
+    def content(d):
         counts = [0] * d
         for v, c in pairs:
             counts[v % d] += c
-        return counts
+        return math.gcd(*list_phi_product(counts, d))
 
     def passes(m, p):
         d = m
@@ -514,9 +516,9 @@ def reference_sieve(table, candidates):
             d //= p
         if vacuous % p == 0 or d > cyclo._SIEVE_LIMIT:
             return True
-        return all(c % p == 0 for c in list_phi_product(residues(d), d))
+        return content(d) % p == 0
 
-    return [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))]
+    return [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))], content
 
 
 @pytest.mark.parametrize(
@@ -532,35 +534,53 @@ def reference_sieve(table, candidates):
 def test_sieve_matches_reference_sieve(n, signed, policy, bound):
     table = beta_table(n, signed=signed)
     candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
-    survivors = cyclo._sieve(*descent._value_counts(table), list(candidates))
-    assert survivors == reference_sieve(table, candidates)
+    survivors, content = cyclo._sieve(*descent._value_counts(table), list(candidates))
+    want, reference_content = reference_sieve(table, candidates)
+    assert survivors == want
+    assert content == {d: reference_content(d) for d in content}
     assert len(survivors) < len(candidates) // 4
 
 
 def scan_shapes(table, bound, policy):
     """The shapes one scan takes, by name: the groups of p-free parts d that
-    share a sieve pass and the groups of survivors that share an exact pass,
-    each recorded as the scan forms them, against V distinct values, and
-    the rows it finds."""
-    groupings, group = [], cyclo._group_candidates
+    share a sieve pass, the sieve's survivors and contents, and at each order
+    the groups of live candidates that share an exact pass, each recorded as
+    the scan forms them, against V distinct values, and the rows it finds."""
+    groupings, group, sieved, sieve = [], cyclo._group_candidates, [], cyclo._sieve
 
     def record(candidates, cap):
         groupings.append(group(candidates, cap))
         return groupings[-1]
 
+    def record_sieve(values, mults, candidates):
+        sieved.append(sieve(values, mults, candidates))
+        return sieved[-1]
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cyclo, "_group_candidates", record)
+        patch.setattr(cyclo, "_sieve", record_sieve)
         rows = factor_scan(table, max_index=bound, policy=policy).factors
-    sieve_groups, exact_groups = groupings
+    (survivors, content), = sieved
+    sieve_groups, *order_groups = groupings
+    exact_groups = [g for groups in order_groups for g in groups]
     values, mults = descent._value_counts(table)
     shapes = set()
-    for layer, groups in (("sieve", sieve_groups), ("exact", exact_groups)):
-        if any(len(g) > 1 for g in groups):
-            shapes.add(f"shared {layer} pass")
-        if any(g[0] > len(values) for g in groups):
-            shapes.add(f"lone {layer} pass above V")
-    if math.gcd(*mults) % 2 and not exact_groups:
+    if any(len(g) > 1 for g in sieve_groups):
+        shapes.add("shared sieve pass")
+    if any(d > len(values) for d in content):
+        shapes.add("lone sieve pass above V")
+    if any(len(g) > 1 for g in exact_groups):
+        shapes.add("shared exact pass")
+    if any(g[0] > len(values) for g in exact_groups):
+        shapes.add("lone exact pass above V")
+    if math.gcd(*mults) % 2 and not survivors:
         shapes.add("p = 2 tested, no survivor")
+    order0 = {m: i for i, g in enumerate(order_groups[0]) for m in g}
+    if any(m in content and m not in order0 for m in survivors):
+        shapes.add("order 0 read from a sieve content")
+    later = (g for groups in order_groups[1:] for g in groups)
+    if any(len({order0[m] for m in g if m in order0}) > 1 for g in later):
+        shapes.add("one order-k pass shared by survivors of two order-0 groups")
     if any(k >= 2 for _, k in rows):
         shapes.add("order 2 reached")
     if rows and rows[-1][0] == bound:
@@ -569,36 +589,51 @@ def scan_shapes(table, bound, policy):
 
 
 SHARED_AND_LONE = {"shared exact pass", "lone exact pass above V", "shared sieve pass"}
+FROM_CONTENT = "order 0 read from a sieve content"
 
 
 @pytest.mark.parametrize(
     "n,signed,policy,bound,shapes",
     [
         pytest.param(
-            12, False, "exhaustive", 800, SHARED_AND_LONE | {"order 2 reached"},
+            12, False, "exhaustive", 800, SHARED_AND_LONE | {FROM_CONTENT, "order 2 reached"},
             id="12-exhaustive-800",
         ),
         pytest.param(
             9, True, "heuristic", 1200,
-            SHARED_AND_LONE | {"lone sieve pass above V", "order 2 reached"},
+            SHARED_AND_LONE | {"lone sieve pass above V", FROM_CONTENT, "order 2 reached"},
             id="signed9-heuristic-1200",
         ),
         pytest.param(
-            7, True, "exhaustive", 300, SHARED_AND_LONE | {"lone sieve pass above V"},
+            7, True, "exhaustive", 300,
+            SHARED_AND_LONE | {"lone sieve pass above V", FROM_CONTENT},
             id="signed7-exhaustive-300",
         ),
         # the one multiplicity is 1, so p = 2 is a real test and drops all
         pytest.param(
             1, False, "exhaustive", 300, {"p = 2 tested, no survivor"}, id="1-exhaustive-300"
         ),
-        # the one multiplicity is 2, so only the exact passes reject the
-        # powers of 2, each alone
+        # the one multiplicity is 2, so no sieve test rejects the powers of
+        # 2; each is decided alone, by an exact pass or by its own content
         pytest.param(
-            1, True, "exhaustive", 300, {"lone exact pass above V"}, id="signed1-exhaustive-300"
+            1, True, "exhaustive", 300, {"lone exact pass above V", FROM_CONTENT},
+            id="signed1-exhaustive-300",
         ),
         pytest.param(
-            8, False, "exhaustive", 28, {"factor at the bound", "order 2 reached"},
+            8, False, "exhaustive", 28, {"factor at the bound", FROM_CONTENT, "order 2 reached"},
             id="8-exhaustive-28",
+        ),
+        # V = 70: order 0 tests 6 with 10 and 18 alone, and the content of
+        # d = 2 says Phi_2 divides; 2, 6 and 18 then share one order-1 pass
+        pytest.param(
+            9, False, "exhaustive", 28,
+            {
+                "shared exact pass",
+                FROM_CONTENT,
+                "one order-k pass shared by survivors of two order-0 groups",
+                "order 2 reached",
+            },
+            id="9-exhaustive-28",
         ),
     ],
 )
@@ -609,6 +644,35 @@ def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
         report = factor_scan(table, max_index=bound, max_multiplicity=cap, policy=policy)
         assert report.factors == tuple((m, min(k, cap)) for m, k in want)
     assert shapes <= scan_shapes(table, bound, policy)
+
+
+# Value passes per scan, sieve and exact, counted through cyclo's own name
+# for _residue_counts.  The same scans made 14, 57, 69 and 866 passes while
+# order 0 was never read off the sieve contents, each order-0 group kept its
+# own passes at every order, and every tested d above V got a lone pass.
+@pytest.mark.parametrize(
+    "n,signed,policy,bound,passes",
+    [
+        (20, False, "heuristic", 300, 9),
+        (16, False, "heuristic", 10_000, 51),
+        (14, True, "heuristic", 10_000, 63),
+        (12, False, "exhaustive", 3000, 455),
+    ],
+    ids=["20-heuristic-300", "16-heuristic-10000", "signed14-heuristic-10000", "12-exhaustive-3000"],
+)
+def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
+    calls, counts = [], cyclo._residue_counts
+
+    def counting(*args):
+        calls.append(args[2:])
+        return counts(*args)
+
+    monkeypatch.setattr(cyclo, "_residue_counts", counting)
+    try:
+        factor_scan(beta_table(n, signed=signed), max_index=bound, policy=policy)
+    finally:
+        descent._table.cache_clear()
+    assert len(calls) == passes, calls
 
 
 def mul_mod_p(a, b, p):
