@@ -3,20 +3,22 @@
 The descent set polynomial sum_S t**beta(S) is never materialized: with
 beta values as large as n! it would have astronomically sparse degree.  All
 questions asked of it factor through residue data mod t**m - 1, which one
-pass over the distinct table values produces directly.  Whether the m-th
-cyclotomic polynomial divides it (and to what order) is then decided without
-building Phi_m: Q[t]/(t**m - 1) splits as the product of the fields Q(zeta_d)
-over d | m, and multiplying the residues by (1 - t**(m/p)) for every prime
-p | m zeroes every factor but Q(zeta_m), where it is a unit.  The product is
-zero exactly when Phi_m divides.  On one big int of byte slots that never
-carry, times t**s rotates the slots and a pair (a, b) stands for a - b.
+pass over the table's value multiset produces directly: one value per orbit
+of the table's symmetries, weighted by the orbit's size (see descent's
+``_value_counts``).  Whether the m-th cyclotomic polynomial divides it (and
+to what order) is then decided without building Phi_m: Q[t]/(t**m - 1)
+splits as the product of the fields Q(zeta_d) over d | m, and multiplying
+the residues by (1 - t**(m/p)) for every prime p | m zeroes every factor but
+Q(zeta_m), where it is a unit.  The product is zero exactly when Phi_m
+divides.  On one big int of byte slots that never carry, times t**s rotates
+the slots and a pair (a, b) stands for a - b.
 
 A factor scan shares the passes, one order at a time: it packs every index
-still alive at that order into groups whose lcm L stays at most the number
-of distinct values, takes one histogram mod L per group, packs it once, and
-folds it mod each member m, adding the top half of its m-slot blocks onto
-the bottom half, exactly, since (v mod L) mod m = v mod m.  It stops at the
-first order that no index passes.
+still alive at that order into groups whose lcm L stays at most the pass
+length, the number of values one pass reads, takes one histogram mod L per
+group, packs it once, and folds it mod each member m, adding the top half of
+its m-slot blocks onto the bottom half, exactly, since (v mod L) mod m =
+v mod m.  It stops at the first order that no index passes.
 
 Most candidates never get such a pass: a sieve drops them first, by
 reduction mod a prime.  Write m = d p**e with p prime and p not dividing d.
@@ -335,19 +337,20 @@ def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
     return groups
 
 
-def _sieve(values: list[int], mults: list[int], candidates: list[int]) -> tuple[list, dict]:
+def _sieve(classes: list[tuple[int, list[int]]], candidates: list[int]) -> tuple[list, dict]:
     """The candidates m that pass every sieve test, and {d: content} for the
     d tested: for each prime p | m whose p-free part d = m / p**v_p(m) is at
     most _SIEVE_LIMIT, Phi_d must divide the polynomial over F_p, as it does
     when Phi_m divides it over Z.
 
-    A prime dividing every multiplicity divides the whole polynomial, so its
-    tests pass vacuously and are skipped.  The d up to the number V of
-    distinct values are grouped like the candidates, with one order-0 pass
-    per group.  A d above V takes a pass of its own, run the first time a
-    candidate that passed all its smaller tests needs it.
+    A prime dividing every class weight divides the whole polynomial, so
+    its tests pass vacuously and are skipped.  The d up to the pass length
+    N, the number of class values, are grouped like the candidates, with
+    one order-0 pass per group.  A d above N takes a pass of its own, run
+    the first time a candidate that passed all its smaller tests needs it.
     """
-    vacuous = math.gcd(*mults)
+    vacuous = math.gcd(*(weight for weight, _ in classes))
+    size = sum(len(values) for _, values in classes)
     tests = {}
     for m in candidates:
         pairs = []
@@ -360,15 +363,15 @@ def _sieve(values: list[int], mults: list[int], candidates: list[int]) -> tuple[
                     pairs.append((d, p))
         tests[m] = sorted(pairs)
     content = {}
-    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= len(values)})
-    for group in _group_candidates(shared, len(values)):
-        hist = _residue_counts(values, mults, math.lcm(*group), 0)
+    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= size})
+    for group in _group_candidates(shared, size):
+        hist = _residue_counts(classes, math.lcm(*group), 0)
         content.update(zip(group, _phi_contents(hist, group)))
         del hist
 
     def content_of(d: int) -> int:
         if d not in content:
-            content[d] = next(_phi_contents(_residue_counts(values, mults, d, 0), [d]))
+            content[d] = next(_phi_contents(_residue_counts(classes, d, 0), [d]))
         return content[d]
 
     survivors = [m for m in candidates if all(content_of(d) % p == 0 for d, p in tests[m])]
@@ -389,9 +392,11 @@ def factor_scan(
     report.  A survivor that the sieve tested as a p-free part takes its
     order-0 verdict from its content.  Every other test is the one
     :func:`divides_order` makes, by order: the candidates alive at an order
-    share passes in groups whose lcm stays at most the number V of distinct
-    values, so that folding a group's histogram mod each member, O(lcm),
-    costs no more than the pass over the values, O(V), that it saves.
+    share passes in groups whose lcm stays at most the pass length N, the
+    number of values in the table's weighted classes (one per orbit of its
+    symmetries), so that folding a group's histogram mod each member,
+    O(lcm), costs no more than the pass over the values, O(N), that it
+    saves.
     ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
@@ -406,17 +411,18 @@ def factor_scan(
         raise ContractViolationError(
             f"max_multiplicity must be >= 1, got {max_multiplicity}"
         )
-    values, mults = _value_counts(table)
+    classes = _value_counts(table)
+    size = sum(len(values) for _, values in classes)
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)
     else:
         candidates = list(range(2, max_index + 1))
-    alive, content = _sieve(values, mults, candidates)
+    alive, content = _sieve(classes, candidates)
     factors = []
     for order in range(max_multiplicity):
         divides = {m: content[m] == 0 for m in alive if m in content} if order == 0 else {}
-        for group in _group_candidates([m for m in alive if m not in divides], len(values)):
-            hist = _residue_counts(values, mults, math.lcm(*group), order)
+        for group in _group_candidates([m for m in alive if m not in divides], size):
+            hist = _residue_counts(classes, math.lcm(*group), order)
             divides.update(zip(group, _phi_divides_each(hist, group)))
             del hist
         factors += [(m, order) for m in alive if order and not divides[m]]

@@ -632,26 +632,31 @@ _LAUNCH = ["descentlab", "descentlab.cli", "descentlab.errors"]
 
 
 # A launch imports the modules its command runs and no others; checks,
-# which imports every module, is loaded by verify alone.
+# which imports every module, is loaded by verify alone.  The standard
+# library's fractions costs a launch about 3 ms, and only rho and verify
+# make a Fraction.
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, modules, fractions",
     [
-        (["--help"], []),
-        (["table", "--n", "3"], ["descent", "numbers"]),
-        (["rho", "--n", "5"], ["descent", "numbers"]),
-        (["factors", "--n", "8"], ["cyclo", "descent", "numbers"]),
+        (["--help"], [], False),
+        (["table", "--n", "3"], ["descent", "numbers"], False),
+        (["rho", "--n", "5"], ["descent", "numbers"], True),
+        (["factors", "--n", "8"], ["cyclo", "descent", "numbers"], False),
         (
             ["verify", "--suite", "mod4", "--n", "4"],
             ["abcd", "checks", "cyclo", "descent", "numbers", "qsym"],
+            True,
         ),
     ],
     ids=["help", "table", "rho", "factors", "verify"],
 )
-def test_a_launch_loads_only_the_modules_its_command_runs(argv, modules):
+def test_a_launch_loads_only_the_modules_its_command_runs(argv, modules, fractions):
     loaded = _loaded_after(
-        f"import sys\nfrom descentlab import cli\ncode = cli.main({argv!r})\nprint(code, *{_LOADED})"
+        f"import sys\nfrom descentlab import cli\ncode = cli.main({argv!r})\n"
+        f"print(code, *{_LOADED}, 'fractions' in sys.modules)"
     )
-    assert loaded == ["0", *sorted(_LAUNCH + [f"descentlab.{m}" for m in modules])]
+    want = sorted(_LAUNCH + [f"descentlab.{m}" for m in modules])
+    assert loaded == ["0", *want, str(fractions)]
 
 
 def test_top_level_names_load_their_own_module():
@@ -692,16 +697,13 @@ def test_full_scale_table_summary_subprocess(argv):
     assert "max_ok=yes" in proc.stdout.split()
 
 
-# The parity route at its ceiling holds only the lower half of the mod-2
-# table, 64 MB at n = 31, and peaks at about 85 MB; the whole table peaked
-# at 149 MB.
-@pytest.mark.golden
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_rho_31_peak_rss_subprocess(tmp_path):
+def _peak_rss_run(tmp_path, *argv: str) -> tuple[int, str, str, int]:
+    """Run the CLI in a fresh process: its exit code, stdout, stderr and
+    peak resident set size in KiB (``ru_maxrss``, in KiB on Linux)."""
     out, err = tmp_path / "out", tmp_path / "err"
     with out.open("w") as stdout, err.open("w") as stderr:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "descentlab", "rho", "--n", "31"],
+            [sys.executable, "-m", "descentlab", *argv],
             stdout=stdout,
             stderr=stderr,
             env=_src_env(),
@@ -710,6 +712,28 @@ def test_rho_31_peak_rss_subprocess(tmp_path):
         # Popen is told the exit code, or it warns that the child still runs
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
-    assert (proc.returncode, err.read_text()) == (0, "")
-    assert "rho=3991/8192" in out.read_text().split()
-    assert usage.ru_maxrss < 110 * 1024
+    return proc.returncode, out.read_text(), err.read_text(), usage.ru_maxrss
+
+
+# The parity route at its ceiling holds only the lower half of the mod-2
+# table, 64 MB at n = 31, and peaks at about 85 MB; the whole table peaked
+# at 149 MB.
+@pytest.mark.golden
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_rho_31_peak_rss_subprocess(tmp_path):
+    code, out, err, peak = _peak_rss_run(tmp_path, "rho", "--n", "31")
+    assert (code, err) == (0, "")
+    assert "rho=3991/8192" in out.split()
+    assert peak < 110 * 1024
+
+
+# The largest shipped factor row reads one table value per orbit of the
+# complement and the reversal, and peaks at about 110 MB; a Counter over
+# the stored half peaked at about 153 MB.
+@pytest.mark.golden
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_factors_23_peak_rss_subprocess(tmp_path):
+    code, out, err, peak = _peak_rss_run(tmp_path, "factors", "--n", "23", "--golden", "builtin")
+    assert (code, err) == (0, "")
+    assert "golden match (n=23 signed=0, indices <= 10000)" in out.splitlines()
+    assert peak < 130 * 1024

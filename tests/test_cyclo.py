@@ -365,17 +365,17 @@ def test_phi_contents_small():
 
 
 def test_sieve_tests_two_when_multiplicities_are_odd():
-    # unsigned n = 1: one subset, so the polynomial is t and its multiplicity
-    # 1 is not doubled; p = 2 is a real test there, and nothing survives
-    values, mults = descent._value_counts(beta_table(1))
-    assert (values, mults) == ([1], [1])
-    survivors, content = cyclo._sieve(values, mults, list(range(2, 200)))
+    # unsigned n = 1: one subset, so the polynomial is t and its one class
+    # has weight 1, not 2; p = 2 is a real test there, and nothing survives
+    classes = descent._value_counts(beta_table(1))
+    assert classes == [(1, [1])]
+    survivors, content = cyclo._sieve(classes, list(range(2, 200)))
     assert survivors == [] and content[1] == 1
-    # elsewhere every multiplicity is even, so p = 2 tests nothing and the
+    # elsewhere every class weight is even, so p = 2 tests nothing and the
     # powers of 2 reach the exact scan; 3 and 9 fail at d = 1, as 3 does not
     # divide the total 16, the one content the sieve takes
-    values, mults = descent._value_counts(beta_table(5))
-    assert cyclo._sieve(values, mults, [2, 3, 4, 8, 9, 16]) == ([2, 4, 8, 16], {1: 16})
+    classes = descent._value_counts(beta_table(5))
+    assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == ([2, 4, 8, 16], {1: 16})
 
 
 def spread(folded):
@@ -534,7 +534,7 @@ def reference_sieve(table, candidates):
 def test_sieve_matches_reference_sieve(n, signed, policy, bound):
     table = beta_table(n, signed=signed)
     candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
-    survivors, content = cyclo._sieve(*descent._value_counts(table), list(candidates))
+    survivors, content = cyclo._sieve(descent._value_counts(table), list(candidates))
     want, reference_content = reference_sieve(table, candidates)
     assert survivors == want
     assert content == {d: reference_content(d) for d in content}
@@ -545,15 +545,16 @@ def scan_shapes(table, bound, policy):
     """The shapes one scan takes, by name: the groups of p-free parts d that
     share a sieve pass, the sieve's survivors and contents, and at each order
     the groups of live candidates that share an exact pass, each recorded as
-    the scan forms them, against V distinct values, and the rows it finds."""
+    the scan forms them, against the pass length N (the number of values in
+    the table's weighted classes), and the rows it finds."""
     groupings, group, sieved, sieve = [], cyclo._group_candidates, [], cyclo._sieve
 
     def record(candidates, cap):
         groupings.append(group(candidates, cap))
         return groupings[-1]
 
-    def record_sieve(values, mults, candidates):
-        sieved.append(sieve(values, mults, candidates))
+    def record_sieve(classes, candidates):
+        sieved.append(sieve(classes, candidates))
         return sieved[-1]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -563,17 +564,18 @@ def scan_shapes(table, bound, policy):
     (survivors, content), = sieved
     sieve_groups, *order_groups = groupings
     exact_groups = [g for groups in order_groups for g in groups]
-    values, mults = descent._value_counts(table)
+    classes = descent._value_counts(table)
+    size = sum(len(values) for _, values in classes)
     shapes = set()
     if any(len(g) > 1 for g in sieve_groups):
         shapes.add("shared sieve pass")
-    if any(d > len(values) for d in content):
-        shapes.add("lone sieve pass above V")
+    if any(d > size for d in content):
+        shapes.add("lone sieve pass above N")
     if any(len(g) > 1 for g in exact_groups):
         shapes.add("shared exact pass")
-    if any(g[0] > len(values) for g in exact_groups):
-        shapes.add("lone exact pass above V")
-    if math.gcd(*mults) % 2 and not survivors:
+    if any(g[0] > size for g in exact_groups):
+        shapes.add("lone exact pass above N")
+    if math.gcd(*(weight for weight, _ in classes)) % 2 and not survivors:
         shapes.add("p = 2 tested, no survivor")
     order0 = {m: i for i, g in enumerate(order_groups[0]) for m in g}
     if any(m in content and m not in order0 for m in survivors):
@@ -588,7 +590,7 @@ def scan_shapes(table, bound, policy):
     return shapes
 
 
-SHARED_AND_LONE = {"shared exact pass", "lone exact pass above V", "shared sieve pass"}
+SHARED_AND_LONE = {"shared exact pass", "lone exact pass above N", "shared sieve pass"}
 FROM_CONTENT = "order 0 read from a sieve content"
 
 
@@ -601,29 +603,29 @@ FROM_CONTENT = "order 0 read from a sieve content"
         ),
         pytest.param(
             9, True, "heuristic", 1200,
-            SHARED_AND_LONE | {"lone sieve pass above V", FROM_CONTENT, "order 2 reached"},
+            SHARED_AND_LONE | {"lone sieve pass above N", FROM_CONTENT, "order 2 reached"},
             id="signed9-heuristic-1200",
         ),
         pytest.param(
             7, True, "exhaustive", 300,
-            SHARED_AND_LONE | {"lone sieve pass above V", FROM_CONTENT},
+            SHARED_AND_LONE | {"lone sieve pass above N", FROM_CONTENT},
             id="signed7-exhaustive-300",
         ),
-        # the one multiplicity is 1, so p = 2 is a real test and drops all
+        # the one class weight is 1, so p = 2 is a real test and drops all
         pytest.param(
             1, False, "exhaustive", 300, {"p = 2 tested, no survivor"}, id="1-exhaustive-300"
         ),
-        # the one multiplicity is 2, so no sieve test rejects the powers of
+        # the one class weight is 2, so no sieve test rejects the powers of
         # 2; each is decided alone, by an exact pass or by its own content
         pytest.param(
-            1, True, "exhaustive", 300, {"lone exact pass above V", FROM_CONTENT},
+            1, True, "exhaustive", 300, {"lone exact pass above N", FROM_CONTENT},
             id="signed1-exhaustive-300",
         ),
         pytest.param(
             8, False, "exhaustive", 28, {"factor at the bound", FROM_CONTENT, "order 2 reached"},
             id="8-exhaustive-28",
         ),
-        # V = 70: order 0 tests 6 with 10 and 18 alone, and the content of
+        # N = 72: order 0 tests 6 with 10 and 18 alone, and the content of
         # d = 2 says Phi_2 divides; 2, 6 and 18 then share one order-1 pass
         pytest.param(
             9, False, "exhaustive", 28,
@@ -650,13 +652,18 @@ def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
 # for _residue_counts.  The same scans made 14, 57, 69 and 866 passes while
 # order 0 was never read off the sieve contents, each order-0 group kept its
 # own passes at every order, and every tested d above V got a lone pass.
+# They made 9, 51, 63 and 455 while the grouping cap was the number V of
+# distinct values, not the pass length N: signed 14 has N = 8192 against
+# V = 8190, and unsigned 12 has N = 528 against V = 513: that larger cap
+# moves the p-free parts 515..528 into the sieve's shared passes, which run
+# up front, and costs 4 more passes.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
         (20, False, "heuristic", 300, 9),
         (16, False, "heuristic", 10_000, 51),
-        (14, True, "heuristic", 10_000, 63),
-        (12, False, "exhaustive", 3000, 455),
+        (14, True, "heuristic", 10_000, 62),
+        (12, False, "exhaustive", 3000, 459),
     ],
     ids=["20-heuristic-300", "16-heuristic-10000", "signed14-heuristic-10000", "12-exhaustive-3000"],
 )
@@ -664,7 +671,7 @@ def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
     calls, counts = [], cyclo._residue_counts
 
     def counting(*args):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return counts(*args)
 
     monkeypatch.setattr(cyclo, "_residue_counts", counting)

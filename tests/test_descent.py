@@ -416,6 +416,10 @@ def test_full_scale_table_sums_over_subsets_to_alpha(n, signed):
         t = beta_table(n, signed=signed)
         peak = max(max(block) for block in t.chunks(t.stored))
         assert peak == (signed_euler_number(n) if signed else euler_number(n))
+        whole: Counter = Counter()
+        for block in t.chunks():
+            whole.update(block)
+        assert weighted_multiset(descent._value_counts(t)) == whole
     finally:
         descent._table.cache_clear()
 
@@ -434,16 +438,26 @@ def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
         assert list(chain.from_iterable(t.chunks(stop))) == whole[:stop]
 
 
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
-def test_half_table_value_counts_match_full_table(monkeypatch, block):
-    # counts over the masks with the top bit clear, doubled, against a
-    # Counter over every mask, as multisets
-    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
-    for n, signed in SMALL_TABLES:
+def weighted_multiset(classes) -> Counter:
+    """The multiset that ``descent._value_counts`` classes stand for."""
+    counts: Counter = Counter()
+    for weight, values in classes:
+        for v, c in Counter(values).items():
+            counts[v] += weight * c
+    return counts
+
+
+# one value per orbit of the complement and the reversal, weighted, against
+# a Counter over every mask, the path the orbit split replaced; the slots
+# are read one at a time, or in blocks of the default size
+@pytest.mark.parametrize("chunk_bytes", [1, descent._CHUNK_BYTES])
+def test_half_table_value_counts_match_full_table(monkeypatch, chunk_bytes):
+    for n, signed in TIER_1_TABLES:
         t = beta_table(n, signed=signed)
-        values, mults = descent._value_counts(t)
-        assert len(set(values)) == len(values)
-        assert dict(zip(values, mults)) == Counter(t.values)
+        with monkeypatch.context() as patch:
+            patch.setattr(descent, "_CHUNK_BYTES", chunk_bytes)
+            classes = descent._value_counts(t)
+        assert weighted_multiset(classes) == Counter(t.values), (n, signed)
 
 
 @given(st.data())
