@@ -6,12 +6,13 @@ gets the parity of every beta_n(S) for n up to the low thirties without ever
 materializing the exact table.
 
 An exact table is built and kept packed: slot k of one byte buffer holds
-the value for mask k in a fixed number of bytes, enough for n! (times 2**n
-when signed).  It is built by a recursion on the top element s of a mask
-S' + {s}, with S' inside {1, ..., s-1}.  Choose which s values fill the
-first s positions, arrange them with descent set exactly S', and put the
-rest after them in increasing order: the descent set is S' or S' + {s},
-and the first case takes in every permutation with descent set S'.  So
+the value for mask k in a fixed number of bytes, enough for its largest
+value, the Euler number E_n (the signed Euler number when signed).  It is
+built by a recursion on the top element s of a mask S' + {s}, with S'
+inside {1, ..., s-1}.  Choose which s values fill the first s positions,
+arrange them with descent set exactly S', and put the rest after them in
+increasing order: the descent set is S' or S' + {s}, and the first case
+takes in every permutation with descent set S'.  So
 
     beta_m(S' + {s}) = C(m, s) beta_s(S') - beta_m(S').
 
@@ -23,9 +24,11 @@ entries; the m - s + 1 increasing entries after them take any signs:
 
 The masks with top s are one run of slots, so the run is a whole smaller
 table times one binomial minus the run's own prefix: one big-int multiply
-and one subtraction per block of slots.  No slot carries into or borrows
-from the next: each product is beta_m(S' + {s}) + beta_m(S'), at most the
-slot bound, and each difference is a count, so nonnegative.
+and one subtraction per block of slots, f X - Y.  A slot's product,
+beta_m(S' + {s}) + beta_m(S'), may pass E_n and spill into the next slot;
+only the results must fit.  f X - Y is computed exactly, and its digits in
+base 2**(8 w), w the slot width, are the new counts beta_m(S' + {s}), each
+in [0, E_n], so written back it is the run, slot by slot.
 
 Complementing the values of a permutation (negating them, when signed)
 complements its descent set, so beta_n(S) = beta_n(complement of S): the
@@ -60,7 +63,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
-from .numbers import as_mask, mask_to_composition, multinomial, prime_divisors
+from .numbers import as_mask, euler_number, mask_to_composition, multinomial
+from .numbers import prime_divisors, signed_euler_number
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -100,9 +104,11 @@ _SAVE_BLOCK = 1 << 16
 
 
 def _slot_width(n: int, signed: bool) -> int:
-    """Bytes per packed slot: enough for the number of (signed) permutations,
-    which bounds every value and every product of the table recursion."""
-    return ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
+    """Bytes per packed slot: enough for the table's largest value, E_n (the
+    signed Euler number when signed), which bounds every value of it and of
+    the smaller tables its recursion reads (see the module docstring)."""
+    top = signed_euler_number(n) if signed else euler_number(n)
+    return (top.bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -111,15 +117,16 @@ class DescentTable:
 
     The subsets range over {1, ..., n-1} in the unsigned case and
     {1, ..., n} in the signed case.  ``data`` holds one slot of
-    ``_slot_width(n, signed)`` bytes for each of the ``stored`` masks
-    without the top element of the universe (the one mask, when the
-    universe is empty): bytes [k * width, (k + 1) * width), read
-    little-endian, are the count for the subset whose mask is k.  A mask k
-    at or above ``stored`` is read from the slot of its complement,
-    2**universe - 1 - k.  ``value(S)`` decodes one slot and ``chunks()``
-    yields the values of every mask in mask order, ``_SAVE_BLOCK`` at a
-    time; ``values`` builds the whole tuple, which at n = 23 is 4,194,304
-    ints, so only small tables should be read through it.
+    ``_slot_width(n, signed)`` bytes, which hold the largest value (E_n or
+    its signed analogue), for each of the ``stored`` masks without the top
+    element of the universe (the one mask, when the universe is empty):
+    bytes [k * width, (k + 1) * width), read little-endian, are the count
+    for the subset whose mask is k.  A mask k at or above ``stored`` is read
+    from the slot of its complement, 2**universe - 1 - k.  ``value(S)``
+    decodes one slot and ``chunks()`` yields the values of every mask in
+    mask order, ``_SAVE_BLOCK`` at a time; ``values`` builds the whole
+    tuple, which at n = 23 is 4,194,304 ints, so only small tables should
+    be read through it.
     """
 
     n: int
@@ -335,8 +342,9 @@ def _pack(values: list[int], width: int) -> bytes:
     """The inverse of :func:`_unpack`: ``values`` in ``width``-byte slots,
     written eight bytes at a time.
 
-    Each value must lie in [0, 2**(8 * width)); the caller checks that,
-    since a negative or wider value would wrap silently.
+    Each value must lie in [0, 2**(8 * width)), since a negative or wider
+    value would wrap silently: :func:`load_table` checks the values it
+    reads, and every other caller packs values that its width bounds.
     """
     buf = bytearray(width * len(values))
     rest = values
@@ -367,7 +375,7 @@ def _table(n: int, signed: bool) -> DescentTable:
     # peak is about two halves.
     universe = n if signed else n - 1
     # the slot count, 2**(universe - 1), is checked before the slot width,
-    # which computes n!
+    # which computes the Euler number of n
     width = 0 if universe > sys.maxsize.bit_length() else _slot_width(n, signed)
     size = width << max(universe - 1, 0)
     if not width or size > sys.maxsize:
@@ -734,9 +742,8 @@ def load_table(path) -> DescentTable:
     parsed ``_SAVE_BLOCK`` lines at a time, so neither the text nor the
     values are held whole: those of the lower half are checked and packed,
     and each block of the upper half is compared with the slots of its
-    complements.  A value is checked for its sign before packing, where it
-    would wrap; with every value nonnegative, the sum check bounds each by
-    the slot width.
+    complements.  The lower half's values are checked for their sign and
+    for the slot width, where packing would wrap them.
     """
     try:
         with open(path, encoding="ascii") as f:
@@ -754,11 +761,12 @@ def load_table(path) -> DescentTable:
             width = _slot_width(n, bool(signed_flag))
             parts: list[bytes] = []
             got = total = 0
-            negative = unmirrored = False
+            negative = wide = unmirrored = False
             try:
                 while block := list(map(int, islice(f, min(_SAVE_BLOCK, stored - got)))):
                     got += len(block)
                     negative = negative or min(block) < 0
+                    wide = wide or max(block) >> 8 * width > 0
                     total += sum(block)
                     parts.append(_pack(block, width))
                 data = b"".join(parts)
@@ -783,6 +791,8 @@ def load_table(path) -> DescentTable:
         )
     if negative:
         raise CacheError(f"{path}: negative table entry")
+    if wide:
+        raise CacheError(f"{path}: table entry wider than its {width}-byte slot")
     if unmirrored:
         raise CacheError(f"{path}: halves are not complements")
     if total != math.factorial(n) << (n if signed_flag else 0):

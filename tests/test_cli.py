@@ -127,13 +127,14 @@ def test_table_respects_limits(capsys, monkeypatch):
     assert code == 0
     assert "sum_ok=yes" in out
     # a lower half past sys.maxsize bytes is refused whatever --max-n says,
-    # a huge n before its slot width (which computes n!) is worked out
+    # a huge n before its slot width (which computes the Euler number of n)
+    # is worked out
     def assert_refused(n, *flags):
         code, out, err = run(capsys, "table", "--n", n, "--max-n", n, *flags)
         assert (code, out) == (3, "")
         assert err.startswith("resource limit:") and err.count("\n") == 1
 
-    assert_refused("60")
+    assert_refused("61")
     assert_refused("59", "--signed")
     monkeypatch.setattr(descent, "_slot_width", _no_slot_width)
     assert_refused(str(10**9))
@@ -737,3 +738,15 @@ def test_factors_23_peak_rss_subprocess(tmp_path):
     assert (code, err) == (0, "")
     assert "golden match (n=23 signed=0, indices <= 10000)" in out.splitlines()
     assert peak < 130 * 1024
+
+
+# The full-scale table summary holds the lower half in slots of E_23's 8
+# bytes and peaks at about 48 MB; slots of 23!'s 10 bytes peaked at about
+# 56 MB.
+@pytest.mark.golden
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_table_23_peak_rss_subprocess(tmp_path):
+    code, out, err, peak = _peak_rss_run(tmp_path, "table", "--n", "23")
+    assert (code, err) == (0, "")
+    assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
+    assert peak < 52 * 1024

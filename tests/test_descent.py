@@ -78,13 +78,16 @@ def test_alpha_values():
 
 
 def test_table_sums_and_maxima():
-    for n in range(1, 11):
-        t = beta_table(n)
-        assert sum(t.values) == math.factorial(n)
-        assert max(t.values) == euler_number(n)
-        s = beta_table(n, signed=True)
-        assert sum(s.values) == math.factorial(n) << n
-        assert max(s.values) == signed_euler_number(n)
+    # the slots are as wide as the largest value, E_n, not n!: a product of
+    # the build may pass it, its results never do
+    for n, signed in TIER_1_TABLES:
+        t = beta_table(n, signed=signed)
+        assert sum(t.values) == math.factorial(n) << (n if signed else 0), (n, signed)
+        peak = max(t.values)
+        assert peak == (signed_euler_number(n) if signed else euler_number(n)), (n, signed)
+        assert t.width == (peak.bit_length() + 7) // 8, (n, signed)
+    # the golden tier's largest tables, where n! takes 10, 9 and 9 bytes
+    assert [_slot_width(23, False), _slot_width(22, False), _slot_width(18, True)] == [8, 7, 8]
 
 
 def test_universe_and_value_lookup():
@@ -267,6 +270,21 @@ def test_load_rejects_corruption(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CacheError, match="halves are not complements"):
         load_table(path)
+    # a lower slot and its mirror raised to 70000, past the 2-byte slots of
+    # n = 9, and other lower slots and their mirrors lowered to keep the sum
+    # 9!: every value is nonnegative and the halves mirror, but packed the
+    # 70000 would wrap
+    values = list(beta_table(9).values)
+    over, values[1] = 70000 - values[1], 70000
+    for k in sorted(range(2, 128), key=values.__getitem__, reverse=True):
+        take = min(over, values[k])
+        values[k] -= take
+        over -= take
+    values[128:] = values[127::-1]
+    assert over == 0 and sum(values) == math.factorial(9)
+    path.write_text("descentlab-table v1 n=9 signed=0\n" + "".join(f"{v}\n" for v in values))
+    with pytest.raises(CacheError, match="wider than its 2-byte slot"):
+        load_table(path)
 
 
 @given(st.integers(min_value=2, max_value=10), st.data())
@@ -288,14 +306,21 @@ SMALL_TABLES = [(n, False) for n in range(1, 15)] + [(n, True) for n in range(1,
 TIER_1_TABLES = [(n, False) for n in range(1, 17)] + [(n, True) for n in range(1, 15)]
 
 
+def alpha_width(n: int, signed: bool) -> int:
+    """Bytes per slot of the alpha route: enough for its largest value, n!
+    (signed: n! 2**n), whatever width the library stores a table in."""
+    return ((math.factorial(n) << (n if signed else 0)).bit_length() + 7) // 8
+
+
 def alpha_table(n: int, signed: bool) -> bytearray:
-    """alpha_n(S) (signed: alpha^B_n(S)) over every mask, packed as a table
-    is, run by run: in run s, the masks with top element s, {s} is C(n, s)
-    (signed: C(n, s-1) 2**(n+1-s)), and the masks whose next element is t
-    are run t times C(n - t, s - t) (signed: C(n + 1 - t, s - t))."""
+    """alpha_n(S) (signed: alpha^B_n(S)) over every mask, in slots of
+    ``alpha_width`` bytes, run by run: in run s, the masks with top element
+    s, {s} is C(n, s) (signed: C(n, s-1) 2**(n+1-s)), and the masks whose
+    next element is t are run t times C(n - t, s - t) (signed:
+    C(n + 1 - t, s - t))."""
     universe = n if signed else n - 1
     total = n + 1 if signed else n
-    width = _slot_width(n, signed)
+    width = alpha_width(n, signed)
     buf = bytearray(width << universe)
     buf[0] = 1
     for s in range(1, universe + 1):
@@ -341,13 +366,15 @@ def packed_zeta(buf: bytearray, width: int, universe: int) -> None:
 def assert_zeta_is_alpha(n: int, signed: bool) -> None:
     """The whole table, read through chunks() so that the upper half is its
     mirror read, sums over subsets to closed-form alpha at every mask.  The
-    zeta transform is invertible, so this pins every value."""
+    zeta transform is invertible, so this pins every value.  The values are
+    repacked into slots wide enough for alpha, the transform's largest."""
     t = beta_table(n, signed=signed)
     alpha = alpha_table(n, signed)  # before the whole table: a lower peak
+    width = alpha_width(n, signed)
     whole = bytearray()
     for block in t.chunks():
-        whole += _pack(block, t.width)
-    packed_zeta(whole, t.width, t.universe)
+        whole += _pack(block, width)
+    packed_zeta(whole, width, t.universe)
     same = whole == alpha  # outside the assert, which would diff 40 MB
     assert same, (n, signed)
 
@@ -367,7 +394,7 @@ def test_table_sums_over_subsets_to_alpha(monkeypatch, block):
 def test_alpha_table_matches_alpha():
     for n, signed in TIER_1_TABLES:
         count = alpha_signed if signed else alpha
-        got = _unpack(alpha_table(n, signed), _slot_width(n, signed))
+        got = _unpack(alpha_table(n, signed), alpha_width(n, signed))
         assert got == [count(n, mask) for mask in range(len(got))], (n, signed)
 
 
@@ -416,6 +443,7 @@ def test_full_scale_table_sums_over_subsets_to_alpha(n, signed):
         t = beta_table(n, signed=signed)
         peak = max(max(block) for block in t.chunks(t.stored))
         assert peak == (signed_euler_number(n) if signed else euler_number(n))
+        assert t.width == (peak.bit_length() + 7) // 8
         whole: Counter = Counter()
         for block in t.chunks():
             whole.update(block)
