@@ -34,6 +34,10 @@ from .errors import (
 
 __all__ = ["build_parser", "main"]
 
+# Bytes read from a ``factors --golden FILE``, which holds one recorded line;
+# the longest shipped row has 270 characters.  A longer file is refused.
+_GOLDEN_FILE_LIMIT = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # table plumbing
@@ -130,8 +134,14 @@ def cmd_factors(args: argparse.Namespace) -> int:
         golden = rows[args.n]
     elif args.golden is not None:
         try:
-            with open(args.golden, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.golden, "rb") as fh:
+                data = fh.read(_GOLDEN_FILE_LIMIT + 1)
+            if len(data) > _GOLDEN_FILE_LIMIT:
+                raise ContractViolationError(
+                    f"golden file {args.golden} is longer than {_GOLDEN_FILE_LIMIT} bytes; "
+                    "it holds one recorded line"
+                )
+            text = data.decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ContractViolationError(
                 f"cannot read golden file {args.golden}: {exc}"

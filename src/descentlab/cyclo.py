@@ -14,11 +14,16 @@ divides.  On one big int of byte slots that never carry, times t**s rotates
 the slots and a pair (a, b) stands for a - b.
 
 A factor scan shares the passes, one order at a time: it packs every index
-still alive at that order into groups whose lcm L stays at most the pass
-length, the number of values one pass reads, takes one histogram mod L per
-group, packs it once, and folds it mod each member m, adding the top half of
-its m-slot blocks onto the bottom half, exactly, since (v mod L) mod m =
-v mod m.  It stops at the first order that no index passes.
+still alive at that order into groups whose lcm L stays at most
+min(N, 2**17), takes one histogram mod L per group, packs it once, and
+folds it mod each member m, adding the top half of its m-slot blocks onto
+the bottom half, exactly, since (v mod L) mod m = v mod m.  It stops at the
+first order that no index passes.  N, the pass length, is the number of
+values one pass reads: folding costs O(L) per member, so a group up to N
+costs no more than the pass it saves.  Past 2**17 slots a histogram
+outgrows the cache, so a pass costs more per value (mod about 10**6, twice
+as much as mod 997), and its list of counts would be the scan's largest
+allocation besides the table.
 
 Most candidates never get such a pass: a sieve drops them first, by
 reduction mod a prime.  Write m = d p**e with p prime and p not dividing d.
@@ -84,6 +89,19 @@ __all__ = [
 # Python 3.11.7), the scan took 0.118 s with 100, 0.098 s with 300,
 # 0.062-0.073 s with 1000 and 0.098 s with no cap.
 _SIEVE_LIMIT = 1000
+
+# Largest lcm of a group of candidates that share one value pass, unless the
+# pass length N is smaller.  A histogram much longer than the cache costs
+# more per value than the pass it saves.  Heuristic scans at bound 10000,
+# each timed alone in a fresh process, alternating the cap (2 cores, Python
+# 3.11.7; median seconds of 8 runs, then peak RSS with the table): 2**17
+# against 2**18 took 3.65 / 3.72 s (48 / 48 MB) at n = 23, 2.21 / 2.51 s
+# (31 / 35 MB) at n = 22 and 1.20 / 1.22 s (25 / 30 MB) at n = 21, faster
+# in 18 of the 24 pairs.  Against 2**16 (6 runs) it was faster in 17 of 18
+# pairs at n = 21..23, 3.72 / 4.28 s at n = 23, though 2**16 took 1 MB to
+# 2 MB less; no cap (2**20 > N) took 4.91 s and 72 MB at n = 23 and 2.89 s
+# and 42 MB at n = 22.  At n = 20, bound 300, 2**17 and 2**18 group alike.
+_GROUP_CAP = 1 << 17
 
 
 class IntPoly:
@@ -337,20 +355,23 @@ def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
     return groups
 
 
-def _sieve(classes: list[tuple[int, list[int]]], candidates: list[int]) -> tuple[list, dict]:
+def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> tuple[list, dict]:
     """The candidates m that pass every sieve test, and {d: content} for the
     d tested: for each prime p | m whose p-free part d = m / p**v_p(m) is at
     most _SIEVE_LIMIT, Phi_d must divide the polynomial over F_p, as it does
     when Phi_m divides it over Z.
 
     A prime dividing every class weight divides the whole polynomial, so
-    its tests pass vacuously and are skipped.  The d up to the pass length
-    N, the number of class values, are grouped like the candidates, with
-    one order-0 pass per group.  A d above N takes a pass of its own, run
-    the first time a candidate that passed all its smaller tests needs it.
+    its tests pass vacuously and are skipped.  The d up to min(N,
+    _GROUP_CAP), N the pass length, the number of class values, are grouped
+    like the candidates, with one order-0 pass per group whose lcm stays
+    within that cap: up to N a group's fold costs no more than the pass it
+    saves, and past _GROUP_CAP = 2**17 slots the histogram outgrows the
+    cache.  A d above the cap takes a pass of its own, run the first time a
+    candidate that passed all its smaller tests needs it.
     """
     vacuous = math.gcd(*(weight for weight, _ in classes))
-    size = sum(len(values) for _, values in classes)
+    cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
     tests = {}
     for m in candidates:
         pairs = []
@@ -363,8 +384,8 @@ def _sieve(classes: list[tuple[int, list[int]]], candidates: list[int]) -> tuple
                     pairs.append((d, p))
         tests[m] = sorted(pairs)
     content = {}
-    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= size})
-    for group in _group_candidates(shared, size):
+    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= cap})
+    for group in _group_candidates(shared, cap):
         hist = _residue_counts(classes, math.lcm(*group), 0)
         content.update(zip(group, _phi_contents(hist, group)))
         del hist
@@ -392,11 +413,13 @@ def factor_scan(
     report.  A survivor that the sieve tested as a p-free part takes its
     order-0 verdict from its content.  Every other test is the one
     :func:`divides_order` makes, by order: the candidates alive at an order
-    share passes in groups whose lcm stays at most the pass length N, the
-    number of values in the table's weighted classes (one per orbit of its
-    symmetries), so that folding a group's histogram mod each member,
-    O(lcm), costs no more than the pass over the values, O(N), that it
-    saves.
+    share passes in groups whose lcm stays at most min(N, _GROUP_CAP).  N is
+    the pass length, the number of values in the table's weighted classes
+    (one per orbit of its symmetries): folding a group's histogram mod each
+    member, O(lcm), then costs no more than the pass over the values, O(N),
+    that it saves.  _GROUP_CAP = 2**17 keeps each histogram's list of counts
+    near the cache and small beside the table, since a longer one costs more
+    per value than the pass it saves.
     ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if policy not in ("heuristic", "exhaustive"):
@@ -412,7 +435,7 @@ def factor_scan(
             f"max_multiplicity must be >= 1, got {max_multiplicity}"
         )
     classes = _value_counts(table)
-    size = sum(len(values) for _, values in classes)
+    cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)
     else:
@@ -421,7 +444,7 @@ def factor_scan(
     factors = []
     for order in range(max_multiplicity):
         divides = {m: content[m] == 0 for m in alive if m in content} if order == 0 else {}
-        for group in _group_candidates([m for m in alive if m not in divides], size):
+        for group in _group_candidates([m for m in alive if m not in divides], cap):
             hist = _residue_counts(classes, math.lcm(*group), order)
             divides.update(zip(group, _phi_divides_each(hist, group)))
             del hist

@@ -57,10 +57,10 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
 from .numbers import as_mask, euler_number, mask_to_composition, multinomial
@@ -574,7 +574,7 @@ def _orbit_codes(universe: int) -> bytearray:
     return codes
 
 
-def _value_counts(table: DescentTable) -> list[tuple[int, list[int]]]:
+def _value_counts(table: DescentTable) -> list[tuple[int, Sequence[int]]]:
     """The multiset of a table's values as (weight, values) classes: each
     value of a class stands for ``weight`` subsets.
 
@@ -591,23 +591,31 @@ def _value_counts(table: DescentTable) -> list[tuple[int, list[int]]]:
     distinct values occur only twice), so every stored slot has weight 2;
     the empty universe's one mask has weight 1.  The slots are read in
     cache-sized blocks, and no dict is built.
+
+    A class is an ``array('Q')`` of 64-bit words when the table's slots are
+    at most 8 bytes wide, as in every table within ``DEFAULT_LIMITS``: E_24
+    has 64 bits and the signed Euler number of 18 has 59.  That is 8 bytes
+    a value where a list holds a pointer and a boxed int of 28 to 32.  Only
+    a wider table, which ``max_n`` lets through, keeps its classes in lists.
     """
     step = max(_CHUNK_BYTES // table.width, 1)
     starts = range(0, table.stored, step)
     blocks = (table._slots(lo, lo + step) for lo in starts)
+    new = partial(array, "Q") if table.width <= 8 else list
     if table.signed or table.universe < 2:
-        return [(2 if table.universe else 1, list(chain.from_iterable(blocks)))]
+        return [(2 if table.universe else 1, new(chain.from_iterable(blocks)))]
     codes = _orbit_codes(table.universe)
-    paired: list[int] = []
-    fixed: list[int] = []
+    paired, fixed = new(), new()
     for lo, block in zip(starts, blocks):
         selector = codes[lo : lo + step]
-        paired += compress(block, selector.translate(_PAIRED))
-        fixed += compress(block, selector.translate(_FIXED))
+        paired.extend(compress(block, selector.translate(_PAIRED)))
+        fixed.extend(compress(block, selector.translate(_FIXED)))
     return [(4, paired), (2, fixed)]
 
 
-def _residue_counts(classes: list[tuple[int, list[int]]], modulus: int, order: int) -> list[int]:
+def _residue_counts(
+    classes: list[tuple[int, Sequence[int]]], modulus: int, order: int
+) -> list[int]:
     """hist[r] = sum of weight * ff(value, order) over the class values = r
     mod modulus.
 

@@ -259,6 +259,29 @@ def test_factors_golden_file_unreadable(tmp_path, capsys, monkeypatch):
     assert err.startswith("usage error: cannot read golden file")
 
 
+# a golden file is read to one byte past its limit, so an endless one such as
+# /dev/zero, or a valid row padded past the limit, is refused without being
+# read whole; the row padded to the limit itself still matches
+def test_factors_golden_file_too_long(tmp_path, capsys, monkeypatch):
+    limit = cli._GOLDEN_FILE_LIMIT
+    assert limit == 1 << 16
+    row = cyclo.format_report(cyclo.load_golden(False)[5], include_scan_info=False)
+    padded = tmp_path / "row.txt"
+    padded.write_text(row + " " * (limit - len(row)))
+    code, out, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", str(padded))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "golden match (n=5 signed=0, indices <= 60)"
+    monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
+    padded.write_text(row + " " * (limit + 1 - len(row)))
+    for source in (str(padded), "/dev/zero"):
+        code, out, err = run(capsys, "factors", "--n", "5", "--max-index", "60", "--golden", source)
+        assert (code, out) == (2, ""), source
+        assert err == (
+            f"usage error: golden file {source} is longer than {limit} bytes; "
+            "it holds one recorded line\n"
+        )
+
+
 def test_factors_golden_missing_row(capsys, monkeypatch):
     monkeypatch.setattr(cyclo, "factor_scan", _no_scan)
     # recorded unsigned rows start at n=3
@@ -729,15 +752,17 @@ def test_rho_31_peak_rss_subprocess(tmp_path):
 
 
 # The largest shipped factor row reads one table value per orbit of the
-# complement and the reversal, and peaks at about 110 MB; a Counter over
-# the stored half peaked at about 153 MB.
+# complement and the reversal into 64-bit arrays and takes no histogram
+# longer than 2**17, and peaks at about 50 MB, near the table's 48 MB.  With
+# the values as boxed ints and histograms as long as the pass it peaked at
+# about 105 MB, and with a Counter over the stored half at about 153 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_factors_23_peak_rss_subprocess(tmp_path):
     code, out, err, peak = _peak_rss_run(tmp_path, "factors", "--n", "23", "--golden", "builtin")
     assert (code, err) == (0, "")
     assert "golden match (n=23 signed=0, indices <= 10000)" in out.splitlines()
-    assert peak < 130 * 1024
+    assert peak < 60 * 1024
 
 
 # The full-scale table summary holds the lower half in slots of E_23's 8

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
@@ -368,7 +369,7 @@ def test_sieve_tests_two_when_multiplicities_are_odd():
     # unsigned n = 1: one subset, so the polynomial is t and its one class
     # has weight 1, not 2; p = 2 is a real test there, and nothing survives
     classes = descent._value_counts(beta_table(1))
-    assert classes == [(1, [1])]
+    assert [(w, list(v)) for w, v in classes] == [(1, [1])]
     survivors, content = cyclo._sieve(classes, list(range(2, 200)))
     assert survivors == [] and content[1] == 1
     # elsewhere every class weight is even, so p = 2 tests nothing and the
@@ -376,6 +377,26 @@ def test_sieve_tests_two_when_multiplicities_are_odd():
     # divide the total 16, the one content the sieve takes
     classes = descent._value_counts(beta_table(5))
     assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == ([2, 4, 8, 16], {1: 16})
+
+
+# Within the default ceilings every slot is at most 8 bytes wide, so the
+# classes are 64-bit arrays; only a wider table, which max_n lets through,
+# keeps them in lists.  Slots forced to 9 bytes take that path at small n,
+# and must give the same classes and the same factor rows.
+def test_wide_slot_classes_match_array_classes(monkeypatch):
+    for n, signed in [(n, False) for n in range(1, 11)] + [(n, True) for n in range(1, 11)]:
+        narrow = descent._table.__wrapped__(n, signed)
+        with monkeypatch.context() as patch:
+            patch.setattr(descent, "_slot_width", lambda n, signed: 9)
+            wide = descent._table.__wrapped__(n, signed)
+        assert (narrow.width <= 8, wide.width) == (True, 9)
+        arrays, lists = descent._value_counts(narrow), descent._value_counts(wide)
+        assert {type(values) for _, values in arrays} == {array}, (n, signed)
+        assert {type(values) for _, values in lists} == {list}, (n, signed)
+        assert [(w, list(values)) for w, values in arrays] == lists, (n, signed)
+        for policy, bound in (("heuristic", 10_000), ("exhaustive", 1000)):
+            want = factor_scan(narrow, max_index=bound, policy=policy)
+            assert factor_scan(wide, max_index=bound, policy=policy) == want, (n, signed)
 
 
 def spread(folded):
@@ -546,7 +567,8 @@ def scan_shapes(table, bound, policy):
     share a sieve pass, the sieve's survivors and contents, and at each order
     the groups of live candidates that share an exact pass, each recorded as
     the scan forms them, against the pass length N (the number of values in
-    the table's weighted classes), and the rows it finds."""
+    the table's weighted classes, below _GROUP_CAP at these sizes), and the
+    rows it finds."""
     groupings, group, sieved, sieve = [], cyclo._group_candidates, [], cyclo._sieve
 
     def record(candidates, cap):
@@ -656,7 +678,11 @@ def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
 # distinct values, not the pass length N: signed 14 has N = 8192 against
 # V = 8190, and unsigned 12 has N = 528 against V = 513: that larger cap
 # moves the p-free parts 515..528 into the sieve's shared passes, which run
-# up front, and costs 4 more passes.
+# up front, and costs 4 more passes.  Groups stay within _GROUP_CAP = 2**17
+# as well as N.  Of these scans only n = 20 (N = 131,328) and n = 23
+# (N = 1,049,600) have N above it, and n = 20 at bound 300 forms no group
+# past it; n = 23, grouped up to N alone, made 20 passes, 16 of them mod
+# more than 2**17.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
@@ -664,8 +690,15 @@ def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
         (16, False, "heuristic", 10_000, 51),
         (14, True, "heuristic", 10_000, 62),
         (12, False, "exhaustive", 3000, 459),
+        pytest.param(23, False, "heuristic", 10_000, 28, marks=pytest.mark.golden),
     ],
-    ids=["20-heuristic-300", "16-heuristic-10000", "signed14-heuristic-10000", "12-exhaustive-3000"],
+    ids=[
+        "20-heuristic-300",
+        "16-heuristic-10000",
+        "signed14-heuristic-10000",
+        "12-exhaustive-3000",
+        "23-heuristic-10000",
+    ],
 )
 def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
     calls, counts = [], cyclo._residue_counts
@@ -680,6 +713,7 @@ def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
     finally:
         descent._table.cache_clear()
     assert len(calls) == passes, calls
+    assert max(modulus for modulus, _ in calls) <= cyclo._GROUP_CAP
 
 
 def mul_mod_p(a, b, p):
