@@ -125,7 +125,7 @@ def cmd_rho(args: argparse.Namespace) -> int:
 def cmd_factors(args: argparse.Namespace) -> int:
     from . import cyclo
 
-    # the recorded row is resolved and checked before the table is built
+    # the recorded row and the scan's arguments are checked before the build
     golden = None
     if args.golden == "builtin":
         rows = cyclo.load_golden(args.signed)
@@ -152,6 +152,7 @@ def cmd_factors(args: argparse.Namespace) -> int:
                 f"golden file {args.golden} holds n={golden.n} "
                 f"signed={int(golden.signed)}, wanted n={args.n} signed={int(args.signed)}"
             )
+    cyclo._check_scan_args(args.max_index, args.multiplicity, args.policy)
     report = cyclo.factor_scan(
         _get_table(args),
         max_index=args.max_index,

@@ -278,21 +278,18 @@ def divides_order(source, m: int, order: int = 0) -> bool:
 
 
 def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
-    """The descent polynomial at 1, -1, or the imaginary unit, exactly.
+    """The descent polynomial at -1 or at the imaginary unit, exactly.
 
-    At 1 the value is the subset count; at -1 it is the even-odd gap of the
-    beta values; at the imaginary unit ("i" or 1j) the value is returned as
-    an integer pair (real, imaginary).
+    At -1 it is the even-odd gap of the beta values; at "i" it is returned
+    as an integer pair (real, imaginary).
     """
-    if point == 1:
-        return 1 << table.universe
     if point == -1:
         c = residue_histogram(table, 2, 0).counts
         return c[0] - c[1]
-    if point == "i" or point == 1j:
+    if point == "i":
         c = residue_histogram(table, 4, 0).counts
         return (c[0] - c[2], c[1] - c[3])
-    raise ContractViolationError(f"supported points are 1, -1, 'i'; got {point!r}")
+    raise ContractViolationError(f"supported points are -1 and 'i'; got {point!r}")
 
 
 @dataclass(frozen=True)
@@ -363,12 +360,10 @@ def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> t
 
     A prime dividing every class weight divides the whole polynomial, so
     its tests pass vacuously and are skipped.  The d up to min(N,
-    _GROUP_CAP), N the pass length, the number of class values, are grouped
-    like the candidates, with one order-0 pass per group whose lcm stays
-    within that cap: up to N a group's fold costs no more than the pass it
-    saves, and past _GROUP_CAP = 2**17 slots the histogram outgrows the
-    cache.  A d above the cap takes a pass of its own, run the first time a
-    candidate that passed all its smaller tests needs it.
+    _GROUP_CAP), N the pass length, are grouped like the candidates, with
+    one order-0 pass per group whose lcm stays within that cap.  A d above
+    the cap takes a pass of its own, run the first time a candidate that
+    passed all its smaller tests needs it.
     """
     vacuous = math.gcd(*(weight for weight, _ in classes))
     cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
@@ -399,29 +394,8 @@ def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> t
     return survivors, content
 
 
-def factor_scan(
-    table: DescentTable,
-    max_index: int = 10_000,
-    max_multiplicity: int = 3,
-    policy: str = "heuristic",
-) -> FactorReport:
-    """Find every cyclotomic factor Phi_m, m up to max_index, of the table's
-    descent polynomial, with multiplicities (capped at max_multiplicity).
-
-    A sieve mod the primes p | m (see the module docstring) drops only
-    candidates that cannot divide, so it changes the cost and never the
-    report.  A survivor that the sieve tested as a p-free part takes its
-    order-0 verdict from its content.  Every other test is the one
-    :func:`divides_order` makes, by order: the candidates alive at an order
-    share passes in groups whose lcm stays at most min(N, _GROUP_CAP).  N is
-    the pass length, the number of values in the table's weighted classes
-    (one per orbit of its symmetries): folding a group's histogram mod each
-    member, O(lcm), then costs no more than the pass over the values, O(N),
-    that it saves.  _GROUP_CAP = 2**17 keeps each histogram's list of counts
-    near the cache and small beside the table, since a longer one costs more
-    per value than the pass it saves.
-    ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
-    """
+def _check_scan_args(max_index: int, max_multiplicity: int, policy: str) -> None:
+    """Refuse bad :func:`factor_scan` arguments; checking them needs no table."""
     if policy not in ("heuristic", "exhaustive"):
         raise ContractViolationError(
             f"policy must be 'heuristic' or 'exhaustive', got {policy!r}"
@@ -434,6 +408,27 @@ def factor_scan(
         raise ContractViolationError(
             f"max_multiplicity must be >= 1, got {max_multiplicity}"
         )
+
+
+def factor_scan(
+    table: DescentTable,
+    max_index: int = 10_000,
+    max_multiplicity: int = 3,
+    policy: str = "heuristic",
+) -> FactorReport:
+    """Find every cyclotomic factor Phi_m, m up to max_index, of the table's
+    descent polynomial, with multiplicities (capped at max_multiplicity).
+
+    A sieve mod the primes p | m drops only candidates that cannot divide,
+    so it changes the cost and never the report.  A survivor that the sieve
+    tested as a p-free part takes its order-0 verdict from its content.
+    Every other test is the one :func:`divides_order` makes, by order: the
+    candidates alive at an order share passes in groups whose lcm stays at
+    most min(N, _GROUP_CAP), N the pass length.  The module docstring says
+    why the sieve is sound and why the groups stop there.
+    ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
+    """
+    _check_scan_args(max_index, max_multiplicity, policy)
     classes = _value_counts(table)
     cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
     if policy == "heuristic":

@@ -23,6 +23,10 @@ def _no_scan(*args, **kwargs):
     raise AssertionError("the factor scan ran")
 
 
+def _no_build(*args, **kwargs):
+    raise AssertionError("the table was built")
+
+
 # The summary doubles the sum over the stored half, except for the empty
 # universe of n = 1, whose one mask is its own complement.
 @pytest.mark.parametrize(
@@ -162,14 +166,19 @@ def test_rho_respects_limit(capsys):
     assert err.startswith("resource limit:")
 
 
-def test_factors_respects_index_ceiling(capsys):
-    for policy in ("heuristic", "exhaustive"):
-        code, out, err = run(
-            capsys, "factors", "--n", "5", "--max-index", str(10**12), "--policy", policy
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("resource limit:")
+# the scan's arguments are refused before the table is built or cached
+def test_factors_respects_index_ceiling(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(descent, "beta_table", _no_build)
+    for argv, exit_code in [
+        (["--max-index", str(10**12)], 3),
+        (["--max-index", str(10**12), "--policy", "exhaustive"], 3),
+        (["--max-index", "1"], 2),
+        (["--multiplicity", "0"], 2),
+    ]:
+        code, out, err = run(capsys, "factors", "--n", "12", "--cache-dir", str(tmp_path), *argv)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("resource limit:" if exit_code == 3 else "usage error:")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rho_output(capsys):

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from descentlab import checks, cyclo, descent
 from descentlab.cyclo import (
-    FactorReport,
     IntPoly,
     cyclotomic,
     divides_order,
@@ -256,15 +255,14 @@ def test_divides_order_accepts_prepared_histogram():
 
 def test_eval_special():
     t8 = beta_table(8)
-    assert eval_special(t8, 1) == 128
     assert eval_special(t8, "i") == (0, 0)
-    assert eval_special(t8, 1j) == (0, 0)
     t15 = beta_table(15)
     assert eval_special(t15, -1) == 1536
     # 2^n (1/2 - rho(n)) with rho(15) = 29/64
     assert eval_special(t15, -1) == (1 << 15) * (32 - 29) // 64
-    with pytest.raises(ContractViolationError):
-        eval_special(t8, 2)
+    for point in (1, 1j, 2):  # no check evaluates these
+        with pytest.raises(ContractViolationError):
+            eval_special(t8, point)
 
 
 @given(residue_vectors(), st.integers(-3, 3), st.integers(-3, 3))
@@ -670,37 +668,9 @@ def test_factor_scan_matches_reference_scan(n, signed, policy, bound, shapes):
     assert shapes <= scan_shapes(table, bound, policy)
 
 
-# Value passes per scan, sieve and exact, counted through cyclo's own name
-# for _residue_counts.  The same scans made 14, 57, 69 and 866 passes while
-# order 0 was never read off the sieve contents, each order-0 group kept its
-# own passes at every order, and every tested d above V got a lone pass.
-# They made 9, 51, 63 and 455 while the grouping cap was the number V of
-# distinct values, not the pass length N: signed 14 has N = 8192 against
-# V = 8190, and unsigned 12 has N = 528 against V = 513: that larger cap
-# moves the p-free parts 515..528 into the sieve's shared passes, which run
-# up front, and costs 4 more passes.  Groups stay within _GROUP_CAP = 2**17
-# as well as N.  Of these scans only n = 20 (N = 131,328) and n = 23
-# (N = 1,049,600) have N above it, and n = 20 at bound 300 forms no group
-# past it; n = 23, grouped up to N alone, made 20 passes, 16 of them mod
-# more than 2**17.
-@pytest.mark.parametrize(
-    "n,signed,policy,bound,passes",
-    [
-        (20, False, "heuristic", 300, 9),
-        (16, False, "heuristic", 10_000, 51),
-        (14, True, "heuristic", 10_000, 62),
-        (12, False, "exhaustive", 3000, 459),
-        pytest.param(23, False, "heuristic", 10_000, 28, marks=pytest.mark.golden),
-    ],
-    ids=[
-        "20-heuristic-300",
-        "16-heuristic-10000",
-        "signed14-heuristic-10000",
-        "12-exhaustive-3000",
-        "23-heuristic-10000",
-    ],
-)
-def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
+def counted_scan(monkeypatch, n, signed, **kwargs):
+    """factor_scan's report on beta_table(n, signed) and the (modulus, order)
+    of each value pass it made, through cyclo's name for _residue_counts."""
     calls, counts = [], cyclo._residue_counts
 
     def counting(*args):
@@ -709,9 +679,38 @@ def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
 
     monkeypatch.setattr(cyclo, "_residue_counts", counting)
     try:
-        factor_scan(beta_table(n, signed=signed), max_index=bound, policy=policy)
+        return factor_scan(beta_table(n, signed=signed), **kwargs), calls
     finally:
         descent._table.cache_clear()
+
+
+# Value passes per scan.  The same scans made 14, 57, 69 and 866 passes while
+# order 0 was never read off the sieve contents, each order-0 group kept its
+# own passes at every order, and every tested d above V got a lone pass.
+# They made 9, 51, 63 and 455 while the grouping cap was the number V of
+# distinct values, not the pass length N: signed 14 has N = 8192 against
+# V = 8190, and unsigned 12 has N = 528 against V = 513: that larger cap
+# moves the p-free parts 515..528 into the sieve's shared passes, which run
+# up front, and costs 4 more passes.  Groups stay within _GROUP_CAP = 2**17
+# as well as N.  Of these scans only n = 20 (N = 131,328) has N above it,
+# and at bound 300 it forms no group past it.
+@pytest.mark.parametrize(
+    "n,signed,policy,bound,passes",
+    [
+        (20, False, "heuristic", 300, 9),
+        (16, False, "heuristic", 10_000, 51),
+        (14, True, "heuristic", 10_000, 62),
+        (12, False, "exhaustive", 3000, 459),
+    ],
+    ids=[
+        "20-heuristic-300",
+        "16-heuristic-10000",
+        "signed14-heuristic-10000",
+        "12-exhaustive-3000",
+    ],
+)
+def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
+    _, calls = counted_scan(monkeypatch, n, signed, max_index=bound, policy=policy)
     assert len(calls) == passes, calls
     assert max(modulus for modulus, _ in calls) <= cyclo._GROUP_CAP
 
@@ -831,6 +830,8 @@ def test_golden_tables_load():
 
 # Every shipped row above the ones the tables suite rescans at full scale:
 # tier-1 rescans unsigned 17..19 and signed 11..17, the golden tier the rest.
+# No pass is mod more than _GROUP_CAP.  n = 23 (N = 1,049,600) made 28
+# passes; grouped up to N alone, it made 20, 16 of them mod more than 2**17.
 @pytest.mark.parametrize(
     "n,signed",
     [(n, False) for n in range(17, 20)]
@@ -840,9 +841,9 @@ def test_golden_tables_load():
         for n, signed in [(n, False) for n in range(20, 24)] + [(18, True)]
     ],
 )
-def test_factor_scan_matches_golden_at_recorded_bound(n, signed):
-    try:
-        got = factor_scan(beta_table(n, signed=signed), max_index=10_000).factors
-    finally:
-        descent._table.cache_clear()
-    assert got == load_golden(signed)[n].factors
+def test_factor_scan_matches_golden_at_recorded_bound(monkeypatch, n, signed):
+    report, calls = counted_scan(monkeypatch, n, signed, max_index=10_000)
+    assert report.factors == load_golden(signed)[n].factors
+    assert max(modulus for modulus, _ in calls) <= cyclo._GROUP_CAP
+    if (n, signed) == (23, False):
+        assert len(calls) == 28, calls

@@ -129,15 +129,6 @@ def test_parity_bitset_matches_exact_table(n):
         assert bits >> min(mask, full - mask) & 1 == v & 1
 
 
-def test_rho_table():
-    assert rho(1) == Fraction(1)
-    assert rho(2) == Fraction(1)
-    assert rho(3) == Fraction(1, 2)
-    assert rho(7) == Fraction(1, 2)
-    assert rho(15) == Fraction(29, 64)
-    assert rho(16) == Fraction(1)
-
-
 def test_residue_histogram_counts():
     t = beta_table(4)
     h = residue_histogram(t, 4)
@@ -149,13 +140,6 @@ def test_residue_histogram_counts():
     assert h3.counts[0] + h3.counts[1] == sum(v * (v - 1) for v in t.values)
     with pytest.raises(ContractViolationError):
         residue_histogram(t, 0)
-
-
-def test_mod_p_prediction_example():
-    # n=9, q=9: S={4} has no multiples of 9, so the prediction is
-    # (-1)^1 * beta_1(empty) = -1 = 2 mod 3, and indeed 125 = 2 mod 3
-    assert mod_p_prediction(9, 9, {4}) == 2
-    assert beta_table(9).value({4}) % 3 == 2
 
 
 def test_mod_p_prediction_validates():
