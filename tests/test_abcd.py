@@ -155,6 +155,14 @@ def test_has_odd_run():
     assert not has_odd_run(0b11011, 6)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+def test_odd_run_vanishing_signed(n):
+    p = ab_index(beta_table(n, signed=True))
+    for t in range(1 << n):
+        if has_odd_run(t, n):
+            assert signed_sum(p, t) == 0
+
+
 def test_macmahon_printed_reading_fails_somewhere():
     chk = macmahon_multiplication_check(1, 1, 0, 0)
     assert isinstance(chk, MacmahonCheck)
