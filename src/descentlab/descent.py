@@ -35,12 +35,12 @@ complements its descent set, so beta_n(S) = beta_n(complement of S): the
 upper half of a table, the masks with the top element of the universe, is
 the lower half in reverse slot order.  So a table holds only its lower
 half, and a mask in the upper half is read from the slot of its
-complement; nothing is copied.  The paths that run at large n (the
+complement; nothing is copied.  Every path that reads a table (the
 ``table`` summary, the value multiset behind the factor scan, the cache
-file) read the slots in blocks, so the 2**(n-1) values never exist as
-Python ints all at once, and the first two read only the stored half; the
-second keeps one value per orbit of a second symmetry (see
-:func:`_value_counts`).
+file) takes the cache-sized blocks of slots the build takes, so the
+2**(n-1) values never exist as Python ints all at once; the first two
+read only the stored half, and the second keeps one value per orbit of a
+second symmetry (see :func:`_value_counts`).
 
 The parity route takes the subset zeta transform mod 2 with
 :func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
@@ -58,6 +58,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from io import BytesIO
 from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -99,8 +100,14 @@ BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 MAX_INDEX = 1_000_000
 
 CACHE_FORMAT = "descentlab-table v1"
-# Values per block: a table is read, saved and loaded this many at a time.
-_SAVE_BLOCK = 1 << 16
+# The table recursion, every read of a table and the packed transform run
+# over blocks of at most this many bytes, small enough that a block and its
+# temporaries stay in the processor's cache.
+_CHUNK_BYTES = 1 << 15
+
+
+def _block(width: int) -> int:
+    return max(_CHUNK_BYTES // width, 1)  # whole slots, at least one
 
 
 def _slot_width(n: int, signed: bool) -> int:
@@ -124,9 +131,9 @@ class DescentTable:
     for the subset whose mask is k.  A mask k at or above ``stored`` is read
     from the slot of its complement, 2**universe - 1 - k.  ``value(S)``
     decodes one slot and ``chunks()`` yields the values of every mask in
-    mask order, ``_SAVE_BLOCK`` at a time; ``values`` builds the whole
-    tuple, which at n = 23 is 4,194,304 ints, so only small tables should
-    be read through it.
+    mask order, in the cache-sized blocks of the build; ``values`` builds
+    the whole tuple, which at n = 23 is 4,194,304 ints, so only small
+    tables should be read through it.
     """
 
     n: int
@@ -154,25 +161,22 @@ class DescentTable:
         width = self.width
         return int.from_bytes(self.data[k * width : (k + 1) * width], "little")
 
-    def _slots(self, lo: int, hi: int) -> list[int]:
-        """The values held in slots [lo, hi)."""
-        width = self.width
-        return _unpack(self.data[lo * width : hi * width], width)
-
     def chunks(self, stop: int | None = None) -> Iterator[list[int]]:
         """The values of the masks below ``stop`` (default all) in mask order,
-        in lists of ``_SAVE_BLOCK`` (fewer when the table is smaller).
+        in lists of as many as ``_CHUNK_BYTES`` holds slots (fewer when the
+        table is smaller).
 
         Below ``stored`` a block is a run of slots; above it, the run of
         their complements' slots reversed."""
-        full = 1 << self.universe
+        full, stored, width = 1 << self.universe, self.stored, self.width
         stop = full if stop is None else stop
-        stored = self.stored
-        for lo in range(0, stop, _SAVE_BLOCK):
-            hi = min(lo + _SAVE_BLOCK, stop)
-            block = self._slots(lo, min(hi, stored)) if lo < stored else []
+        step = _block(width)
+        for lo in range(0, stop, step):
+            hi = min(lo + step, stop)
+            block = _unpack(self.data[lo * width : min(hi, stored) * width], width)
             if hi > stored:
-                block += self._slots(full - hi, full - max(lo, stored))[::-1]
+                mirror = self.data[(full - hi) * width : (full - max(lo, stored)) * width]
+                block += _unpack(mirror, width)[::-1]
             yield block
 
     @property
@@ -265,12 +269,6 @@ def _tile(run: int, total: int) -> int:
         tile |= tile << span
         span *= 2
     return tile
-
-
-# The packed transform and the table recursion run over chunks of at most
-# this many bytes, small enough that a chunk and its temporaries stay in
-# the processor's cache.
-_CHUNK_BYTES = 1 << 15
 
 
 def _packed_transform(buf: bytearray, universe: int) -> None:
@@ -369,10 +367,10 @@ def _table(n: int, signed: bool) -> DescentTable:
     # masks with top element i + 1, is the whole table of universe i times
     # one binomial, minus the run's own prefix (see the module docstring).
     # The whole tables of universe u < universe - 1 are built first, by the
-    # same loop, into a scratch buffer, that of u at slots [2**u, 2**(u+1));
-    # then the lower half of the table of the universe, which needs them
-    # all.  The scratch buffer is freed before the copy into bytes, so the
-    # peak is about two halves.
+    # same loop, that of u at slots [2**u, 2**(u+1)), which run u of the
+    # lower half fills; then that half, in the same buffer and in ascending
+    # run order: run i reads the table of universe i, still in its slots,
+    # and a prefix that is already final.
     universe = n if signed else n - 1
     # the slot count, 2**(universe - 1), is checked before the slot width,
     # which computes the Euler number of n
@@ -382,21 +380,24 @@ def _table(n: int, signed: bool) -> DescentTable:
         raise ResourceLimitError(
             f"beta_table(n={n}, signed={signed}) needs more than {sys.maxsize} bytes"
         )
-    smaller, half = memoryview(bytearray(size)), memoryview(bytearray(size))
-    step = max(_CHUNK_BYTES // width, 1) * width  # whole slots, cache-sized
-    builds = [(u, smaller, width << u) for u in range(universe - 1)]
-    for u, view, base in [*builds, (universe, half, 0)]:
-        view[base] = 1
-        for i in range(min(u, universe - 1)):
-            factor = math.comb(u, i) << (u - i) if signed else math.comb(u + 1, i + 1)
-            lo = width << i  # the table of universe i starts at slot 2**i
-            for at in range(0, lo, step):
-                end = min(at + step, lo)
-                run = factor * int.from_bytes(smaller[lo + at : lo + end], "little")
-                run -= int.from_bytes(view[base + at : base + end], "little")
-                view[base + lo + at : base + lo + end] = run.to_bytes(end - at, "little")
-    del builds, smaller
-    return DescentTable(n=n, signed=signed, data=bytes(half))
+    # The buffer is zeroed bytes that only a BytesIO holds, written through
+    # its view: once that is released, getvalue() hands the bytes over
+    # without a copy, so the table holds immutable bytes at a peak of one half.
+    buf = BytesIO(bytes(size))
+    step = _block(width) * width
+    with buf.getbuffer() as view:
+        builds = [(u, width << u) for u in range(universe - 1)]
+        for u, base in [*builds, (universe, 0)]:
+            view[base] = 1
+            for i in range(min(u, universe - 1)):
+                factor = math.comb(u, i) << (u - i) if signed else math.comb(u + 1, i + 1)
+                lo = width << i  # the table of universe i starts at slot 2**i
+                for at in range(0, lo, step):
+                    end = min(at + step, lo)
+                    run = factor * int.from_bytes(view[lo + at : lo + end], "little")
+                    run -= int.from_bytes(view[base + at : base + end], "little")
+                    view[base + lo + at : base + lo + end] = run.to_bytes(end - at, "little")
+    return DescentTable(n=n, signed=signed, data=buf.getvalue())
 
 
 def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> DescentTable:
@@ -598,16 +599,15 @@ def _value_counts(table: DescentTable) -> list[tuple[int, Sequence[int]]]:
     a value where a list holds a pointer and a boxed int of 28 to 32.  Only
     a wider table, which ``max_n`` lets through, keeps its classes in lists.
     """
-    step = max(_CHUNK_BYTES // table.width, 1)
-    starts = range(0, table.stored, step)
-    blocks = (table._slots(lo, lo + step) for lo in starts)
+    starts = range(0, table.stored, _block(table.width))
+    blocks = table.chunks(table.stored)
     new = partial(array, "Q") if table.width <= 8 else list
     if table.signed or table.universe < 2:
         return [(2 if table.universe else 1, new(chain.from_iterable(blocks)))]
     codes = _orbit_codes(table.universe)
     paired, fixed = new(), new()
     for lo, block in zip(starts, blocks):
-        selector = codes[lo : lo + step]
+        selector = codes[lo : lo + len(block)]
         paired.extend(compress(block, selector.translate(_PAIRED)))
         fixed.extend(compress(block, selector.translate(_FIXED)))
     return [(4, paired), (2, fixed)]
@@ -747,11 +747,11 @@ def load_table(path) -> DescentTable:
     Raises :class:`CacheError` on any malformation, including bytes that
     are not text, an upper half that is not the lower half reversed, and a
     value sum that disagrees with the permutation count.  The values are
-    parsed ``_SAVE_BLOCK`` lines at a time, so neither the text nor the
-    values are held whole: those of the lower half are checked and packed,
-    and each block of the upper half is compared with the slots of its
-    complements.  The lower half's values are checked for their sign and
-    for the slot width, where packing would wrap them.
+    parsed one cache-sized block of slots at a time, as a table is read, so
+    neither the text nor the values are held whole: those of the lower half
+    are checked and packed, and each block of the upper half is compared
+    with the slots of its complements.  The lower half's values are checked
+    for their sign and for the slot width, where packing would wrap them.
     """
     try:
         with open(path, encoding="ascii") as f:
@@ -767,18 +767,18 @@ def load_table(path) -> DescentTable:
             expected = 1 << (n + signed_flag - 1)
             stored = max(expected >> 1, 1)
             width = _slot_width(n, bool(signed_flag))
-            parts: list[bytes] = []
+            lower = BytesIO()
             got = total = 0
             negative = wide = unmirrored = False
             try:
-                while block := list(map(int, islice(f, min(_SAVE_BLOCK, stored - got)))):
+                while block := list(map(int, islice(f, min(_block(width), stored - got)))):
                     got += len(block)
                     negative = negative or min(block) < 0
                     wide = wide or max(block) >> 8 * width > 0
                     total += sum(block)
-                    parts.append(_pack(block, width))
-                data = b"".join(parts)
-                while block := list(map(int, islice(f, min(_SAVE_BLOCK, expected - got)))):
+                    lower.write(_pack(block, width))
+                data = lower.getvalue()  # its bytes, not a copy
+                while block := list(map(int, islice(f, min(_block(width), expected - got)))):
                     # masks [got, got + len) mirror slots [expected - got - len, expected - got)
                     end = (expected - got) * width
                     mirror = _unpack(data[end - len(block) * width : end], width)

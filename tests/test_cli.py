@@ -730,22 +730,35 @@ def test_full_scale_table_summary_subprocess(argv):
     assert "max_ok=yes" in proc.stdout.split()
 
 
+# Starts the CLI and writes its exit code and peak RSS to the file argv[1].
+_LAUNCHER = """
+import os, sys
+argv = [sys.executable, "-m", "descentlab", *sys.argv[2:]]
+_, status, usage = os.wait4(os.posix_spawn(sys.executable, argv, os.environ), 0)
+with open(sys.argv[1], "w") as f:
+    f.write(f"{os.waitstatus_to_exitcode(status)} {usage.ru_maxrss}")
+"""
+
+
 def _peak_rss_run(tmp_path, *argv: str) -> tuple[int, str, str, int]:
     """Run the CLI in a fresh process: its exit code, stdout, stderr and
-    peak resident set size in KiB (``ru_maxrss``, in KiB on Linux)."""
-    out, err = tmp_path / "out", tmp_path / "err"
+    peak resident set size in KiB (``ru_maxrss``, in KiB on Linux).
+
+    A process's ``ru_maxrss`` takes in the peak of the process it was
+    forked from, and this test process reaches about 50 MB, more than most
+    CLI runs.  So the CLI is started by a bare interpreter, smaller than a
+    launch of ``--help``, which reports the CLI's exit code and peak."""
+    out, err, report = tmp_path / "out", tmp_path / "err", tmp_path / "report"
     with out.open("w") as stdout, err.open("w") as stderr:
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "descentlab", *argv],
+        subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, str(report), *argv],
             stdout=stdout,
             stderr=stderr,
             env=_src_env(),
+            check=True,
         )
-        # reaped here rather than by Popen, for the child's resource usage;
-        # Popen is told the exit code, or it warns that the child still runs
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, out.read_text(), err.read_text(), usage.ru_maxrss
+    code, peak = map(int, report.read_text().split())
+    return code, out.read_text(), err.read_text(), peak
 
 
 # The parity route at its ceiling holds only the lower half of the mod-2
@@ -762,25 +775,43 @@ def test_rho_31_peak_rss_subprocess(tmp_path):
 
 # The largest shipped factor row reads one table value per orbit of the
 # complement and the reversal into 64-bit arrays and takes no histogram
-# longer than 2**17, and peaks at about 50 MB, near the table's 48 MB.  With
-# the values as boxed ints and histograms as long as the pass it peaked at
-# about 105 MB, and with a Counter over the stored half at about 153 MB.
+# longer than 2**17, and peaks at about 45 MB.  With the table built in two
+# halves and copied it peaked at about 49 MB, with the values as boxed ints
+# and histograms as long as the pass at about 105 MB, and with a Counter
+# over the stored half at about 153 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_factors_23_peak_rss_subprocess(tmp_path):
     code, out, err, peak = _peak_rss_run(tmp_path, "factors", "--n", "23", "--golden", "builtin")
     assert (code, err) == (0, "")
     assert "golden match (n=23 signed=0, indices <= 10000)" in out.splitlines()
-    assert peak < 60 * 1024
+    assert peak < 52 * 1024
 
 
-# The full-scale table summary holds the lower half in slots of E_23's 8
-# bytes and peaks at about 48 MB; slots of 23!'s 10 bytes peaked at about
-# 56 MB.
+# The full-scale table summary builds the lower half, 32 MB in slots of
+# E_23's 8 bytes, in one buffer that becomes the table's bytes, and peaks at
+# about 32 MB.  Two half-size buffers and a copy into bytes peaked at about
+# 48 MB, and slots of 23!'s 10 bytes at about 56 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_table_23_peak_rss_subprocess(tmp_path):
     code, out, err, peak = _peak_rss_run(tmp_path, "table", "--n", "23")
     assert (code, err) == (0, "")
     assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
-    assert peak < 52 * 1024
+    assert peak < 36 * 1024
+
+
+# The same at a size tier-1 runs, measured against a launch of --help so
+# that the interpreter's own footprint does not move the bound: table
+# --n 22, whose lower half is 2**20 slots of 9 bytes, peaks about 9 MB
+# above --help.  A copy of the half into bytes peaked 16 MB above it,
+# blocks of 2**16 boxed values 15 MB, and two half-size buffers with a copy
+# 16 MB.
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_table_22_peak_rss_over_launch_subprocess(tmp_path):
+    code, _, err, idle = _peak_rss_run(tmp_path, "--help")
+    assert (code, err) == (0, "")
+    code, out, err, peak = _peak_rss_run(tmp_path, "table", "--n", "22")
+    assert (code, err) == (0, "")
+    assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
+    assert peak - idle < 12 * 1024

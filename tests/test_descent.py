@@ -170,11 +170,13 @@ def _join_writer(table, f):
         f.write("\n")
 
 
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+# blocks of 3 slots split the tables unevenly, and blocks of 2**16 slots
+# hold each of them whole
+@pytest.mark.parametrize("block", [3, 1 << 16])
 def test_save_table_bytes_match_the_join_writer(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
     new, old = tmp_path / "new.txt", tmp_path / "old.txt"
     for n, signed in [(n, False) for n in range(1, 13)] + [(n, True) for n in range(1, 10)]:
+        monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
         t = beta_table(n, signed=signed)
         save_table(t, new)
         with open(old, "w") as f:
@@ -364,9 +366,9 @@ def assert_zeta_is_alpha(n: int, signed: bool) -> None:
 
 
 # Blocks of 3 slots split every run of more than 3 slots unevenly, blocks of
-# _SAVE_BLOCK slots hold every run of these tables whole, and None leaves
-# the default, cache-sized blocks.
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK, None])
+# 2**16 slots hold every run of these tables whole, and None leaves the
+# default, cache-sized blocks.
+@pytest.mark.parametrize("block", [3, 1 << 16, None])
 def test_table_sums_over_subsets_to_alpha(monkeypatch, block):
     for n, signed in TIER_1_TABLES:
         if block is not None:
@@ -436,10 +438,10 @@ def test_full_scale_table_sums_over_subsets_to_alpha(n, signed):
         descent._table.cache_clear()
 
 
-@pytest.mark.parametrize("block", [3, descent._SAVE_BLOCK])
+@pytest.mark.parametrize("block", [3, 1 << 16])
 def test_chunks_and_value_match_whole_unpack(monkeypatch, block):
-    monkeypatch.setattr(descent, "_SAVE_BLOCK", block)
     for n, signed in SMALL_TABLES:
+        monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
         t = beta_table(n, signed=signed)
         whole = [t.value(mask) for mask in range(1 << t.universe)]
         chunks = list(t.chunks())
