@@ -12,7 +12,7 @@ _EXPORTS = {
     "errors": ("CacheError", "ContractViolationError", "DescentLabError", "ResourceLimitError"),
     "numbers": ("euler_number", "multinomial", "signed_euler_number"),
     "descent": (
-        "DescentTable", "ResidueHistogram", "alpha", "alpha_signed", "beta_table",
+        "DescentTable", "alpha", "alpha_signed", "beta_table",
         "brute_force_table", "load_table", "mod_p_prediction", "residue_histogram", "rho",
         "save_table",
     ),

@@ -215,7 +215,7 @@ def _mod4(at, only) -> list[CheckResult]:
     for signed, ns in ((False, at.unsigned), (True, at.signed)):
         for n in _keep(only, ns):
             table = descent.beta_table(n, signed)
-            c = descent.residue_histogram(table, 4).counts
+            c = descent.residue_histogram(table, 4)
             expect = 1 << (table.universe - 1)
             ok = c[0] == 0 and c[2] == 0 and c[1] == expect and c[3] == expect
             out.append(
@@ -263,7 +263,7 @@ def _mod2p(at, only) -> list[CheckResult]:
     out = []
     for n, p in _keep(only, at.cases):
         m = 2 * p
-        c = descent.residue_histogram(descent.beta_table(n), m).counts
+        c = descent.residue_histogram(descent.beta_table(n), m)
         expect = 1 << (n - 3)
         allowed = {1, m - 1, p - 1, p + 1}
         stray = sum(c[r] for r in range(m) if r not in allowed)
@@ -300,7 +300,7 @@ def _congruent(counts, terms: dict[int, int]) -> bool:
     diff = list(counts)
     for e, c in terms.items():
         diff[e] -= c
-    return cyclo._phi_divides(diff, len(diff))
+    return cyclo.divides_order(diff, len(diff))
 
 
 @_suite(
@@ -350,7 +350,7 @@ def _theoremq(at, only) -> list[CheckResult]:
             out.append(
                 CheckResult(
                     f"theoremQ.{kind}.{tag}{n}",
-                    _congruent(hist.counts, {1: coeff, m - 1: coeff}),
+                    _congruent(hist, {1: coeff, m - 1: coeff}),
                     f"value at primitive {m}th root = coeff {coeff} times (t + t^{m - 1})",
                 )
             )
@@ -444,7 +444,7 @@ def _derivative(at, only) -> list[CheckResult]:
         ok = (
             once
             and not twice
-            and _congruent(first.counts, {1: coeff, m - 1: -coeff})
+            and _congruent(first, {1: coeff, m - 1: -coeff})
             and (p not in magnitudes or magnitude == magnitudes[p])
         )
         out.append(

@@ -171,8 +171,8 @@ def cmd_factors(args: argparse.Namespace) -> int:
         print(json.dumps(cyclo.report_to_json_dict(report), sort_keys=True))
     if golden is None:
         return 0
-    # golden rows were recorded with bound 10000
-    cap = min(args.max_index, golden.bound or 10_000)
+    # a row that records no bound is compared up to the scan's own
+    cap = min(args.max_index, golden.bound) if golden.bound else args.max_index
     mine = tuple((m, k) for m, k in report.factors if m <= cap)
     theirs = tuple((m, k) for m, k in golden.factors if m <= cap)
     if mine == theirs:

@@ -58,7 +58,6 @@ from typing import Iterable, Iterator, Sequence
 from .descent import (
     MAX_INDEX,
     DescentTable,
-    ResidueHistogram,
     _pack,
     _residue_counts,
     _unpack,
@@ -200,15 +199,6 @@ def cyclotomic(k: int) -> IntPoly:
     return IntPoly(c)
 
 
-def _phi_divides(counts: Sequence[int], m: int) -> bool:
-    """Whether Phi_m divides sum_r counts[r] * t**r, a residue mod t**m - 1.
-
-    Negative counts are first raised by -min(counts), a constant vector,
-    which every (1 - t**s) sends to zero."""
-    low = min(min(counts), 0)
-    return next(_phi_divides_each([c - low for c in counts], [m]))
-
-
 def _phi_products(hist: Sequence[int], members: list[int]) -> Iterator[tuple[int, int, int]]:
     """For each m in ``members``, a nonnegative residue histogram taken mod a
     multiple of m, folded mod m and multiplied by (1 - t**(m/p)) for every
@@ -246,35 +236,26 @@ def _phi_contents(hist: Sequence[int], members: list[int]) -> Iterator[int]:
         yield math.gcd(*map(operator.sub, a_slots, b_slots))
 
 
-def _as_histogram(source, m: int, order: int) -> ResidueHistogram:
-    if isinstance(source, ResidueHistogram):
-        if source.m != m or source.order != order:
-            raise ContractViolationError(
-                f"histogram carries m={source.m}, order={source.order}; "
-                f"asked about m={m}, order={order}"
-            )
-        return source
-    if isinstance(source, DescentTable):
-        return residue_histogram(source, m, order)
-    raise ContractViolationError(
-        f"need a DescentTable or ResidueHistogram, got {type(source).__name__}"
-    )
-
-
 def divides_order(source, m: int, order: int = 0) -> bool:
     """Whether Phi_m divides the order-th derivative of the descent polynomial.
 
     Phi_m to the power j + 1 divides sum_S t**beta(S) exactly when this holds
-    for every order from 0 through j.  ``source`` is a descent table or a
-    residue histogram already taken at (m, order).  Phi_m itself is never
-    built; see the module docstring for the test.  ``m`` above MAX_INDEX
-    raises :class:`ResourceLimitError`.
+    for every order from 0 through j.  ``source`` is a descent table or its
+    m residue counts at that order, a list or tuple, negative counts allowed.
+    Phi_m itself is never built; see the module docstring for the test.
+    ``m`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     if m < 2:
         raise ContractViolationError(f"cyclotomic index must be >= 2, got {m}")
     if m > MAX_INDEX:
         raise ResourceLimitError(f"cyclotomic index {m} exceeds the limit {MAX_INDEX}")
-    return _phi_divides(_as_histogram(source, m, order).counts, m)
+    if isinstance(source, DescentTable):
+        source = residue_histogram(source, m, order)
+    elif not isinstance(source, (list, tuple)) or len(source) != m:
+        raise ContractViolationError(f"need a table or {m} counts, got {type(source).__name__}")
+    # every (1 - t**s) zeroes a constant vector, so the lift keeps the verdict
+    low = min(min(source), 0)
+    return next(_phi_divides_each([c - low for c in source], [m]))
 
 
 def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
@@ -284,10 +265,10 @@ def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
     as an integer pair (real, imaginary).
     """
     if point == -1:
-        c = residue_histogram(table, 2, 0).counts
+        c = residue_histogram(table, 2, 0)
         return c[0] - c[1]
     if point == "i":
-        c = residue_histogram(table, 4, 0).counts
+        c = residue_histogram(table, 4, 0)
         return (c[0] - c[2], c[1] - c[3])
     raise ContractViolationError(f"supported points are -1 and 'i'; got {point!r}")
 
@@ -544,17 +525,20 @@ def report_to_json_dict(report: FactorReport) -> dict:
 
 
 def load_golden(signed: bool) -> dict[int, FactorReport]:
-    """The recorded factor tables shipped with the package, keyed by n."""
+    """The recorded factor tables shipped with the package, keyed by n; every
+    row carries the bound of its file's first row, ``bound=B``."""
     from importlib import resources
 
     name = "table_signed.txt" if signed else "table_unsigned.txt"
     text = resources.files("descentlab.golden").joinpath(name).read_text()
+    rows = [line for line in map(str.strip, text.splitlines()) if line and line[0] != "#"]
+    head = rows.pop(0) if rows else ""
+    if not head.startswith("bound="):
+        raise ContractViolationError(f"{name}: the first row must be bound=..., got {head!r}")
     out: dict[int, FactorReport] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        report = parse_report_line(line)
+    for line in rows:
+        fields, _, body = line.partition(":")
+        report = parse_report_line(f"{fields} {head}:{body}")
         if report.n in out:
             raise ContractViolationError(f"{name}: a second row for n={report.n}: {line!r}")
         out[report.n] = report

@@ -74,7 +74,6 @@ __all__ = [
     "DEFAULT_LIMITS",
     "BRUTE_FORCE_LIMITS",
     "DescentTable",
-    "ResidueHistogram",
     "alpha",
     "alpha_signed",
     "beta_table",
@@ -191,24 +190,6 @@ class DescentTable:
                 f"table for n={self.n} signed={self.signed} needs "
                 f"{self.stored} slots of {width} bytes, got {len(self.data)} bytes"
             )
-
-
-@dataclass(frozen=True)
-class ResidueHistogram:
-    """Residue class sums of a descent table modulo m.
-
-    ``counts[r]`` sums ff(beta(S), order) over the subsets S with
-    beta(S) = r mod m, where ff(v, j) = v (v-1) ... (v-j+1) is the falling
-    factorial (so order 0 just counts subsets per residue class).
-    """
-
-    m: int
-    order: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.order < 0 or len(self.counts) != self.m:
-            raise ContractViolationError("inconsistent residue histogram")
 
 
 def alpha(n: int, S) -> int:
@@ -634,8 +615,9 @@ def _residue_counts(
     return hist
 
 
-def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHistogram:
-    """Sum ff(beta(S), order) over subsets, grouped by beta(S) mod m.
+def residue_histogram(table: DescentTable, m: int, order: int = 0) -> list[int]:
+    """The list of m counts: entry r sums ff(beta(S), order) over the subsets
+    S with beta(S) = r mod m, where ff(v, j) = v (v-1) ... (v-j+1).
 
     Order 0 counts subsets per residue class; order j gives the residue data
     of the j-th derivative of the generating polynomial sum_S t^beta(S).
@@ -647,8 +629,7 @@ def residue_histogram(table: DescentTable, m: int, order: int = 0) -> ResidueHis
         raise ResourceLimitError(f"modulus {m} exceeds the limit {MAX_INDEX}")
     if order < 0:
         raise ContractViolationError(f"order must be >= 0, got {order}")
-    counts = _residue_counts(_value_counts(table), m, order)
-    return ResidueHistogram(m=m, order=order, counts=tuple(counts))
+    return _residue_counts(_value_counts(table), m, order)
 
 
 def _prime_power_base(q: int) -> int:

@@ -29,7 +29,7 @@ from descentlab.cyclo import (
     parse_report_line,
     report_to_json_dict,
 )
-from descentlab.descent import ResidueHistogram, beta_table, residue_histogram
+from descentlab.descent import beta_table, residue_histogram
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import prime_divisors
 
@@ -228,7 +228,7 @@ def residue_vectors(draw):
 def test_divides_order_agrees_with_division(case):
     m, c = case
     by_division = reference_remainder(c, m).is_zero
-    assert divides_order(ResidueHistogram(m, 0, tuple(c)), m) == by_division
+    assert divides_order(c, m) == by_division
 
 
 def test_modulus_bound_refused_before_allocating(monkeypatch):
@@ -245,12 +245,14 @@ def test_modulus_bound_refused_before_allocating(monkeypatch):
 
 def test_divides_order_accepts_prepared_histogram():
     t = beta_table(6)
-    h = residue_histogram(t, 6, 0)
-    assert divides_order(h, 6, 0)
-    with pytest.raises(ContractViolationError):
-        divides_order(h, 6, 1)  # mismatched order
-    with pytest.raises(ContractViolationError):
-        divides_order([1, 2], 4, 0)
+    for m in (6, 7):
+        for order in (0, 1):
+            counts = residue_histogram(t, m, order)
+            assert divides_order(counts, m, order) == divides_order(t, m, order)
+    assert divides_order(residue_histogram(t, 6, 0), 6, 0)
+    for bad in ([1, 2], (1, 2, 3, 4, 5), None):  # wrong length, or no counts
+        with pytest.raises(ContractViolationError):
+            divides_order(bad, 4, 0)
 
 
 def test_eval_special():
@@ -353,7 +355,7 @@ def test_packed_kernel_matches_list_reference(case, pick, extra):
     assert packed_verdict(hist, m) == verdict
     assert next(cyclo._phi_contents(hist, [m])) == math.gcd(*product)
     shift = folded[pick % m] + extra
-    assert cyclo._phi_divides([c - shift for c in folded], m) == verdict
+    assert divides_order([c - shift for c in folded], m) == verdict
 
 
 def test_phi_contents_small():
@@ -423,8 +425,8 @@ def test_packed_kernel_edges(m):
         for folded in (spike, periodic, near):
             verdict = list_phi_divides(folded, m)
             assert packed_verdict(folded, m) == packed_verdict(spread(folded), m) == verdict
-        assert not cyclo._phi_divides([-total] + [0] * (m - 1), m)
-        assert cyclo._phi_divides([-total] * m, m)
+        assert not divides_order([-total] + [0] * (m - 1), m)
+        assert divides_order([-total] * m, m)
 
 
 def test_heuristic_candidates():
@@ -810,10 +812,27 @@ def test_parse_report_line_refuses_an_empty_factor_list():
 
 
 def test_load_golden_refuses_two_rows_for_one_n(tmp_path, monkeypatch):
-    (tmp_path / "table_unsigned.txt").write_text("n=3 signed=0: Phi_2\nn=4 signed=0: -\nn=3 signed=0: -\n")
+    (tmp_path / "table_unsigned.txt").write_text(
+        "bound=10000\nn=3 signed=0: Phi_2\nn=4 signed=0: -\nn=3 signed=0: -\n"
+    )
     monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
     with pytest.raises(ContractViolationError, match="a second row for n=3"):
         load_golden(False)
+
+
+# the bound is written once, above the rows, and each row is held to it
+def test_load_golden_refuses_an_index_above_the_recorded_bound(tmp_path, monkeypatch):
+    monkeypatch.setattr(importlib.resources, "files", lambda package: tmp_path)
+    golden = tmp_path / "table_unsigned.txt"
+    golden.write_text("# comment\nbound=100\nn=8 signed=0: Phi_4^2 Phi_28\n")
+    assert load_golden(False)[8].bound == 100
+    golden.write_text("# comment\nbound=100\nn=8 signed=0: Phi_4^2 Phi_28 Phi_200\n")
+    with pytest.raises(ContractViolationError, match="'Phi_200' lies above the bound 100"):
+        load_golden(False)
+    for text in ("n=8 signed=0: Phi_4^2\n", "", "bound=1\nn=8 signed=0: -\n"):
+        golden.write_text(text)
+        with pytest.raises(ContractViolationError):
+            load_golden(False)
 
 
 def test_golden_tables_load():
@@ -826,6 +845,7 @@ def test_golden_tables_load():
     assert all(r.signed for r in gs.values())
     assert set(gu) == set(range(3, 24))
     assert set(gs) == set(range(2, 19))
+    assert {r.bound for r in [*gu.values(), *gs.values()]} == {10_000}
 
 
 # Every shipped row above the ones the tables suite rescans at full scale:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descentlab import qsym
-from descentlab.descent import DEFAULT_LIMITS, beta_table, rho
+from descentlab.descent import DEFAULT_LIMITS, beta_table
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import composition_to_mask
 from descentlab.qsym import (
@@ -144,16 +144,6 @@ def test_singleton_product_limits():
         product_monomial_singletons((0, 1))
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_f_boolean_fundamental_is_descent_table(n):
-    assert m_to_l(f_boolean(n)).coeffs == beta_table(n).values
-
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_f_cubical_fundamental_is_signed_descent_table(n):
-    assert m_to_l(f_cubical_B(n)).coeffs == beta_table(n, signed=True).values
-
-
 def test_f_boolean_monomial_coefficients_count_chains():
     # degree-n M coefficient on comp = number of chains with those rank jumps
     # = multinomial(n; comp)
@@ -183,11 +173,6 @@ def test_power_limits():
         f_boolean(13)
     with pytest.raises(ResourceLimitError):
         f_cubical_B(13)
-
-
-@pytest.mark.parametrize("n", list(range(1, 13)) + [16, 17, 18])
-def test_odd_fundamental_count_matches_rho(n):
-    assert odd_fundamental_count(n) == rho(n) * (1 << (n - 1))
 
 
 def test_odd_fundamental_count_is_bounded(monkeypatch):
