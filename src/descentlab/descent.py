@@ -42,26 +42,27 @@ file) takes the cache-sized blocks of slots the build takes, so the
 read only the stored half, and the second keeps one value per orbit of a
 second symmetry (see :func:`_value_counts`).
 
-The parity route takes the subset zeta transform mod 2 with
-:func:`_packed_transform`, XOR over 1-bit slots as big-int operations on
-cache-sized chunks; XOR cannot carry.  The symmetry holds mod 2 as well,
-so it too builds and returns only the lower half, 2**(n-2) bits, whose
-mirror is the upper half.
+The parity route takes the subset zeta transform mod 2 of the few odd
+alpha positions with :func:`_xor_zeta_chunks`, which streams it one
+cache-sized chunk of 1-bit slots at a time, each pass one big-int XOR;
+XOR cannot carry.  The symmetry holds mod 2 as well, so it too covers
+only the lower half, 2**(n-2) bits, whose mirror is the upper half:
+``rho`` counts its bits chunk by chunk and never holds the half.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from io import BytesIO
 from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
 from .numbers import as_mask, euler_number, mask_to_composition, multinomial
@@ -87,9 +88,10 @@ __all__ = [
 ]
 
 # Ceilings on n.  beta_table refuses a larger n unless the caller raises
-# max_n.  The parity route (beta_parity_bitset, rho) has no override: at
-# n = 31 its lower half of 2**29 bits is 64 MB, and `rho --n 31` peaks at
-# about 85 MB.
+# max_n.  The parity route (beta_parity_bitset, rho) has no override, and
+# time sets its ceiling: its transform streams 2**(n-2) bits, about 0.3 s
+# at n = 31 (`rho --n 31` runs in about 0.5 s and peaks at about 18 MB),
+# and doubles with each unit of n.
 DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
@@ -99,7 +101,7 @@ BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 MAX_INDEX = 1_000_000
 
 CACHE_FORMAT = "descentlab-table v1"
-# The table recursion, every read of a table and the packed transform run
+# The table recursion, every read of a table and the mod-2 transform run
 # over blocks of at most this many bytes, small enough that a block and its
 # temporaries stay in the processor's cache.
 _CHUNK_BYTES = 1 << 15
@@ -224,9 +226,10 @@ def alpha_signed(n: int, S) -> int:
 def _subset_transform(vals: list, op) -> None:
     """vals[S] <- op(vals[S], vals[S - {b}]) for every element b of S, in place.
 
-    ``operator.add`` gives the subset zeta transform (sums over subsets),
-    ``operator.sub`` its inverse, the subset Moebius inversion, and
-    ``operator.xor`` the zeta transform mod 2.
+    ``operator.add`` gives the subset zeta transform (sums over subsets) and
+    ``operator.sub`` its inverse, the subset Moebius inversion, the basis
+    change of :func:`descentlab.qsym.m_to_l`.  The zeta transform mod 2 is
+    :func:`_xor_zeta_chunks`, which never holds a whole list.
     """
     size = len(vals)
     step = 1
@@ -250,43 +253,6 @@ def _tile(run: int, total: int) -> int:
         tile |= tile << span
         span *= 2
     return tile
-
-
-def _packed_transform(buf: bytearray, universe: int) -> None:
-    """The subset zeta transform mod 2 of the bits of ``buf``, in place:
-    :func:`_subset_transform` under XOR, with bit k the entry for mask k.
-
-    A chunk is the largest power of two of bits within ``_CHUNK_BYTES``,
-    or the whole buffer when that is smaller; inside it each pass is one
-    big-int XOR with a tile built once.  The elements above the chunk size
-    pair whole chunks, in two rounds so that only a few chunks are held as
-    ints at a time (all of them at once would double the memory of the
-    buffer): first among neighbouring chunks, then among chunks a group
-    apart.
-    """
-    low = min(universe, (8 * _CHUNK_BYTES).bit_length() - 1)
-    chunk = max((1 << low) // 8, 1)
-    passes = [(_tile(1 << b, 8 * chunk), 1 << b) for b in range(low)]
-    count = 1 << (universe - low)
-    group = 1 << ((universe - low + 1) // 2)
-    view = memoryview(buf)
-
-    def transform(indexes, inner) -> None:
-        xs = []
-        for i in indexes:
-            x = int.from_bytes(view[i * chunk : (i + 1) * chunk], "little")
-            for tile, shift in inner:
-                x ^= (x & tile) << shift
-            xs.append(x)
-        _subset_transform(xs, operator.xor)
-        for i, x in zip(indexes, xs):
-            view[i * chunk : (i + 1) * chunk] = x.to_bytes(chunk, "little")
-
-    for lo in range(0, count, group):
-        transform(range(lo, lo + group), passes)
-    if group < count:
-        for lo in range(group):
-            transform(range(lo, count, group), ())
 
 
 def _unpack(buf: bytes, width: int) -> list[int]:
@@ -449,21 +415,39 @@ def brute_force_table(n: int, signed: bool = False) -> DescentTable:
     return DescentTable(n=n, signed=signed, data=_pack(half, _slot_width(n, signed)))
 
 
-def _bitset(universe: int) -> bytearray:
-    """A zeroed buffer of one bit per subset of a ``universe``-element set."""
-    return bytearray(max((1 << universe) >> 3, 1))
+def _xor_zeta_chunks(positions: Iterable[int], universe: int) -> Iterator[int]:
+    """The subset zeta transform mod 2 of the set of masks ``positions``
+    over a ``universe``-element set, bit k the parity of the number of
+    positions that are submasks of k, yielded in chunks of
+    2**min(universe, 18) bits: chunk c is bits [c << low, (c + 1) << low).
+
+    The transform over the elements below low (the low part) composed with
+    that over the elements above it (the high part) is the whole transform.
+    So chunk c is the in-chunk transform, each pass one big-int XOR with a
+    tile built once, of one input: the XOR of the low parts of every
+    position whose high part is a submask of c.  Only one chunk is held at
+    a time, besides one input per distinct high part.
+    """
+    low = min(universe, (8 * _CHUNK_BYTES).bit_length() - 1)
+    bits = 1 << low
+    passes = [(_tile(1 << b, bits), 1 << b) for b in range(low)]
+    parts: defaultdict[int, bytearray] = defaultdict(partial(bytearray, max(bits >> 3, 1)))
+    for p in positions:
+        k = p & (bits - 1)
+        parts[p >> low][k >> 3] ^= 1 << (k & 7)
+    inputs = [(h, int.from_bytes(part, "little")) for h, part in parts.items()]
+    del parts
+    for c in range(1 << (universe - low)):
+        x = 0
+        for h, part in inputs:
+            if h & ~c == 0:
+                x ^= part
+        for tile, shift in passes:
+            x ^= (x & tile) << shift
+        yield x
 
 
-def _bit_count(buf: bytearray) -> int:
-    """The number of set bits of ``buf``, counted one chunk at a time."""
-    view = memoryview(buf)
-    return sum(
-        int.from_bytes(view[lo : lo + _CHUNK_BYTES], "little").bit_count()
-        for lo in range(0, len(buf), _CHUNK_BYTES)
-    )
-
-
-def _chain_positions(n: int) -> bytearray:
+def _chain_positions(n: int) -> list[int]:
     # alpha_n(S) is odd iff the elements of S form a chain under bitwise
     # containment whose top is a proper submask of n, so the odd positions
     # are enumerated by extending chains one strict superset at a time, from
@@ -471,11 +455,11 @@ def _chain_positions(n: int) -> bytearray:
     # is kept, the positions without element n - 1, so only tops below n - 1
     # are extended: n is never a top, and a chain through n - 1 (a submask
     # of n only when n is odd) stays in the upper half.
-    out = _bitset(max(n - 2, 0))
+    out = []
     stack = [(0, 0)]
     while stack:
         pos, top = stack.pop()
-        out[pos >> 3] |= 1 << (pos & 7)
+        out.append(pos)
         room = n & ~top
         sub = room
         while sub:
@@ -486,19 +470,25 @@ def _chain_positions(n: int) -> bytearray:
     return out
 
 
-def _parity_bits(n: int) -> bytearray:
-    """beta_n mod 2 over the lower half, the masks without element n - 1
-    (all of the one mask when n = 1), bit k for mask k: the mod-2 zeta
-    transform of the odd alpha positions there.  Every subset of such a
-    mask is one too, so this is the lower half of the whole transform."""
+def _parity_limit(n: int, name: str) -> None:
+    """Refuse an n outside [1, ``DEFAULT_LIMITS["parity"]``] for the parity
+    function ``name``."""
     if n < 1:
         raise ContractViolationError(f"n must be >= 1, got {n}")
     limit = DEFAULT_LIMITS["parity"]
     if n > limit:
-        raise ResourceLimitError(f"beta_parity_bitset(n={n}) exceeds the limit {limit}")
-    buf = _chain_positions(n)
-    _packed_transform(buf, max(n - 2, 0))
-    return buf
+        raise ResourceLimitError(f"{name}(n={n}) exceeds the limit {limit}")
+
+
+def _parity_chunks(n: int, name: str) -> Iterator[int]:
+    """beta_n mod 2 over the lower half, the masks without element n - 1
+    (all of the one mask when n = 1), bit k for mask k, in the chunks of
+    :func:`_xor_zeta_chunks`: the mod-2 zeta transform of the odd alpha
+    positions there.  Every subset of such a mask is one too, so this is
+    the lower half of the whole transform.  n is checked for ``name`` here,
+    not at the first chunk."""
+    _parity_limit(n, name)
+    return _xor_zeta_chunks(_chain_positions(n), max(n - 2, 0))
 
 
 def beta_parity_bitset(n: int) -> int:
@@ -511,18 +501,23 @@ def beta_parity_bitset(n: int) -> int:
     proportional to 2**n bits, so n above ``DEFAULT_LIMITS["parity"]`` is
     refused.
     """
-    return int.from_bytes(_parity_bits(n), "little")
+    chunks = _parity_chunks(n, "beta_parity_bitset")
+    # every chunk but a lone one fills _CHUNK_BYTES, and a lone one's
+    # padding is high zero bits
+    return int.from_bytes(b"".join(x.to_bytes(_CHUNK_BYTES, "little") for x in chunks), "little")
 
 
 @lru_cache(maxsize=None)
 def rho(n: int) -> Fraction:
     """Fraction of subsets S of {1, ..., n-1} with beta_n(S) odd: that of
-    the lower half, whose mirror is the upper half."""
+    the lower half, whose mirror is the upper half, counted one chunk at a
+    time."""
     # imported here: no other path makes a Fraction, and a launch that never
     # calls rho saves the import
     from fractions import Fraction
 
-    return Fraction(_bit_count(_parity_bits(n)), 1 << max(n - 2, 0))
+    odd = sum(x.bit_count() for x in _parity_chunks(n, "rho"))
+    return Fraction(odd, 1 << max(n - 2, 0))
 
 
 # Translations of the codes of _orbit_codes into the selectors of one class.

@@ -29,13 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import (
-    DEFAULT_LIMITS,
-    _bit_count,
-    _bitset,
-    _packed_transform,
-    _subset_transform,
-)
+from .descent import _parity_limit, _subset_transform, _xor_zeta_chunks
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import composition_to_mask
 
@@ -218,17 +212,13 @@ def odd_fundamental_count(n: int) -> int:
 
     Modulo 2 the n-th power of M_(1) collapses to the product of one
     M_(2^j) per binary digit of n, whose odd support has at most an
-    ordered-Bell-of-popcount size.  The support is set as one bit per
-    subset, and the basis change to L is the packed engine of
-    :mod:`descentlab.descent` with XOR over 1-bit slots, the same transform
-    as the parity route there.  That buffer holds 2**(n-1) bits, so n above
-    ``DEFAULT_LIMITS["parity"]`` is refused, as by the parity route.
+    ordered-Bell-of-popcount size.  The basis change to L takes the mask of
+    each composition in the support, over all n - 1 elements, to the chunks
+    of the mod-2 zeta transform of :mod:`descentlab.descent`, the engine of
+    the parity route there, and counts their bits one chunk at a time.  n
+    above ``DEFAULT_LIMITS["parity"]`` is refused, as by the parity route.
     """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = DEFAULT_LIMITS["parity"]
-    if n > limit:
-        raise ResourceLimitError(f"odd_fundamental_count(n={n}) exceeds the limit {limit}")
+    _parity_limit(n, "odd_fundamental_count")
     # Each part so far sums distinct powers of 2 below 2**j, so the one part
     # holding 2**j shows where M_(2**j) went and what it came from: every
     # coefficient stays 1, and the support is the product's keys.
@@ -236,9 +226,5 @@ def odd_fundamental_count(n: int) -> int:
     for j in range(n.bit_length()):
         if n >> j & 1:
             support = _times_monomial(support, 1 << j)
-    buf = _bitset(n - 1)
-    for comp in support:
-        mask = composition_to_mask(comp)
-        buf[mask >> 3] |= 1 << (mask & 7)
-    _packed_transform(buf, n - 1)
-    return _bit_count(buf)
+    masks = map(composition_to_mask, support)
+    return sum(x.bit_count() for x in _xor_zeta_chunks(masks, n - 1))

@@ -163,7 +163,7 @@ def test_table_out_of_memory_maps_to_3(capsys, monkeypatch):
 def test_rho_respects_limit(capsys):
     code, _, err = run(capsys, "rho", "--n", "40")
     assert code == 3
-    assert err.startswith("resource limit:")
+    assert err == "resource limit: rho(n=40) exceeds the limit 31\n"
 
 
 # the scan's arguments are refused before the table is built or cached
@@ -761,16 +761,17 @@ def _peak_rss_run(tmp_path, *argv: str) -> tuple[int, str, str, int]:
     return code, out.read_text(), err.read_text(), peak
 
 
-# The parity route at its ceiling holds only the lower half of the mod-2
-# table, 64 MB at n = 31, and peaks at about 85 MB; the whole table peaked
-# at 149 MB.
+# The parity route at its ceiling streams the lower half of the mod-2
+# table, 2**29 bits, one 32 KB chunk at a time, and peaks at about 18 MB,
+# within 4 MB of a launch of --help.  The lower half held whole, 64 MB,
+# peaked at about 85 MB, and the whole table at 149 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_rho_31_peak_rss_subprocess(tmp_path):
     code, out, err, peak = _peak_rss_run(tmp_path, "rho", "--n", "31")
     assert (code, err) == (0, "")
     assert "rho=3991/8192" in out.split()
-    assert peak < 110 * 1024
+    assert peak < 24 * 1024
 
 
 # The largest shipped factor row reads one table value per orbit of the
@@ -803,10 +804,10 @@ def test_table_23_peak_rss_subprocess(tmp_path):
 
 # The same at a size tier-1 runs, measured against a launch of --help so
 # that the interpreter's own footprint does not move the bound: table
-# --n 22, whose lower half is 2**20 slots of 9 bytes, peaks about 9 MB
-# above --help.  A copy of the half into bytes peaked 16 MB above it,
-# blocks of 2**16 boxed values 15 MB, and two half-size buffers with a copy
-# 16 MB.
+# --n 22, whose lower half is 2**20 slots of E_22's 7 bytes, 7.3 MB,
+# peaks about 9 MB above --help.  A copy of the half into bytes peaked
+# 16 MB above it, blocks of 2**16 boxed values 15 MB, and two half-size
+# buffers with a copy 16 MB.
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_table_22_peak_rss_over_launch_subprocess(tmp_path):
     code, _, err, idle = _peak_rss_run(tmp_path, "--help")
@@ -815,3 +816,17 @@ def test_table_22_peak_rss_over_launch_subprocess(tmp_path):
     assert (code, err) == (0, "")
     assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
     assert peak - idle < 12 * 1024
+
+
+# The parity route at the size the benchmark runs, against a launch of
+# --help as above: rho --n 29 streams 2**27 bits in 32 KB chunks and peaks
+# about 2.5 MB above --help.  The lower half held whole, 16 MB, peaked about
+# 19 MB above it.
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_rho_29_peak_rss_over_launch_subprocess(tmp_path):
+    code, _, err, idle = _peak_rss_run(tmp_path, "--help")
+    assert (code, err) == (0, "")
+    code, out, err, peak = _peak_rss_run(tmp_path, "rho", "--n", "29")
+    assert (code, err) == (0, "")
+    assert "rho=29/64" in out.split()
+    assert peak - idle < 4 * 1024

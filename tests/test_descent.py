@@ -32,11 +32,10 @@ from descentlab.descent import (
     _CHUNK_BYTES,
     _chain_positions,
     _pack,
-    _packed_transform,
-    _parity_bits,
     _slot_width,
     _tile,
     _unpack,
+    _xor_zeta_chunks,
 )
 from descentlab.errors import (
     CacheError,
@@ -487,7 +486,7 @@ def test_pack_round_trip(data):
 
 
 def reference_xor_zeta(bits: int, universe: int) -> int:
-    """The whole-integer mod-2 subset zeta transform that the packed engine
+    """The whole-integer mod-2 subset zeta transform that the chunked engine
     replaced: one pass per element over one integer of 2**universe bits."""
     for b in range(universe):
         step = 1 << b
@@ -496,16 +495,19 @@ def reference_xor_zeta(bits: int, universe: int) -> int:
     return bits
 
 
-# 1-bit slots: a chunk holds 2**18 of them, so 18 is the chunk size; above
-# it the chunks pair among neighbours (19), then also a group apart (20, 21)
+# 1-bit slots: a chunk holds 2**18 of them, so universes up to 18 are one
+# chunk and 19, 20 and 21 span 2, 4 and 8, whose inputs take the positions
+# with a high part below theirs
 @pytest.mark.parametrize("universe", [0, 1, 2, 3, 10, 17, 18, 19, 20, 21])
 def test_packed_xor_zeta_matches_whole_integer(universe):
     assert 8 * _CHUNK_BYTES == 1 << 18
     rng = random.Random(universe)
     bits = rng.getrandbits(1 << universe)
-    buf = bytearray(bits.to_bytes(max((1 << universe) >> 3, 1), "little"))
-    _packed_transform(buf, universe)
-    assert int.from_bytes(buf, "little") == reference_xor_zeta(bits, universe)
+    positions = [k for k, digit in enumerate(reversed(f"{bits:b}")) if digit == "1"]
+    size = max((1 << min(universe, 18)) >> 3, 1)
+    chunks = _xor_zeta_chunks(positions, universe)
+    got = b"".join(x.to_bytes(size, "little") for x in chunks)
+    assert int.from_bytes(got, "little") == reference_xor_zeta(bits, universe)
 
 
 def reference_chain_positions(n: int) -> int:
@@ -531,16 +533,17 @@ def test_parity_bitset_matches_whole_integer_route():
         expected = reference_xor_zeta(reference_chain_positions(n), n - 1)
         assert beta_parity_bitset(n) == expected & ((1 << (1 << max(n - 2, 0))) - 1), n
         assert rho(n) == Fraction(expected.bit_count(), 1 << (n - 1)), n
-        assert len(_parity_bits(n)) == max((1 << max(n - 2, 0)) >> 3, 1), n
 
 
 def test_chain_positions_leaves_no_reference_cycle():
-    # the parity buffer is freed with its last reference, not at the next
-    # cyclic collection: at n = 31 it is 64 MB
+    # the positions and each chunk of the parity route are freed with their
+    # last reference, not at the next cyclic collection: a cycle would keep
+    # every 32 KB chunk of the 2048 at n = 31 until the collector ran
     gc.collect()
     gc.disable()
     try:
-        _chain_positions(12)
+        for _ in _xor_zeta_chunks(_chain_positions(12), 10):
+            pass
         assert gc.collect() == 0
     finally:
         gc.enable()

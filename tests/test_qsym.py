@@ -182,11 +182,11 @@ def test_odd_fundamental_count_matches_rho(n):
 
 
 def test_odd_fundamental_count_is_bounded(monkeypatch):
-    # n = 32 would want a 2**31-bit buffer; the limit refuses it first
-    def refuse(universe):
-        raise AssertionError(f"allocated a 2**{universe}-bit buffer")
+    # n = 32 would stream 2**31 bits; the limit refuses it first
+    def refuse(positions, universe):
+        raise AssertionError(f"transformed a universe of {universe}")
 
-    monkeypatch.setattr(qsym, "_bitset", refuse)
+    monkeypatch.setattr(qsym, "_xor_zeta_chunks", refuse)
     assert DEFAULT_LIMITS["parity"] < 32
     with pytest.raises(ResourceLimitError):
         odd_fundamental_count(32)
