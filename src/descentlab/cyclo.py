@@ -26,17 +26,22 @@ as much as mod 997), and its list of counts would be the scan's largest
 allocation besides the table.
 
 Most candidates never get such a pass: a sieve drops them first, by
-reduction mod a prime.  Write m = d p**e with p prime and p not dividing d.
-Then Phi_m = Phi_d**phi(p**e) mod p (Washington, *Introduction to Cyclotomic
-Fields*; it follows from Phi_dp(t) = Phi_d(t**p) / Phi_d(t), Phi_dp**e(t) =
-Phi_dp(t**(p**(e-1))) and Phi_d(t**p) = Phi_d(t)**p mod p), so if Phi_m
-divides the polynomial in Z[t], Phi_d divides it in F_p[t].  As p does not
-divide d, F_p[t]/(t**d - 1) is a product of fields too, and Phi_d divides
-there exactly when the same product on the residues mod t**d - 1 is 0 mod p:
-when p divides its content, the gcd of its entries.  The paper rules out
-doubled prime indexes this way (Phi_2p(-1) = p); that is the case d = 2.
-The p-free parts d are small, so many share one pass; an index that is one
-of them needs no order-0 pass, as its content is 0 exactly when Phi_m divides.
+reduction mod a prime.  The gcd g of the class weights divides every
+coefficient, and Phi_m is primitive, so Phi_m divides the polynomial P in
+Z[t] only if it divides P/g (Gauss's lemma).  Write m = d p**e with p prime
+and p not dividing d.  Then Phi_m = Phi_d**phi(p**e) mod p (Washington,
+*Introduction to Cyclotomic Fields*), and Phi_m(t) = Phi_M(t**(p**j)) =
+Phi_M**(p**j) mod p for M = m / p**j, 1 <= j < e.  So if Phi_m divides P,
+Phi_M divides P/g in F_p[t] for M = d and each such M.  Phi_M times the
+product of the 1 - t**(M/q), q | M prime, is 0 mod t**M - 1, as that
+product takes every other Phi_k with k | M, so p * g divides the content
+(the gcd of the entries) of the same product on P's residues mod t**M - 1.
+For M = d, F_p[t]/(t**d - 1) is a product of fields and the test is exact;
+for p | M it is only necessary, which is all a sieve needs.  The paper rules
+out doubled prime indexes this way (Phi_2p(-1) = p); that is the case d = 2.
+The moduli are small, so many share one pass; they run in ascending order,
+each only while a live candidate needs it, and an index that is one of them
+needs no order-0 pass, as its content is 0 exactly when Phi_m divides.
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
@@ -82,11 +87,12 @@ __all__ = [
     "load_golden",
 ]
 
-# Largest p-free part d that the sieve tests.  A sieve pass costs what an
-# exact pass costs, so a large d, which shares its pass with few others,
-# saves less than it costs.  At n = 16, bound 10000 (in process, 2 cores,
-# Python 3.11.7), the scan took 0.118 s with 100, 0.098 s with 300,
-# 0.062-0.073 s with 1000 and 0.098 s with no cap.
+# Largest modulus M that the sieve tests: a sieve pass costs what an exact
+# pass costs, and a large M shares its pass with few others.  Heuristic
+# scans at bound 10000 (in process, 2 cores, Python 3.11.7, median of 10
+# alternating fresh runs), limits 300 / 1000 / 2000: n = 16 took 0.084 /
+# 0.039 / 0.043 s, signed 14 0.074 / 0.045 / 0.051 s; 2000 saves passes at
+# n = 22 and 23 (16 to 13, 13 to 11) but costs the small scans.
 _SIEVE_LIMIT = 1000
 
 # Largest lcm of a group of candidates that share one value pass, unless the
@@ -334,45 +340,47 @@ def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
 
 
 def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> tuple[list, dict]:
-    """The candidates m that pass every sieve test, and {d: content} for the
-    d tested: for each prime p | m whose p-free part d = m / p**v_p(m) is at
-    most _SIEVE_LIMIT, Phi_d must divide the polynomial over F_p, as it does
-    when Phi_m divides it over Z.
-
-    A prime dividing every class weight divides the whole polynomial, so
-    its tests pass vacuously and are skipped.  The d up to min(N,
-    _GROUP_CAP), N the pass length, are grouped like the candidates, with
-    one order-0 pass per group whose lcm stays within that cap.  A d above
-    the cap takes a pass of its own, run the first time a candidate that
-    passed all its smaller tests needs it.
+    """The candidates m that pass every sieve test, and {M: content} for the
+    M tested: for each prime p | m and each M = m / p**j <= _SIEVE_LIMIT,
+    1 <= j <= v_p(m), p * g must divide the content mod t**M - 1, g the gcd
+    of the class weights.  The M run in ascending order, one first-fit group
+    within min(N, _GROUP_CAP) per order-0 pass, N the pass length, each only
+    while a live candidate needs it.
     """
-    vacuous = math.gcd(*(weight for weight, _ in classes))
+    g = math.gcd(*(weight for weight, _ in classes))
     cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
-    tests = {}
+    moduli, users = {}, {}
     for m in candidates:
-        pairs = []
+        moduli[m] = []
         for p in prime_divisors(m):
-            if vacuous % p:
-                d = m // p
-                while d % p == 0:
-                    d //= p
-                if d <= _SIEVE_LIMIT:
-                    pairs.append((d, p))
-        tests[m] = sorted(pairs)
-    content = {}
-    shared = sorted({d for pairs in tests.values() for d, _ in pairs if d <= cap})
-    for group in _group_candidates(shared, cap):
-        hist = _residue_counts(classes, math.lcm(*group), 0)
+            M = m
+            while M % p == 0:
+                M //= p
+                if M <= _SIEVE_LIMIT:
+                    moduli[m].append(M)
+                    users.setdefault(M, []).append((m, p))
+    live, content = set(candidates), {}
+    needed = {M: len(pairs) for M, pairs in users.items()}
+    pending = sorted(users)
+    while pending:
+        modulus, group = pending[0], pending[:1]
+        for M in pending[1:]:
+            if M > cap:
+                break
+            if math.lcm(modulus, M) <= cap:
+                modulus = math.lcm(modulus, M)
+                group.append(M)
+        hist = _residue_counts(classes, modulus, 0)
         content.update(zip(group, _phi_contents(hist, group)))
         del hist
-
-    def content_of(d: int) -> int:
-        if d not in content:
-            content[d] = next(_phi_contents(_residue_counts(classes, d, 0), [d]))
-        return content[d]
-
-    survivors = [m for m in candidates if all(content_of(d) % p == 0 for d, p in tests[m])]
-    return survivors, content
+        for M in group:
+            for m, p in users[M]:
+                if m in live and content[M] % (p * g):
+                    live.discard(m)
+                    for other in moduli[m]:
+                        needed[other] -= 1
+        pending = [M for M in pending if needed[M] and M not in content]
+    return [m for m in candidates if m in live], content
 
 
 def _check_scan_args(max_index: int, max_multiplicity: int, policy: str) -> None:
@@ -402,7 +410,7 @@ def factor_scan(
 
     A sieve mod the primes p | m drops only candidates that cannot divide,
     so it changes the cost and never the report.  A survivor that the sieve
-    tested as a p-free part takes its order-0 verdict from its content.
+    tested as one of its moduli M takes its order-0 verdict from its content.
     Every other test is the one :func:`divides_order` makes, by order: the
     candidates alive at an order share passes in groups whose lcm stays at
     most min(N, _GROUP_CAP), N the pass length.  The module docstring says

@@ -113,7 +113,7 @@ def reference_cyclotomic(k):
 
 
 def substitute_power(poly, e):
-    out = [0] * (len(poly.coeffs) * e)
+    out = [0] * (len(poly.coeffs) * e - e + 1)
     out[::e] = poly.coeffs
     return IntPoly(out)
 
@@ -365,18 +365,23 @@ def test_phi_contents_small():
     assert list(cyclo._phi_contents([3, 0, 6, 9], [1, 2, 4])) == [18, 0, 3]
 
 
-def test_sieve_tests_two_when_multiplicities_are_odd():
+def test_sieve_tests_two_through_the_weight_gcd():
     # unsigned n = 1: one subset, so the polynomial is t and its one class
-    # has weight 1, not 2; p = 2 is a real test there, and nothing survives
+    # has weight 1; its value 1 at t = 1, the content mod t - 1, is 0 mod no
+    # prime, so nothing survives
     classes = descent._value_counts(beta_table(1))
     assert [(w, list(v)) for w, v in classes] == [(1, [1])]
     survivors, content = cyclo._sieve(classes, list(range(2, 200)))
     assert survivors == [] and content[1] == 1
-    # elsewhere every class weight is even, so p = 2 tests nothing and the
-    # powers of 2 reach the exact scan; 3 and 9 fail at d = 1, as 3 does not
-    # divide the total 16, the one content the sieve takes
+    # at n = 5 the class weights are 4 and 2, so g = 2 divides every
+    # coefficient and each test reads its content mod 2p: the total 16 is not
+    # 0 mod 6, which drops 3 and 9; 16 passes mod t - 1 but not mod t**8 - 1,
+    # whose content 2 is not 0 mod 4; 8 passes mod 1, 2 and 4, and its own
+    # content 2 is its order-0 verdict
     classes = descent._value_counts(beta_table(5))
-    assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == ([2, 4, 8, 16], {1: 16})
+    assert [w for w, _ in classes] == [4, 2]
+    want = ([2, 4, 8], {1: 16, 2: 0, 3: 2, 4: 4, 8: 2})
+    assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == want
 
 
 # Within the default ceilings every slot is at most 8 bytes wide, so the
@@ -519,25 +524,28 @@ def test_candidate_groups(case):
 
 def reference_sieve(table, candidates):
     """The candidates that pass every sieve test, each test the content of
-    the list product over the table's residues mod t**d - 1, read mod p;
-    and that content as a function of d."""
+    the list product over the table's residues mod t**M - 1, M = m / p**j,
+    read mod p times the polynomial's content, the gcd of its coefficients;
+    and that content as a function of M.  The scan divides by the gcd of
+    its class weights instead, which only divides the polynomial's content;
+    the two are equal for unsigned n = 1..18 and signed n = 1..14."""
     pairs = Counter(table.values).items()
-    vacuous = math.gcd(*(c for _, c in pairs))
+    divisor = math.gcd(*(c for _, c in pairs))
 
     @lru_cache(maxsize=None)
-    def content(d):
-        counts = [0] * d
+    def content(M):
+        counts = [0] * M
         for v, c in pairs:
-            counts[v % d] += c
-        return math.gcd(*list_phi_product(counts, d))
+            counts[v % M] += c
+        return math.gcd(*list_phi_product(counts, M))
 
     def passes(m, p):
-        d = m
-        while d % p == 0:
-            d //= p
-        if vacuous % p == 0 or d > cyclo._SIEVE_LIMIT:
-            return True
-        return content(d) % p == 0
+        M = m
+        while M % p == 0:
+            M //= p
+            if M <= cyclo._SIEVE_LIMIT and content(M) % (p * divisor):
+                return False
+        return True
 
     return [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))], content
 
@@ -563,46 +571,52 @@ def test_sieve_matches_reference_sieve(n, signed, policy, bound):
 
 
 def scan_shapes(table, bound, policy):
-    """The shapes one scan takes, by name: the groups of p-free parts d that
-    share a sieve pass, the sieve's survivors and contents, and at each order
-    the groups of live candidates that share an exact pass, each recorded as
-    the scan forms them, against the pass length N (the number of values in
-    the table's weighted classes, below _GROUP_CAP at these sizes), and the
-    rows it finds."""
-    groupings, group, sieved, sieve = [], cyclo._group_candidates, [], cyclo._sieve
+    """The shapes one scan takes, by name: its value passes, each recorded
+    as the scan makes it through cyclo's name for _residue_counts, the
+    sieve's passes and its survivors and contents, read off its return
+    value, and the members of each exact pass, read off the packed kernel;
+    each against the pass length N (the number of values in the table's
+    weighted classes, below _GROUP_CAP at these sizes), and the rows the
+    scan finds."""
+    passes, sieved, exact = [], [], []
+    counts, sieve, kernel = cyclo._residue_counts, cyclo._sieve, cyclo._phi_divides_each
 
-    def record(candidates, cap):
-        groupings.append(group(candidates, cap))
-        return groupings[-1]
+    def record_pass(classes, modulus, order):
+        passes.append((modulus, order))
+        return counts(classes, modulus, order)
 
     def record_sieve(classes, candidates):
-        sieved.append(sieve(classes, candidates))
-        return sieved[-1]
+        sieved.append((sieve(classes, candidates), len(passes)))
+        return sieved[-1][0]
+
+    def record_kernel(hist, members):
+        exact.append((passes[-1][1], list(members)))
+        return kernel(hist, members)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cyclo, "_group_candidates", record)
+        patch.setattr(cyclo, "_residue_counts", record_pass)
         patch.setattr(cyclo, "_sieve", record_sieve)
+        patch.setattr(cyclo, "_phi_divides_each", record_kernel)
         rows = factor_scan(table, max_index=bound, policy=policy).factors
-    (survivors, content), = sieved
-    sieve_groups, *order_groups = groupings
-    exact_groups = [g for groups in order_groups for g in groups]
+    ((survivors, content), sieve_passes), = sieved
+    assert len(passes) == sieve_passes + len(exact)
     classes = descent._value_counts(table)
     size = sum(len(values) for _, values in classes)
     shapes = set()
-    if any(len(g) > 1 for g in sieve_groups):
+    if sieve_passes < len(content):
         shapes.add("shared sieve pass")
-    if any(d > size for d in content):
+    if any(M > size for M in content):
         shapes.add("lone sieve pass above N")
-    if any(len(g) > 1 for g in exact_groups):
+    if any(len(g) > 1 for _, g in exact):
         shapes.add("shared exact pass")
-    if any(g[0] > size for g in exact_groups):
+    if any(g[0] > size for _, g in exact):
         shapes.add("lone exact pass above N")
-    if math.gcd(*(weight for weight, _ in classes)) % 2 and not survivors:
-        shapes.add("p = 2 tested, no survivor")
-    order0 = {m: i for i, g in enumerate(order_groups[0]) for m in g}
+    if not survivors:
+        shapes.add("no survivor")
+    order0 = {m: i for i, (order, g) in enumerate(exact) if order == 0 for m in g}
     if any(m in content and m not in order0 for m in survivors):
         shapes.add("order 0 read from a sieve content")
-    later = (g for groups in order_groups[1:] for g in groups)
+    later = (g for order, g in exact if order)
     if any(len({order0[m] for m in g if m in order0}) > 1 for g in later):
         shapes.add("one order-k pass shared by survivors of two order-0 groups")
     if any(k >= 2 for _, k in rows):
@@ -619,8 +633,10 @@ FROM_CONTENT = "order 0 read from a sieve content"
 @pytest.mark.parametrize(
     "n,signed,policy,bound,shapes",
     [
+        # N = 528, and no index above it survives the sieve up to 800
         pytest.param(
-            12, False, "exhaustive", 800, SHARED_AND_LONE | {FROM_CONTENT, "order 2 reached"},
+            12, False, "exhaustive", 800,
+            {"shared exact pass", "shared sieve pass", FROM_CONTENT, "order 2 reached"},
             id="12-exhaustive-800",
         ),
         pytest.param(
@@ -633,31 +649,42 @@ FROM_CONTENT = "order 0 read from a sieve content"
             SHARED_AND_LONE | {"lone sieve pass above N", FROM_CONTENT},
             id="signed7-exhaustive-300",
         ),
-        # the one class weight is 1, so p = 2 is a real test and drops all
+        # the polynomial is t, whose content mod t - 1 is 1, so the tests
+        # mod t - 1 drop every prime power and nothing survives
         pytest.param(
-            1, False, "exhaustive", 300, {"p = 2 tested, no survivor"}, id="1-exhaustive-300"
+            1, False, "exhaustive", 300, {"no survivor", "lone sieve pass above N"},
+            id="1-exhaustive-300",
         ),
-        # the one class weight is 2, so no sieve test rejects the powers of
-        # 2; each is decided alone, by an exact pass or by its own content
+        # the polynomial is 2t: g = 2, and its content mod t - 1 is 2, which
+        # 2p divides for no p, so p = 2 is a real test and drops the powers
+        # of 2 as the other primes drop theirs
         pytest.param(
-            1, True, "exhaustive", 300, {"lone exact pass above N", FROM_CONTENT},
+            1, True, "exhaustive", 300, {"no survivor", "lone sieve pass above N"},
             id="signed1-exhaustive-300",
         ),
         pytest.param(
             8, False, "exhaustive", 28, {"factor at the bound", FROM_CONTENT, "order 2 reached"},
             id="8-exhaustive-28",
         ),
-        # N = 72: order 0 tests 6 with 10 and 18 alone, and the content of
-        # d = 2 says Phi_2 divides; 2, 6 and 18 then share one order-1 pass
+        # N = 72: order 0 tests 14, 16 and 18 alone and reads 2, 4, 6, 8 and
+        # 10 off the sieve's contents, which say Phi_2 and Phi_6 divide; 2, 6
+        # and 18 then share one order-1 pass
         pytest.param(
             9, False, "exhaustive", 28,
+            {"shared exact pass", FROM_CONTENT, "order 2 reached"},
+            id="9-exhaustive-28",
+        ),
+        # N = 512: order 0 tests 40 with 56, and 64 and 72 alone, and reads 4,
+        # 8 and 24 off the sieve's contents; 4, 8, 24, 40 and 72 then share
+        # one order-1 pass mod 360
+        pytest.param(
+            10, True, "exhaustive", 100,
             {
                 "shared exact pass",
                 FROM_CONTENT,
                 "one order-k pass shared by survivors of two order-0 groups",
-                "order 2 reached",
             },
-            id="9-exhaustive-28",
+            id="signed10-exhaustive-100",
         ),
     ],
 )
@@ -691,18 +718,19 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
 # own passes at every order, and every tested d above V got a lone pass.
 # They made 9, 51, 63 and 455 while the grouping cap was the number V of
 # distinct values, not the pass length N: signed 14 has N = 8192 against
-# V = 8190, and unsigned 12 has N = 528 against V = 513: that larger cap
-# moves the p-free parts 515..528 into the sieve's shared passes, which run
-# up front, and costs 4 more passes.  Groups stay within _GROUP_CAP = 2**17
-# as well as N.  Of these scans only n = 20 (N = 131,328) has N above it,
-# and at bound 300 it forms no group past it.
+# V = 8190, and unsigned 12 has N = 528 against V = 513.  They made 9, 51,
+# 62 and 459 while the sieve ran every p-free part d up front, skipped p = 2
+# (which divides every class weight) and tested only d, not every m / p**j.
+# Groups stay within _GROUP_CAP = 2**17 as well as N.  Of these scans only
+# n = 20 (N = 131,328) has N above it, and at bound 300 it forms no group
+# past it.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
         (20, False, "heuristic", 300, 9),
-        (16, False, "heuristic", 10_000, 51),
-        (14, True, "heuristic", 10_000, 62),
-        (12, False, "exhaustive", 3000, 459),
+        (16, False, "heuristic", 10_000, 24),
+        (14, True, "heuristic", 10_000, 32),
+        (12, False, "exhaustive", 3000, 308),
     ],
     ids=[
         "20-heuristic-300",
@@ -726,22 +754,40 @@ def mul_mod_p(a, b, p):
     return [c % p for c in slots]
 
 
+def pow_mod_p(a, k, p):
+    """The k-th power of a coefficient list with entries in [0, p), mod p,
+    by repeated squaring."""
+    out = [1]
+    while k:
+        if k & 1:
+            out = mul_mod_p(out, a, p)
+        k >>= 1
+        if k:
+            a = mul_mod_p(a, a, p)
+    return out
+
+
 def test_cyclotomic_reduction_mod_p():
     """Phi_m = Phi_d**phi(q) mod p for m = d q, q = p**e and p not dividing d,
     the fact the factor scan's sieve rests on.  Multiplied by Phi_d**(q/p),
     which is Phi_d(t**(q/p)) mod p, it reads Phi_m Phi_d(t**(q/p)) =
-    Phi_d(t**q) mod p, equivalent in F_p[t], which has no zero divisors."""
+    Phi_d(t**q) mod p, equivalent in F_p[t], which has no zero divisors.
+    When p**2 divides m, Phi_m = Phi_(m/p)**p mod p as well, the fact behind
+    the sieve's tests mod t**M - 1 with p | M."""
     try:
         for m in range(2, 2000):
             for p in prime_divisors(m):
                 q = p
                 while m % (q * p) == 0:
                     q *= p
-                phi_d = reference_cyclotomic(m // q)
+                phi_d = IntPoly(c % p for c in reference_cyclotomic(m // q).coeffs)
                 lhs = [c % p for c in reference_cyclotomic(m).coeffs]
-                rhs = [c % p for c in substitute_power(phi_d, q).coeffs]
-                factor = [c % p for c in substitute_power(phi_d, q // p).coeffs]
+                rhs = list(substitute_power(phi_d, q).coeffs)
+                factor = list(substitute_power(phi_d, q // p).coeffs)
                 assert mul_mod_p(lhs, factor, p) == rhs, (m, p)
+                if q > p:
+                    base = [c % p for c in reference_cyclotomic(m // p).coeffs]
+                    assert pow_mod_p(base, p, p) == lhs, (m, p)
     finally:
         reference_cyclotomic.cache_clear()
 
@@ -850,8 +896,10 @@ def test_golden_tables_load():
 
 # Every shipped row above the ones the tables suite rescans at full scale:
 # tier-1 rescans unsigned 17..19 and signed 11..17, the golden tier the rest.
-# No pass is mod more than _GROUP_CAP.  n = 23 (N = 1,049,600) made 28
-# passes; grouped up to N alone, it made 20, 16 of them mod more than 2**17.
+# No pass is mod more than _GROUP_CAP.  n = 23 (N = 1,049,600) makes 13
+# passes; it made 28 with the sieve run eagerly, without p = 2 and on the
+# p-free parts alone, and 20 with those groups up to N, 16 of them mod more
+# than 2**17.
 @pytest.mark.parametrize(
     "n,signed",
     [(n, False) for n in range(17, 20)]
@@ -866,4 +914,16 @@ def test_factor_scan_matches_golden_at_recorded_bound(monkeypatch, n, signed):
     assert report.factors == load_golden(signed)[n].factors
     assert max(modulus for modulus, _ in calls) <= cyclo._GROUP_CAP
     if (n, signed) == (23, False):
-        assert len(calls) == 28, calls
+        assert len(calls) == 13, calls
+
+
+# The exhaustive scan at the recorded bound: the first shipped row that does
+# not rest on heuristic_candidates.
+@pytest.mark.golden
+def test_exhaustive_scan_matches_golden_23():
+    golden = load_golden(False)[23]
+    try:
+        report = factor_scan(beta_table(23), max_index=golden.bound, policy="exhaustive")
+    finally:
+        descent._table.cache_clear()
+    assert report.factors == golden.factors
