@@ -17,13 +17,15 @@ A factor scan shares the passes, one order at a time: it packs every index
 still alive at that order into groups whose lcm L stays at most
 min(N, 2**17), takes one histogram mod L per group, packs it once, and
 folds it mod each member m, adding the top half of its m-slot blocks onto
-the bottom half, exactly, since (v mod L) mod m = v mod m.  It stops at the
-first order that no index passes.  N, the pass length, is the number of
-values one pass reads: folding costs O(L) per member, so a group up to N
-costs no more than the pass it saves.  Past 2**17 slots a histogram
-outgrows the cache, so a pass costs more per value (mod about 10**6, twice
-as much as mod 997), and its list of counts would be the scan's largest
-allocation besides the table.
+the bottom half, exactly, since (v mod M) mod m = v mod m for m | M.  The
+members go in descending order, and each folds from the nearest fold: the
+smallest one already taken whose modulus it divides, the whole histogram
+first.  The scan stops at the first order that no index passes.  N, the
+pass length, is the number of values one pass reads: folding costs at most
+O(L) per member, so a group up to N costs no more than the pass it saves.
+Past 2**17 slots a histogram outgrows the cache, so a pass costs more per
+value (mod about 10**6, twice as much as mod 997), and its list of counts
+would be the scan's largest allocation besides the table.
 
 Most candidates never get such a pass: a sieve drops them first, by
 reduction mod a prime.  The gcd g of the class weights divides every
@@ -39,9 +41,11 @@ product takes every other Phi_k with k | M, so p * g divides the content
 For M = d, F_p[t]/(t**d - 1) is a product of fields and the test is exact;
 for p | M it is only necessary, which is all a sieve needs.  The paper rules
 out doubled prime indexes this way (Phi_2p(-1) = p); that is the case d = 2.
-The moduli are small, so many share one pass; they run in ascending order,
-each only while a live candidate needs it, and an index that is one of them
-needs no order-0 pass, as its content is 0 exactly when Phi_m divides.
+A candidate m within the sieve's limit is also one of its own moduli,
+M = m (j = 0), and there the test is exact: the content is 0 exactly when
+Phi_m divides, so such a candidate needs no order-0 pass of its own.  The
+moduli are small, so many share one pass; they run in ascending order, each
+only while a live candidate needs it.
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
@@ -205,31 +209,39 @@ def cyclotomic(k: int) -> IntPoly:
     return IntPoly(c)
 
 
-def _phi_products(hist: Sequence[int], members: list[int]) -> Iterator[tuple[int, int, int]]:
-    """For each m in ``members``, a nonnegative residue histogram taken mod a
-    multiple of m, folded mod m and multiplied by (1 - t**(m/p)) for every
-    prime p | m: a pair (a, b) of packed m-slot ints standing for a - b, slot
-    by slot, and the slot width in bytes.  The histogram is packed once into
-    slots wide enough for its total times 2**omega(m), which bounds every
-    slot of a and b."""
-    width = (sum(hist).bit_length() + max(len(prime_divisors(m)) for m in members) + 7) // 8
-    whole, bits = int.from_bytes(_pack(hist, width), "little"), 8 * width
-    for m in members:
-        x, blocks, size = whole, len(hist) // m, m * bits
+def _phi_products(hist: Sequence[int], members: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """For each m in ``members``, in descending order, m and a nonnegative
+    residue histogram taken mod a multiple of m, folded mod m and multiplied
+    by (1 - t**(m/p)) for every prime p | m: a pair (a, b) of packed m-slot
+    ints standing for a - b, slot by slot, and the slot width in bytes.  The
+    histogram is packed once into slots wide enough for its total times
+    2**omega(m), which bounds every slot of a and b; a fold only sums
+    entries, so its slots stay within the total and never carry.  Each m
+    folds from the smallest fold already taken whose modulus it divides,
+    the whole histogram first, and each m is factored once."""
+    primes = {m: prime_divisors(m) for m in members}
+    width = (sum(hist).bit_length() + max(map(len, primes.values())) + 7) // 8
+    bits = 8 * width
+    folds = [(len(hist), int.from_bytes(_pack(hist, width), "little"))]
+    for m in sorted(primes, reverse=True):
+        modulus, x = next(fold for fold in reversed(folds) if fold[0] % m == 0)
+        blocks, size = modulus // m, m * bits
         while blocks > 1:
             blocks -= blocks // 2
             x = (x & ((1 << blocks * size) - 1)) + (x >> blocks * size)
+        folds.append((m, x))
         a, b, mask = x, 0, (1 << size) - 1
-        for p in prime_divisors(m):
+        for p in primes[m]:
             up, down = m // p * bits, (m - m // p) * bits
             a, b = a + (((b << up) & mask) | (b >> down)), b + (((a << up) & mask) | (a >> down))
-        yield a, b, width
+        yield m, a, b, width
 
 
 def _phi_divides_each(hist: Sequence[int], members: list[int]) -> Iterator[bool]:
     """For each m in ``members``, whether Phi_m divides a nonnegative residue
     histogram taken mod a multiple of m: whether the product is zero."""
-    return (a == b for a, b, _ in _phi_products(hist, members))
+    verdict = {m: a == b for m, a, b, _ in _phi_products(hist, members)}
+    return map(verdict.__getitem__, members)
 
 
 def _phi_contents(hist: Sequence[int], members: list[int]) -> Iterator[int]:
@@ -237,9 +249,11 @@ def _phi_contents(hist: Sequence[int], members: list[int]) -> Iterator[int]:
     same product, which a prime p not dividing m divides exactly when Phi_m
     divides the histogram over F_p.  Each product is unpacked, so the
     members are small."""
-    for m, (a, b, width) in zip(members, _phi_products(hist, members)):
+    content = {}
+    for m, a, b, width in _phi_products(hist, members):
         a_slots, b_slots = (_unpack(x.to_bytes(m * width, "little"), width) for x in (a, b))
-        yield math.gcd(*map(operator.sub, a_slots, b_slots))
+        content[m] = math.gcd(*map(operator.sub, a_slots, b_slots))
+    return map(content.__getitem__, members)
 
 
 def divides_order(source, m: int, order: int = 0) -> bool:
@@ -343,22 +357,27 @@ def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> t
     """The candidates m that pass every sieve test, and {M: content} for the
     M tested: for each prime p | m and each M = m / p**j <= _SIEVE_LIMIT,
     1 <= j <= v_p(m), p * g must divide the content mod t**M - 1, g the gcd
-    of the class weights.  The M run in ascending order, one first-fit group
-    within min(N, _GROUP_CAP) per order-0 pass, N the pass length, each only
-    while a live candidate needs it.
+    of the class weights, and for m <= _SIEVE_LIMIT its own content, M = m,
+    must be 0, which is exact.  The M run in ascending order, one first-fit
+    group within min(N, _GROUP_CAP) per order-0 pass, N the pass length,
+    each only while a live candidate needs it, so m's own test, its largest
+    M, runs only if m passed every other.
     """
     g = math.gcd(*(weight for weight, _ in classes))
     cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
     moduli, users = {}, {}
     for m in candidates:
-        moduli[m] = []
+        # (M, q): q must divide the content mod t**M - 1; 0 divides only 0
+        tests = [(m, 0)] if m <= _SIEVE_LIMIT else []
         for p in prime_divisors(m):
             M = m
             while M % p == 0:
                 M //= p
                 if M <= _SIEVE_LIMIT:
-                    moduli[m].append(M)
-                    users.setdefault(M, []).append((m, p))
+                    tests.append((M, p * g))
+        moduli[m] = [M for M, _ in tests]
+        for M, q in tests:
+            users.setdefault(M, []).append((m, q))
     live, content = set(candidates), {}
     needed = {M: len(pairs) for M, pairs in users.items()}
     pending = sorted(users)
@@ -374,8 +393,8 @@ def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> t
         content.update(zip(group, _phi_contents(hist, group)))
         del hist
         for M in group:
-            for m, p in users[M]:
-                if m in live and content[M] % (p * g):
+            for m, q in users[M]:
+                if m in live and (content[M] % q if q else content[M]):
                     live.discard(m)
                     for other in moduli[m]:
                         needed[other] -= 1
@@ -409,8 +428,9 @@ def factor_scan(
     descent polynomial, with multiplicities (capped at max_multiplicity).
 
     A sieve mod the primes p | m drops only candidates that cannot divide,
-    so it changes the cost and never the report.  A survivor that the sieve
-    tested as one of its moduli M takes its order-0 verdict from its content.
+    so it changes the cost and never the report.  A survivor up to
+    _SIEVE_LIMIT is one of the sieve's moduli and takes its order-0 verdict
+    from its content.
     Every other test is the one :func:`divides_order` makes, by order: the
     candidates alive at an order share passes in groups whose lcm stays at
     most min(N, _GROUP_CAP), N the pass length.  The module docstring says

@@ -596,17 +596,31 @@ def _residue_counts(
     mod modulus.
 
     The terms are built lazily, so a pass holds no list beyond the
-    histogram.  ff(value, order) is ``math.perm(value, order)``, which is 0
-    for an order above the value, so any order takes one map.
+    histogram and, at order 1 or more, one class's counts.  Order 0 adds
+    the class weight per value.  Above it a class is counted unweighted,
+    ff(v, 1) = v, ff(v, 2) = v * (v - 1) and higher orders
+    ``math.perm(v, order)``, each 0 for v below the order, and the weight
+    multiplies each residue's count once.
     """
     hist = [0] * modulus
     for weight, values in classes:
-        if order:
-            for v, f in zip(values, map(math.perm, values, repeat(order))):
-                hist[v % modulus] += weight * f
-        else:
+        if not order:
             for v in values:
                 hist[v % modulus] += weight
+            continue
+        counts = [0] * modulus
+        if order == 1:
+            for v in values:
+                counts[v % modulus] += v
+        elif order == 2:
+            for v in values:
+                counts[v % modulus] += v * (v - 1)
+        else:
+            for v, f in zip(values, map(math.perm, values, repeat(order))):
+                counts[v % modulus] += f
+        for r, c in enumerate(counts):
+            if c:
+                hist[r] += weight * c
     return hist
 
 

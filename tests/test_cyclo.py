@@ -365,6 +365,55 @@ def test_phi_contents_small():
     assert list(cyclo._phi_contents([3, 0, 6, 9], [1, 2, 4])) == [18, 0, 3]
 
 
+def tiled(rng, length, period, top):
+    """A histogram mod ``length`` with period ``period``, which divides it:
+    Phi_k divides it for every k | length that does not divide the period."""
+    tile = [rng.randrange(top + 1) for _ in range(period)]
+    return tile * (length // period)
+
+
+DIVISORS_5040 = [d for d in range(2, 5041) if 5040 % d == 0]
+
+
+# Groups the packed kernel shares one histogram among: 5040 with every one of
+# its divisors, a chain in which most members fold from a member's fold, not
+# from the whole; pairwise coprime members, which can only fold from the
+# whole; and members one of which is the histogram's own length.
+@pytest.mark.parametrize(
+    "members,blocks",
+    [
+        pytest.param(DIVISORS_5040, 1, id="divisors-of-5040"),
+        pytest.param([16, 7, 9, 5], 1, id="coprime"),
+        pytest.param([2310, 30, 1155, 2, 77, 210], 1, id="member-is-the-length"),
+        pytest.param([360, 8, 45, 120, 7], 3, id="mixed"),
+    ],
+)
+def test_shared_folds_match_list_reference(members, blocks):
+    rng = random.Random(len(members) * 1000 + blocks)
+    length = math.lcm(*members) * blocks
+    periods = [p for p in (1, 720, 1680, 2, 6, 70) if length % p == 0]
+    for top in (1, 2**70):
+        for period in periods[:3]:
+            # a tiled histogram, and one made a multiple of 6 and then
+            # perturbed in one entry, so verdicts and contents both vary
+            hist = tiled(rng, length, period, top)
+            scaled = [6 * x for x in tiled(rng, length, period, top)]
+            scaled[rng.randrange(length)] += 6 * rng.randrange(2)
+            for h in (hist, scaled):
+                products = {m: list_phi_product(list_fold(h, m), m) for m in members}
+                packed = {}
+                for m, a, b, width in cyclo._phi_products(h, members):
+                    a_slots, b_slots = (
+                        descent._unpack(x.to_bytes(m * width, "little"), width) for x in (a, b)
+                    )
+                    packed[m] = list(map(operator.sub, a_slots, b_slots))
+                assert packed == products
+                want = [not any(products[m]) for m in members]
+                assert list(cyclo._phi_divides_each(h, members)) == want
+                want = [math.gcd(*products[m]) for m in members]
+                assert list(cyclo._phi_contents(h, members)) == want
+
+
 def test_sieve_tests_two_through_the_weight_gcd():
     # unsigned n = 1: one subset, so the polynomial is t and its one class
     # has weight 1; its value 1 at t = 1, the content mod t - 1, is 0 mod no
@@ -376,11 +425,12 @@ def test_sieve_tests_two_through_the_weight_gcd():
     # at n = 5 the class weights are 4 and 2, so g = 2 divides every
     # coefficient and each test reads its content mod 2p: the total 16 is not
     # 0 mod 6, which drops 3 and 9; 16 passes mod t - 1 but not mod t**8 - 1,
-    # whose content 2 is not 0 mod 4; 8 passes mod 1, 2 and 4, and its own
-    # content 2 is its order-0 verdict
+    # whose content 2 is not 0 mod 4; 4 and 8 pass mod 1, 2 and 4, but a
+    # candidate is also one of its own moduli, where the content must be 0,
+    # and theirs are 4 and 2; the content of 2 is 0, so Phi_2 divides
     classes = descent._value_counts(beta_table(5))
     assert [w for w, _ in classes] == [4, 2]
-    want = ([2, 4, 8], {1: 16, 2: 0, 3: 2, 4: 4, 8: 2})
+    want = ([2], {1: 16, 2: 0, 3: 2, 4: 4, 8: 2})
     assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == want
 
 
@@ -525,10 +575,12 @@ def test_candidate_groups(case):
 def reference_sieve(table, candidates):
     """The candidates that pass every sieve test, each test the content of
     the list product over the table's residues mod t**M - 1, M = m / p**j,
-    read mod p times the polynomial's content, the gcd of its coefficients;
-    and that content as a function of M.  The scan divides by the gcd of
-    its class weights instead, which only divides the polynomial's content;
-    the two are equal for unsigned n = 1..18 and signed n = 1..14."""
+    read mod p times the polynomial's content, the gcd of its coefficients,
+    for j >= 1, and for j = 0, M = m, that content itself, which is 0
+    exactly when Phi_m divides; and that content as a function of M.  The
+    scan divides by the gcd of its class weights instead, which only
+    divides the polynomial's content; the two are equal for unsigned
+    n = 1..18 and signed n = 1..14."""
     pairs = Counter(table.values).items()
     divisor = math.gcd(*(c for _, c in pairs))
 
@@ -547,7 +599,11 @@ def reference_sieve(table, candidates):
                 return False
         return True
 
-    return [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))], content
+    def exact(m):
+        return m > cyclo._SIEVE_LIMIT or content(m) == 0
+
+    survivors = [m for m in candidates if all(passes(m, p) for p in prime_divisors(m))]
+    return [m for m in survivors if exact(m)], content
 
 
 @pytest.mark.parametrize(
@@ -666,25 +722,32 @@ FROM_CONTENT = "order 0 read from a sieve content"
             8, False, "exhaustive", 28, {"factor at the bound", FROM_CONTENT, "order 2 reached"},
             id="8-exhaustive-28",
         ),
-        # N = 72: order 0 tests 14, 16 and 18 alone and reads 2, 4, 6, 8 and
-        # 10 off the sieve's contents, which say Phi_2 and Phi_6 divide; 2, 6
-        # and 18 then share one order-1 pass
+        # N = 72: every candidate is one of the sieve's moduli, so order 0
+        # reads each survivor's verdict off its content: Phi_2, Phi_6 and
+        # Phi_18 divide, and 2, 6 and 18 share one order-1 pass
         pytest.param(
             9, False, "exhaustive", 28,
             {"shared exact pass", FROM_CONTENT, "order 2 reached"},
             id="9-exhaustive-28",
         ),
-        # N = 512: order 0 tests 40 with 56, and 64 and 72 alone, and reads 4,
-        # 8 and 24 off the sieve's contents; 4, 8, 24, 40 and 72 then share
-        # one order-1 pass mod 360
+        # N = 512: the sieve leaves 4, 8, 24, 40, 64 and 72, each of whose
+        # contents says its Phi divides; 4, 8, 24, 40 and 72 then share one
+        # order-1 pass mod 360
         pytest.param(
-            10, True, "exhaustive", 100,
+            10, True, "exhaustive", 100, {"shared exact pass", FROM_CONTENT},
+            id="signed10-exhaustive-100",
+        ),
+        # N = 16384: order 0 tests 1120 with 2080 and 1248 alone, above the
+        # sieve's moduli; 1248 and 2080 then share one order-1 pass mod 6240
+        pytest.param(
+            15, True, "heuristic", 2080,
             {
                 "shared exact pass",
                 FROM_CONTENT,
                 "one order-k pass shared by survivors of two order-0 groups",
+                "factor at the bound",
             },
-            id="signed10-exhaustive-100",
+            id="signed15-heuristic-2080",
         ),
     ],
 )
@@ -721,13 +784,15 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
 # V = 8190, and unsigned 12 has N = 528 against V = 513.  They made 9, 51,
 # 62 and 459 while the sieve ran every p-free part d up front, skipped p = 2
 # (which divides every class weight) and tested only d, not every m / p**j.
+# They made 9, 24, 32 and 308 while a candidate was never one of its own
+# sieve moduli: n = 20 made two more order-0 passes, mod 9690 and mod 256.
 # Groups stay within _GROUP_CAP = 2**17 as well as N.  Of these scans only
 # n = 20 (N = 131,328) has N above it, and at bound 300 it forms no group
 # past it.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
-        (20, False, "heuristic", 300, 9),
+        (20, False, "heuristic", 300, 7),
         (16, False, "heuristic", 10_000, 24),
         (14, True, "heuristic", 10_000, 32),
         (12, False, "exhaustive", 3000, 308),

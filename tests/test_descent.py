@@ -139,6 +139,22 @@ def test_residue_histogram_counts():
         residue_histogram(t, 0)
 
 
+# Class weights 1 (unsigned n = 1), 4 and 2 (unsigned n = 5) and 2 (signed
+# 3), and a hand-made class holding 0 and 1, where ff(v, k) is 0 for every
+# order k above v; the moduli go past the largest value, 16.
+@pytest.mark.parametrize("order", range(5))
+def test_residue_counts_match_weighted_falling_factorials(order):
+    classes = [descent._value_counts(beta_table(n, signed=s)) for n, s in [(1, 0), (5, 0), (3, 1)]]
+    classes.append([(3, [0, 1, 1, 2, 0, 7])])
+    for modulus in (1, 2, 3, 4, 5, 12, 17, 40):
+        for cls in classes:
+            want = [0] * modulus
+            for weight, values in cls:
+                for v in values:
+                    want[v % modulus] += weight * math.perm(v, order)
+            assert descent._residue_counts(cls, modulus, order) == want, (cls, modulus)
+
+
 def test_mod_p_prediction_validates():
     with pytest.raises(ContractViolationError):
         mod_p_prediction(9, 4, set())  # 4 does not divide 9
