@@ -24,7 +24,7 @@ from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from . import abcd, cyclo, descent, numbers, qsym
-from .errors import ContractViolationError, ResourceLimitError
+from .errors import ContractViolationError
 
 __all__ = ["CheckResult", "Suite", "SUITES", "observations"]
 
@@ -667,13 +667,9 @@ def observations(max_n: int = 12, bound: int = 600) -> list[str]:
     exhaustively up to ``bound``.  A ``max_n`` below 3, which scans no row,
     or past the unsigned table limit is refused before any row is scanned.
     """
-    limit = descent.DEFAULT_LIMITS["unsigned"]
     if max_n < 3:
         raise ContractViolationError(f"observations needs max_n >= 3, got {max_n}")
-    if max_n > limit:
-        raise ResourceLimitError(
-            f"observations(max_n={max_n}) exceeds the table limit {limit}"
-        )
+    descent._check_n(max_n, "unsigned", f"observations(max_n={max_n})")
 
     def scan(signed: bool, top: int) -> dict[int, cyclo.FactorReport]:
         return {

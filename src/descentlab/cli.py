@@ -47,6 +47,9 @@ def _get_table(args: argparse.Namespace) -> descent.DescentTable:
     from . import descent
 
     n, signed = args.n, args.signed
+    # the ceiling is checked before the cache is read, so that a cached
+    # table above it is refused as a build would be
+    descent._check_n(n, "signed" if signed else "unsigned", f"beta_table(n={n}, signed={signed})")
     path = args.cache_dir and os.path.join(args.cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
     if path and os.path.exists(path):
         try:
@@ -59,7 +62,7 @@ def _get_table(args: argparse.Namespace) -> descent.DescentTable:
             )
         except CacheError as exc:
             print(f"warning: ignoring bad cache: {exc}", file=sys.stderr)
-    table = descent.beta_table(n, signed, max_n=args.max_n)
+    table = descent.beta_table(n, signed)
     if path:
         with _writing(path):
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -223,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_observations(args: argparse.Namespace) -> int:
     from . import checks
 
-    for line in checks.observations(args.max_n, args.bound):
+    for line in checks.observations(args.largest_n, args.bound):
         print(line)
     return 0
 
@@ -242,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="build (or load from cache) one descent table")
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--signed", action="store_true")
-    t.add_argument("--max-n", type=int, default=None, help="raise the size ceiling")
     t.add_argument("--cache-dir", default=None, help="table cache directory")
     t.add_argument("--out", default=None, help="also write the table to this file")
 
@@ -258,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--format", dest="fmt", choices=("text", "csv", "json"), default="text")
     f.add_argument("--golden", default=None, help="'builtin' or a file with one recorded line")
     f.add_argument("--cache-dir", default=None, help="table cache directory")
-    f.add_argument("--max-n", type=int, default=None, help="raise the size ceiling")
 
     v = sub.add_parser("verify", help="run theorem and identity suites")
     v.add_argument("--suite", default="all", help="'all' or the name of one suite")
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--desk-scale", action="store_true", help="trim every suite to quick instances")
 
     o = sub.add_parser("observations", help="report empirical regularities (never asserts)")
-    o.add_argument("--max-n", type=int, default=12)
+    o.add_argument("--max-n", dest="largest_n", type=int, default=12)
     o.add_argument("--bound", type=int, default=600)
 
     return parser

@@ -87,11 +87,14 @@ __all__ = [
     "load_table",
 ]
 
-# Ceilings on n.  beta_table refuses a larger n unless the caller raises
-# max_n.  The parity route (beta_parity_bitset, rho) has no override, and
-# time sets its ceiling: its transform streams 2**(n-2) bits, about 0.3 s
-# at n = 31 (`rho --n 31` runs in about 0.5 s and peaks at about 18 MB),
-# and doubles with each unit of n.
+# The one ceiling on n of each kind of table, checked by _check_n: beta_table
+# and a cache file refuse an unsigned or signed n above it, the parity route
+# (beta_parity_bitset, rho) a larger n.  The exact tables hold every value
+# in 8 bytes or fewer (E_24 has 64 bits, the signed Euler number of 18 has
+# 59), and the lower half at n = 24 is 2**22 such slots.  Time sets the
+# parity ceiling: its transform streams 2**(n-2) bits, about 0.3 s at
+# n = 31 (`rho --n 31` runs in about 0.5 s and peaks at about 18 MB), and
+# doubles with each unit of n.
 DEFAULT_LIMITS = {"unsigned": 24, "signed": 18, "parity": 31}
 # Hard ceilings for the factorial-time oracle.
 BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
@@ -105,6 +108,17 @@ CACHE_FORMAT = "descentlab-table v1"
 # over blocks of at most this many bytes, small enough that a block and its
 # temporaries stay in the processor's cache.
 _CHUNK_BYTES = 1 << 15
+
+
+def _check_n(n: int, kind: str, call: str, limits: dict[str, int] = DEFAULT_LIMITS) -> None:
+    """Refuse an n outside [1, ``limits[kind]``] for ``call``, the text of
+    the call that asked for it; ``kind`` is "unsigned", "signed" or
+    "parity"."""
+    if n < 1:
+        raise ContractViolationError(f"n must be >= 1, got {n}")
+    limit = limits[kind]
+    if n > limit:
+        raise ResourceLimitError(f"{call} exceeds the limit {limit}")
 
 
 def _block(width: int) -> int:
@@ -319,18 +333,11 @@ def _table(n: int, signed: bool) -> DescentTable:
     # run order: run i reads the table of universe i, still in its slots,
     # and a prefix that is already final.
     universe = n if signed else n - 1
-    # the slot count, 2**(universe - 1), is checked before the slot width,
-    # which computes the Euler number of n
-    width = 0 if universe > sys.maxsize.bit_length() else _slot_width(n, signed)
-    size = width << max(universe - 1, 0)
-    if not width or size > sys.maxsize:
-        raise ResourceLimitError(
-            f"beta_table(n={n}, signed={signed}) needs more than {sys.maxsize} bytes"
-        )
+    width = _slot_width(n, signed)
     # The buffer is zeroed bytes that only a BytesIO holds, written through
     # its view: once that is released, getvalue() hands the bytes over
     # without a copy, so the table holds immutable bytes at a peak of one half.
-    buf = BytesIO(bytes(size))
+    buf = BytesIO(bytes(width << max(universe - 1, 0)))
     step = _block(width) * width
     with buf.getbuffer() as view:
         builds = [(u, width << u) for u in range(universe - 1)]
@@ -347,22 +354,13 @@ def _table(n: int, signed: bool) -> DescentTable:
     return DescentTable(n=n, signed=signed, data=buf.getvalue())
 
 
-def beta_table(n: int, signed: bool = False, max_n: int | None = None) -> DescentTable:
+def beta_table(n: int, signed: bool = False) -> DescentTable:
     """Exact table of beta_n(S) over all subsets.
 
-    Size doubles per unit of n; the default ceilings (24 unsigned, 18 signed)
-    can be raised with ``max_n`` by callers who accept the memory cost.  A
-    table whose lower half would not fit in ``sys.maxsize`` bytes is refused
-    whatever ``max_n`` says.
+    Size doubles per unit of n, so n above its kind's ceiling in
+    ``DEFAULT_LIMITS`` (24 unsigned, 18 signed) is refused.
     """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = max_n if max_n is not None else DEFAULT_LIMITS["signed" if signed else "unsigned"]
-    if n > limit:
-        raise ResourceLimitError(
-            f"beta_table(n={n}, signed={signed}) exceeds the limit {limit}; "
-            "pass max_n to override"
-        )
+    _check_n(n, "signed" if signed else "unsigned", f"beta_table(n={n}, signed={signed})")
     return _table(n, bool(signed))
 
 
@@ -399,13 +397,8 @@ def brute_force_table(n: int, signed: bool = False) -> DescentTable:
     n above 9 (unsigned) or 7 (signed).  Every mask is counted, and the
     counts must be complement symmetric before the lower half is kept.
     """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = BRUTE_FORCE_LIMITS["signed" if signed else "unsigned"]
-    if n > limit:
-        raise ResourceLimitError(
-            f"brute_force_table(n={n}, signed={signed}) exceeds the limit {limit}"
-        )
+    kind = "signed" if signed else "unsigned"
+    _check_n(n, kind, f"brute_force_table(n={n}, signed={signed})", BRUTE_FORCE_LIMITS)
     counts = _enumerate_counts(n, signed)
     if counts != counts[::-1]:
         raise DescentLabError(
@@ -470,16 +463,6 @@ def _chain_positions(n: int) -> list[int]:
     return out
 
 
-def _parity_limit(n: int, name: str) -> None:
-    """Refuse an n outside [1, ``DEFAULT_LIMITS["parity"]``] for the parity
-    function ``name``."""
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    limit = DEFAULT_LIMITS["parity"]
-    if n > limit:
-        raise ResourceLimitError(f"{name}(n={n}) exceeds the limit {limit}")
-
-
 def _parity_chunks(n: int, name: str) -> Iterator[int]:
     """beta_n mod 2 over the lower half, the masks without element n - 1
     (all of the one mask when n = 1), bit k for mask k, in the chunks of
@@ -487,7 +470,7 @@ def _parity_chunks(n: int, name: str) -> Iterator[int]:
     positions there.  Every subset of such a mask is one too, so this is
     the lower half of the whole transform.  n is checked for ``name`` here,
     not at the first chunk."""
-    _parity_limit(n, name)
+    _check_n(n, "parity", f"{name}(n={n})")
     return _xor_zeta_chunks(_chain_positions(n), max(n - 2, 0))
 
 
@@ -569,19 +552,17 @@ def _value_counts(table: DescentTable) -> list[tuple[int, Sequence[int]]]:
     the empty universe's one mask has weight 1.  The slots are read in
     cache-sized blocks, and no dict is built.
 
-    A class is an ``array('Q')`` of 64-bit words when the table's slots are
-    at most 8 bytes wide, as in every table within ``DEFAULT_LIMITS``: E_24
-    has 64 bits and the signed Euler number of 18 has 59.  That is 8 bytes
-    a value where a list holds a pointer and a boxed int of 28 to 32.  Only
-    a wider table, which ``max_n`` lets through, keeps its classes in lists.
+    A class is an ``array('Q')`` of 64-bit words, which holds every value:
+    no table within ``DEFAULT_LIMITS`` has slots wider than 8 bytes.  That
+    is 8 bytes a value where a list holds a pointer and a boxed int of 28
+    to 32.
     """
     starts = range(0, table.stored, _block(table.width))
     blocks = table.chunks(table.stored)
-    new = partial(array, "Q") if table.width <= 8 else list
     if table.signed or table.universe < 2:
-        return [(2 if table.universe else 1, new(chain.from_iterable(blocks)))]
+        return [(2 if table.universe else 1, array("Q", chain.from_iterable(blocks)))]
     codes = _orbit_codes(table.universe)
-    paired, fixed = new(), new()
+    paired, fixed = array("Q"), array("Q")
     for lo, block in zip(starts, blocks):
         selector = codes[lo : lo + len(block)]
         paired.extend(compress(block, selector.translate(_PAIRED)))
@@ -708,7 +689,9 @@ def save_table(table: DescentTable, path) -> None:
 
 
 def _parse_header(header: str, path) -> tuple[int, int]:
-    """n and the signed flag (0 or 1) from a cache file's first line."""
+    """n and the signed flag (0 or 1) from a cache file's first line.  An n
+    above its kind's ceiling is a malformation too, refused before any
+    value is sized."""
     if not header:
         raise CacheError(f"{path}: empty cache file")
     line = header.rstrip("\n")
@@ -728,32 +711,31 @@ def _parse_header(header: str, path) -> tuple[int, int]:
         raise bad from exc
     if n < 1 or signed_flag not in (0, 1):
         raise bad
+    kind = "signed" if signed_flag else "unsigned"
+    try:
+        _check_n(n, kind, f"{path}: header n={n} signed={signed_flag}")
+    except ResourceLimitError as exc:
+        raise CacheError(str(exc)) from exc
     return n, signed_flag
 
 
 def load_table(path) -> DescentTable:
     """Read a cache file written by :func:`save_table`.
 
-    Raises :class:`CacheError` on any malformation, including bytes that
-    are not text, an upper half that is not the lower half reversed, and a
-    value sum that disagrees with the permutation count.  The values are
-    parsed one cache-sized block of slots at a time, as a table is read, so
-    neither the text nor the values are held whole: those of the lower half
-    are checked and packed, and each block of the upper half is compared
-    with the slots of its complements.  The lower half's values are checked
-    for their sign and for the slot width, where packing would wrap them.
+    Raises :class:`CacheError` on any malformation, including a header n
+    above its kind's ceiling in ``DEFAULT_LIMITS``, bytes that are not text,
+    an upper half that is not the lower half reversed, and a value sum that
+    disagrees with the permutation count.  The values are parsed one
+    cache-sized block of slots at a time, as a table is read, so neither
+    the text nor the values are held whole: those of the lower half are
+    checked and packed, and each block of the upper half is compared with
+    the slots of its complements.  The lower half's values are checked for
+    their sign and for the slot width, where packing would wrap them.
     """
     try:
         with open(path, encoding="ascii") as f:
             header = f.readline()
             n, signed_flag = _parse_header(header, path)
-            # each value takes two bytes or more, so a header wanting more
-            # values than the file has bytes is refused before the shift
-            if n + signed_flag - 1 > os.fstat(f.fileno()).st_size.bit_length():
-                raise CacheError(
-                    f"{path}: header n={n} signed={signed_flag} wants more "
-                    "values than the file can hold"
-                )
             expected = 1 << (n + signed_flag - 1)
             stored = max(expected >> 1, 1)
             width = _slot_width(n, bool(signed_flag))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import _parity_limit, _subset_transform, _xor_zeta_chunks
+from .descent import _check_n, _subset_transform, _xor_zeta_chunks
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import composition_to_mask
 
@@ -218,7 +218,7 @@ def odd_fundamental_count(n: int) -> int:
     the parity route there, and counts their bits one chunk at a time.  n
     above ``DEFAULT_LIMITS["parity"]`` is refused, as by the parity route.
     """
-    _parity_limit(n, "odd_fundamental_count")
+    _check_n(n, "parity", f"odd_fundamental_count(n={n})")
     # Each part so far sums distinct powers of 2 below 2**j, so the one part
     # holding 2**j shows where M_(2**j) went and what it came from: every
     # coefficient stays 1, and the support is the product's keys.

@@ -81,14 +81,16 @@ def test_table_ignores_cache_env_var(tmp_path, capsys, monkeypatch):
     [
         b"not a table\n",
         b"\xff\xfe\x00garbage",
-        # the header's n is refused before 2**(n - 1) values are sized
+        # a header n above the ceiling is refused before 2**(n - 1) values
+        # are sized
         b"descentlab-table v1 n=100000000000000000000 signed=0\n",
+        b"descentlab-table v1 n=25 signed=0\n",
         # the values of masks 1 and 2 swapped: the count and the sum match,
         # but the upper half is no longer the lower half reversed
         b"descentlab-table v1 n=5 signed=0\n"
         + b"".join(b"%d\n" % v for v in (1, 9, 4, 6, 9, 16, 11, 4, 4, 11, 16, 9, 6, 9, 4, 1)),
     ],
-    ids=["text", "binary", "huge-n", "swapped"],
+    ids=["text", "binary", "huge-n", "header-above-ceiling", "swapped"],
 )
 def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
     path = tmp_path / "table-v1-n5-s0.txt"
@@ -118,34 +120,24 @@ def test_table_unwritable_path(tmp_path, capsys):
     assert blocker.read_text() == "not a directory\n"
 
 
-def test_table_respects_limits(capsys, monkeypatch):
+def test_table_respects_limits(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "table", "--n", "30")
     assert code == 3
     assert err.startswith("resource limit:")
+    # each kind has one ceiling: there is no option that raises it
+    for command in (["table"], ["factors", "--max-index", "60"]):
+        code, out, err = run(capsys, *command, "--n", "5", "--max-n", "5")
+        assert (code, out) == (2, "")
+    descent.save_table(descent.beta_table(11), tmp_path / "table-v1-n11-s0.txt")
     monkeypatch.setitem(descent.DEFAULT_LIMITS, "unsigned", 10)
-    code, out, err = run(capsys, "table", "--n", "11")
-    assert code == 3
-    assert out == ""
-    assert err.startswith("resource limit:")
-    code, out, _ = run(capsys, "table", "--n", "11", "--max-n", "11")
-    assert code == 0
-    assert "sum_ok=yes" in out
-    # a lower half past sys.maxsize bytes is refused whatever --max-n says,
-    # a huge n before its slot width (which computes the Euler number of n)
-    # is worked out
-    def assert_refused(n, *flags):
-        code, out, err = run(capsys, "table", "--n", n, "--max-n", n, *flags)
-        assert (code, out) == (3, "")
-        assert err.startswith("resource limit:") and err.count("\n") == 1
-
-    assert_refused("61")
-    assert_refused("59", "--signed")
-    monkeypatch.setattr(descent, "_slot_width", _no_slot_width)
-    assert_refused(str(10**9))
-
-
-def _no_slot_width(n, signed):
-    raise AssertionError("computed the slot width")
+    code, out, _ = run(capsys, "table", "--n", "10")
+    assert code == 0 and "sum_ok=yes" in out
+    # a valid table above the ceiling in the cache is refused, not read
+    for command in (["table"], ["factors", "--max-index", "100"]):
+        for cache in ([], ["--cache-dir", str(tmp_path)]):
+            code, out, err = run(capsys, *command, "--n", "11", *cache)
+            assert (code, out) == (3, ""), (command, cache)
+            assert err.startswith("resource limit:") and err.count("\n") == 1, err
 
 
 def test_table_out_of_memory_maps_to_3(capsys, monkeypatch):

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from array import array
 from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
@@ -432,26 +431,6 @@ def test_sieve_tests_two_through_the_weight_gcd():
     assert [w for w, _ in classes] == [4, 2]
     want = ([2], {1: 16, 2: 0, 3: 2, 4: 4, 8: 2})
     assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == want
-
-
-# Within the default ceilings every slot is at most 8 bytes wide, so the
-# classes are 64-bit arrays; only a wider table, which max_n lets through,
-# keeps them in lists.  Slots forced to 9 bytes take that path at small n,
-# and must give the same classes and the same factor rows.
-def test_wide_slot_classes_match_array_classes(monkeypatch):
-    for n, signed in [(n, False) for n in range(1, 11)] + [(n, True) for n in range(1, 11)]:
-        narrow = descent._table.__wrapped__(n, signed)
-        with monkeypatch.context() as patch:
-            patch.setattr(descent, "_slot_width", lambda n, signed: 9)
-            wide = descent._table.__wrapped__(n, signed)
-        assert (narrow.width <= 8, wide.width) == (True, 9)
-        arrays, lists = descent._value_counts(narrow), descent._value_counts(wide)
-        assert {type(values) for _, values in arrays} == {array}, (n, signed)
-        assert {type(values) for _, values in lists} == {list}, (n, signed)
-        assert [(w, list(values)) for w, values in arrays] == lists, (n, signed)
-        for policy, bound in (("heuristic", 10_000), ("exhaustive", 1000)):
-            want = factor_scan(narrow, max_index=bound, policy=policy)
-            assert factor_scan(wide, max_index=bound, policy=policy) == want, (n, signed)
 
 
 def spread(folded):

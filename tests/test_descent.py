@@ -112,8 +112,6 @@ def test_limits():
     with pytest.raises(ResourceLimitError):
         beta_parity_bitset(DEFAULT_LIMITS["parity"] + 1)
     assert DEFAULT_LIMITS["parity"] >= 31  # rho(31) is a checked claim
-    # the soft ceiling moves, the hard one does not
-    assert beta_table(2, max_n=2).values == (1, 1)
     with pytest.raises(ContractViolationError):
         beta_table(0)
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from descentlab import qsym
-from descentlab.descent import DEFAULT_LIMITS, beta_table, rho
+from descentlab.descent import DEFAULT_LIMITS, beta_table
 from descentlab.errors import ContractViolationError, ResourceLimitError
 from descentlab.numbers import composition_to_mask
 from descentlab.qsym import (
@@ -173,12 +173,6 @@ def test_power_limits():
         f_boolean(13)
     with pytest.raises(ResourceLimitError):
         f_cubical_B(13)
-
-
-@pytest.mark.parametrize("n", [16, 17, 18])
-def test_odd_fundamental_count_matches_rho(n):
-    # n = 16..18 have the binary digit 16, which a desk-scale run never reaches
-    assert odd_fundamental_count(n) == rho(n) * (1 << (n - 1))
 
 
 def test_odd_fundamental_count_is_bounded(monkeypatch):
