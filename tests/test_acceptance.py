@@ -25,11 +25,11 @@ CLAIMS = {
         ("popcount", "parity"),
     ),
     3: (
-        "unsigned factor rows 3..16 match the recorded rows at bound 10000; "
+        "unsigned factor rows 3..23 match the recorded rows at bound 10000; "
         "the values at -1, i and primitive 2p-th roots decide Phi_2, Phi_4, Phi_2p",
         ("tables.unsigned", "theoremQ"),
     ),
-    4: ("signed factor rows 2..10 match the recorded rows at bound 10000", ("tables.signed",)),
+    4: ("signed factor rows 2..18 match the recorded rows at bound 10000", ("tables.signed",)),
     5: (
         "closed-form tables equal enumeration and have the complement and "
         "reversal symmetries",

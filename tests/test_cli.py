@@ -771,20 +771,30 @@ def test_rho_31_peak_rss_subprocess(tmp_path):
 # longer than 2**17, and peaks at about 45 MB.  With the table built in two
 # halves and copied it peaked at about 49 MB, with the values as boxed ints
 # and histograms as long as the pass at about 105 MB, and with a Counter
-# over the stored half at about 153 MB.
+# over the stored half at about 153 MB.  The tables suite scans every shipped
+# row, dropping each table after it, and peaks about as high; holding the
+# last eight tables it peaked at about 66 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
-def test_factors_23_peak_rss_subprocess(tmp_path):
-    code, out, err, peak = _peak_rss_run(tmp_path, "factors", "--n", "23", "--golden", "builtin")
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        ("factors --n 23 --golden builtin", "golden match (n=23 signed=0, indices <= 10000)"),
+        ("verify --suite tables", "verify: 38/38 checks passed (full scale)"),
+    ],
+    ids=["factors-23", "verify-tables"],
+)
+def test_factor_scan_peak_rss_subprocess(tmp_path, argv, line):
+    code, out, err, peak = _peak_rss_run(tmp_path, *argv.split())
     assert (code, err) == (0, "")
-    assert "golden match (n=23 signed=0, indices <= 10000)" in out.splitlines()
+    assert line in out.splitlines()
     assert peak < 52 * 1024
 
 
-# The full-scale table summary builds the lower half, 32 MB in slots of
-# E_23's 8 bytes, in one buffer that becomes the table's bytes, and peaks at
-# about 32 MB.  Two half-size buffers and a copy into bytes peaked at about
-# 48 MB, and slots of 23!'s 10 bytes at about 56 MB.
+# The full-scale table summary builds the lower half, 2**21 slots of E_23's
+# 8 bytes (16 MB), in one buffer that becomes the table's bytes, and peaks
+# at about 32 MB with a launch's 14 MB.  Two half-size buffers and a copy
+# into bytes peaked at about 48 MB, and slots of 23!'s 10 bytes at 56 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_table_23_peak_rss_subprocess(tmp_path):

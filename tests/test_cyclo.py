@@ -765,9 +765,10 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
 # (which divides every class weight) and tested only d, not every m / p**j.
 # They made 9, 24, 32 and 308 while a candidate was never one of its own
 # sieve moduli: n = 20 made two more order-0 passes, mod 9690 and mod 256.
-# Groups stay within _GROUP_CAP = 2**17 as well as N.  Of these scans only
-# n = 20 (N = 131,328) has N above it, and at bound 300 it forms no group
-# past it.
+# Groups stay within _GROUP_CAP = 2**17 as well as N; only n = 20 (N =
+# 131,328) and n = 23 (N = 1,049,600) have N above it.  n = 23 made 28 passes
+# with the sieve run eagerly, without p = 2 and on the p-free parts alone,
+# and 20 with those groups up to N, 16 of them mod more than 2**17.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
@@ -775,12 +776,14 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
         (16, False, "heuristic", 10_000, 24),
         (14, True, "heuristic", 10_000, 32),
         (12, False, "exhaustive", 3000, 308),
+        pytest.param(23, False, "heuristic", 10_000, 13, marks=pytest.mark.golden),
     ],
     ids=[
         "20-heuristic-300",
         "16-heuristic-10000",
         "signed14-heuristic-10000",
         "12-exhaustive-3000",
+        "23-heuristic-10000",
     ],
 )
 def test_factor_scan_pass_budget(monkeypatch, n, signed, policy, bound, passes):
@@ -935,30 +938,10 @@ def test_golden_tables_load():
     assert all(r.signed for r in gs.values())
     assert set(gu) == set(range(3, 24))
     assert set(gs) == set(range(2, 19))
+    # every shipped row is re-checked by the tables suite at full scale
+    assert set(gu) == set(checks.SUITES["tables"].full["unsigned"])
+    assert set(gs) == set(checks.SUITES["tables"].full["signed"])
     assert {r.bound for r in [*gu.values(), *gs.values()]} == {10_000}
-
-
-# Every shipped row above the ones the tables suite rescans at full scale:
-# tier-1 rescans unsigned 17..19 and signed 11..17, the golden tier the rest.
-# No pass is mod more than _GROUP_CAP.  n = 23 (N = 1,049,600) makes 13
-# passes; it made 28 with the sieve run eagerly, without p = 2 and on the
-# p-free parts alone, and 20 with those groups up to N, 16 of them mod more
-# than 2**17.
-@pytest.mark.parametrize(
-    "n,signed",
-    [(n, False) for n in range(17, 20)]
-    + [(n, True) for n in range(11, 18)]
-    + [
-        pytest.param(n, signed, marks=pytest.mark.golden)
-        for n, signed in [(n, False) for n in range(20, 24)] + [(18, True)]
-    ],
-)
-def test_factor_scan_matches_golden_at_recorded_bound(monkeypatch, n, signed):
-    report, calls = counted_scan(monkeypatch, n, signed, max_index=10_000)
-    assert report.factors == load_golden(signed)[n].factors
-    assert max(modulus for modulus, _ in calls) <= cyclo._GROUP_CAP
-    if (n, signed) == (23, False):
-        assert len(calls) == 13, calls
 
 
 # The exhaustive scan at the recorded bound: the first shipped row that does
