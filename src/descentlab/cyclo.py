@@ -13,21 +13,19 @@ Q(zeta_m), where it is a unit.  The product is zero exactly when Phi_m
 divides.  On one big int of byte slots that never carry, times t**s rotates
 the slots and a pair (a, b) stands for a - b.
 
-A factor scan shares the passes, one order at a time: it packs every index
-still alive at that order into groups whose lcm L stays at most
-min(N, 2**17), takes one histogram mod L per group, packs it once, and
-folds it mod each member m, adding the top half of its m-slot blocks onto
-the bottom half, exactly, since (v mod M) mod m = v mod m for m | M.  The
-members go in descending order, and each folds from the nearest fold: the
-smallest one already taken whose modulus it divides, the whole histogram
-first.  The scan stops at the first order that no index passes.  N, the
-pass length, is the number of values one pass reads: folding costs at most
-O(L) per member, so a group up to N costs no more than the pass it saves.
-Past 2**17 slots a histogram outgrows the cache, so a pass costs more per
-value (mod about 10**6, twice as much as mod 997), and its list of counts
-would be the scan's largest allocation besides the table.
+A factor scan shares its passes: each takes one histogram mod the lcm L of
+a group of moduli, packs it once, and folds it mod each member m, adding the
+top half of its m-slot blocks onto the bottom half, exactly, since
+(v mod M) mod m = v mod m for m | M.  The members go in descending order,
+and each folds from the nearest fold: the smallest one already taken whose
+modulus it divides, the whole histogram first.  L stays at most
+min(N, 2**17).  N, the pass length, is the number of values one pass reads:
+folding costs at most O(L) per member, so a group up to N costs no more than
+the pass it saves.  Past 2**17 slots a histogram outgrows the cache, so a
+pass costs more per value (mod about 10**6, twice as much as mod 997), and
+its list of counts would be the scan's largest allocation besides the table.
 
-Most candidates never get such a pass: a sieve drops them first, by
+Most candidates never get a pass of their own: a sieve drops them first, by
 reduction mod a prime.  The gcd g of the class weights divides every
 coefficient, and Phi_m is primitive, so Phi_m divides the polynomial P in
 Z[t] only if it divides P/g (Gauss's lemma).  Write m = d p**e with p prime
@@ -43,9 +41,11 @@ for p | M it is only necessary, which is all a sieve needs.  The paper rules
 out doubled prime indexes this way (Phi_2p(-1) = p); that is the case d = 2.
 A candidate m within the sieve's limit is also one of its own moduli,
 M = m (j = 0), and there the test is exact: the content is 0 exactly when
-Phi_m divides, so such a candidate needs no order-0 pass of its own.  The
-moduli are small, so many share one pass; they run in ascending order, each
-only while a live candidate needs it.
+Phi_m divides.  One scheduler runs every test, sieve and exact, each only
+while a live candidate awaits it: a candidate's exact test at each order
+waits until every test before it has passed, and each pass takes the lowest
+order awaited, so the small sieve moduli share passes with each other and
+with the exact tests that are ready.
 
 No route divides polynomials.  :func:`cyclotomic` builds Phi_k from its
 Moebius product of binomials 1 - t**d, so that the divisor products can be
@@ -59,10 +59,12 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, compress, count, repeat
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, combinations, compress, islice
+from typing import Container, Iterable, Iterator, Sequence
 
 from .descent import (
     MAX_INDEX,
@@ -99,8 +101,8 @@ __all__ = [
 # n = 22 and 23 (16 to 13, 13 to 11) but costs the small scans.
 _SIEVE_LIMIT = 1000
 
-# Largest lcm of a group of candidates that share one value pass, unless the
-# pass length N is smaller.  A histogram much longer than the cache costs
+# Largest modulus of a value pass shared by several tests, unless the pass
+# length N is smaller.  A histogram much longer than the cache costs
 # more per value than the pass it saves.  Heuristic scans at bound 10000,
 # each timed alone in a fresh process, alternating the cap (2 cores, Python
 # 3.11.7; median seconds of 8 runs, then peak RSS with the table): 2**17
@@ -237,22 +239,19 @@ def _phi_products(hist: Sequence[int], members: list[int]) -> Iterator[tuple[int
         yield m, a, b, width
 
 
-def _phi_divides_each(hist: Sequence[int], members: list[int]) -> Iterator[bool]:
-    """For each m in ``members``, whether Phi_m divides a nonnegative residue
-    histogram taken mod a multiple of m: whether the product is zero."""
-    verdict = {m: a == b for m, a, b, _ in _phi_products(hist, members)}
-    return map(verdict.__getitem__, members)
-
-
-def _phi_contents(hist: Sequence[int], members: list[int]) -> Iterator[int]:
-    """For each m in ``members``, the content (gcd of the entries) of the
-    same product, which a prime p not dividing m divides exactly when Phi_m
-    divides the histogram over F_p.  Each product is unpacked, so the
-    members are small."""
+def _phi_contents(hist: Sequence[int], members: list[int], gcds: Container[int]) -> Iterator[int]:
+    """For each m in ``members``: 0 when the same product is zero, that is,
+    when Phi_m divides a nonnegative residue histogram taken mod a multiple
+    of m; else, for m in ``gcds`` alone, whose products are unpacked, its
+    content (the gcd of its entries), which a prime p not dividing m divides
+    exactly when Phi_m divides the histogram over F_p; else 1."""
     content = {}
     for m, a, b, width in _phi_products(hist, members):
-        a_slots, b_slots = (_unpack(x.to_bytes(m * width, "little"), width) for x in (a, b))
-        content[m] = math.gcd(*map(operator.sub, a_slots, b_slots))
+        if a == b or m not in gcds:
+            content[m] = int(a != b)
+        else:
+            a_slots, b_slots = (_unpack(x.to_bytes(m * width, "little"), width) for x in (a, b))
+            content[m] = math.gcd(*map(operator.sub, a_slots, b_slots))
     return map(content.__getitem__, members)
 
 
@@ -275,7 +274,7 @@ def divides_order(source, m: int, order: int = 0) -> bool:
         raise ContractViolationError(f"need a table or {m} counts, got {type(source).__name__}")
     # every (1 - t**s) zeroes a constant vector, so the lift keeps the verdict
     low = min(min(source), 0)
-    return next(_phi_divides_each([c - low for c in source], [m]))
+    return not next(_phi_contents([c - low for c in source], [m], ()))
 
 
 def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
@@ -332,42 +331,28 @@ def heuristic_candidates(n: int, bound: int) -> list[int]:
     return sorted(out)
 
 
-def _group_candidates(candidates: Sequence[int], cap: int) -> list[list[int]]:
-    """First-fit packing of the candidates into groups whose modulus, the lcm
-    of the members, stays at most ``cap``; a candidate above ``cap`` is a
-    group of its own.
-    """
-    groups: list[list[int]] = []
-    moduli: list[int] = []
-    for m in candidates:
-        fit = None
-        if m <= cap:
-            fits = map(cap.__ge__, map(math.lcm, moduli, repeat(m)))
-            fit = next(compress(count(), fits), None)
-        if fit is None:
-            groups.append([m])
-            moduli.append(m)
-        else:
-            moduli[fit] = math.lcm(moduli[fit], m)
-            groups[fit].append(m)
-    return groups
+def _multiplicities(
+    classes: list[tuple[int, Sequence[int]]], candidates: list[int], max_multiplicity: int
+) -> dict[int, int]:
+    """{m: the multiplicity of Phi_m, up to max_multiplicity}: the number of
+    m's own tests, those mod t**m - 1, that m passed.
 
-
-def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> tuple[list, dict]:
-    """The candidates m that pass every sieve test, and {M: content} for the
-    M tested: for each prime p | m and each M = m / p**j <= _SIEVE_LIMIT,
-    1 <= j <= v_p(m), p * g must divide the content mod t**M - 1, g the gcd
-    of the class weights, and for m <= _SIEVE_LIMIT its own content, M = m,
-    must be 0, which is exact.  The M run in ascending order, one first-fit
-    group within min(N, _GROUP_CAP) per order-0 pass, N the pass length,
-    each only while a live candidate needs it, so m's own test, its largest
-    M, runs only if m passed every other.
+    A test (M, order, q) asks that q divide the content of the order-th
+    product mod t**M - 1, and q = 0 that the product be zero.  m's first
+    stage is its sieve tests (m / p**j, 0, p * g), each M <= _SIEVE_LIMIT,
+    with (m, 0, 0) if m <= _SIEVE_LIMIT; each later stage is its next own
+    test (m, k, 0).  Each pass seeds with the smallest M of the lowest order
+    awaited and adds each larger M first-fit within min(N, _GROUP_CAP).
     """
     g = math.gcd(*(weight for weight, _ in classes))
     cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
-    moduli, users = {}, {}
+    found = dict.fromkeys(candidates, 0)
+    # users[k][M]: the (m, q) of each test (M, k, q); stage[m]: the moduli of
+    # m's stage, left[m] of which m awaits while it is live; need[M]: how many
+    # live candidates await the test mod t**M - 1 at the current order, whose
+    # moduli wait in ``pending``, ascending, the first of them always awaited
+    users, stage, left = defaultdict(dict), {}, {}
     for m in candidates:
-        # (M, q): q must divide the content mod t**M - 1; 0 divides only 0
         tests = [(m, 0)] if m <= _SIEVE_LIMIT else []
         for p in prime_divisors(m):
             M = m
@@ -375,31 +360,51 @@ def _sieve(classes: list[tuple[int, Sequence[int]]], candidates: list[int]) -> t
                 M //= p
                 if M <= _SIEVE_LIMIT:
                     tests.append((M, p * g))
-        moduli[m] = [M for M, _ in tests]
+        tests = tests or [(m, 0)]  # no sieve test: its own first
+        stage[m], left[m] = [M for M, _ in tests], len(tests)
         for M, q in tests:
-            users.setdefault(M, []).append((m, q))
-    live, content = set(candidates), {}
-    needed = {M: len(pairs) for M, pairs in users.items()}
-    pending = sorted(users)
+            users[0].setdefault(M, []).append((m, q))
+    need = {M: len(pairs) for M, pairs in users[0].items()}
+    order, pending = 0, sorted(need)
     while pending:
         modulus, group = pending[0], pending[:1]
-        for M in pending[1:]:
+        for M in islice(pending, 1, None):
             if M > cap:
                 break
-            if math.lcm(modulus, M) <= cap:
+            if need[M] and math.lcm(modulus, M) <= cap:
                 modulus = math.lcm(modulus, M)
                 group.append(M)
-        hist = _residue_counts(classes, modulus, 0)
-        content.update(zip(group, _phi_contents(hist, group)))
-        del hist
-        for M in group:
-            for m, q in users[M]:
-                if m in live and (content[M] % q if q else content[M]):
-                    live.discard(m)
-                    for other in moduli[m]:
-                        needed[other] -= 1
-        pending = [M for M in pending if needed[M] and M not in content]
-    return [m for m in candidates if m in live], content
+        # only the sieve's tests, all within its limit, read a content
+        gcds = () if order else range(_SIEVE_LIMIT + 1)
+        contents = _phi_contents(_residue_counts(classes, modulus, order), group, gcds)
+        for M, content in zip(group, contents):
+            need[M] = 0
+            for m, q in users[order][M]:
+                if m not in left:
+                    continue
+                if content % q if q else content:
+                    del left[m]
+                    for other in stage[m]:
+                        if need[other]:
+                            need[other] -= 1
+                    continue
+                left[m] -= 1
+                if M == m:
+                    found[m] += 1
+                if left[m] or found[m] == max_multiplicity:
+                    continue
+                # m's next own test, (m, found[m], 0)
+                stage[m], users[found[m]][m], left[m] = [m], [(m, 0)], 1
+                if found[m] == order:
+                    need[m] = 1
+                    insort(pending, m)
+        while pending and not need[pending[0]]:  # settled, or awaited by none
+            del pending[0]
+        if not pending and order + 1 < max_multiplicity:
+            order += 1
+            pending = sorted(users[order])
+            need = dict.fromkeys(pending, 1)
+    return found
 
 
 def _check_scan_args(max_index: int, max_multiplicity: int, policy: str) -> None:
@@ -428,39 +433,23 @@ def factor_scan(
     descent polynomial, with multiplicities (capped at max_multiplicity).
 
     A sieve mod the primes p | m drops only candidates that cannot divide,
-    so it changes the cost and never the report.  A survivor up to
-    _SIEVE_LIMIT is one of the sieve's moduli and takes its order-0 verdict
-    from its content.
-    Every other test is the one :func:`divides_order` makes, by order: the
-    candidates alive at an order share passes in groups whose lcm stays at
-    most min(N, _GROUP_CAP), N the pass length.  The module docstring says
-    why the sieve is sound and why the groups stop there.
+    so it changes the cost and never the report; every other test is the
+    one :func:`divides_order` makes.  One scheduler, ``_multiplicities``,
+    picks the passes for both; the module docstring says why the sieve is
+    sound and why a pass's modulus stays within min(N, _GROUP_CAP).
     ``max_index`` above MAX_INDEX raises :class:`ResourceLimitError`.
     """
     _check_scan_args(max_index, max_multiplicity, policy)
     classes = _value_counts(table)
-    cap = min(sum(len(values) for _, values in classes), _GROUP_CAP)
     if policy == "heuristic":
         candidates = heuristic_candidates(table.n, max_index)
     else:
         candidates = list(range(2, max_index + 1))
-    alive, content = _sieve(classes, candidates)
-    factors = []
-    for order in range(max_multiplicity):
-        divides = {m: content[m] == 0 for m in alive if m in content} if order == 0 else {}
-        for group in _group_candidates([m for m in alive if m not in divides], cap):
-            hist = _residue_counts(classes, math.lcm(*group), order)
-            divides.update(zip(group, _phi_divides_each(hist, group)))
-            del hist
-        factors += [(m, order) for m in alive if order and not divides[m]]
-        alive = [m for m in alive if divides[m]]
-        if not alive:
-            break
-    factors += [(m, max_multiplicity) for m in alive]
+    found = _multiplicities(classes, candidates, max_multiplicity)
     return FactorReport(
         n=table.n,
         signed=table.signed,
-        factors=tuple(sorted(factors)),
+        factors=tuple(compress(found.items(), found.values())),
         bound=max_index,
         policy=policy,
     )

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.resources
 import json
 import math
@@ -10,6 +11,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -305,8 +307,9 @@ def list_phi_divides(counts, m):
 
 
 def packed_verdict(hist, m):
-    """The packed kernel on a histogram mod a multiple of m."""
-    return next(cyclo._phi_divides_each(hist, [m]))
+    """The packed kernel's verdict on a histogram mod a multiple of m, read
+    without unpacking the product."""
+    return not next(cyclo._phi_contents(hist, [m], ()))
 
 
 def periodic_sum(rng, m, blocks, top):
@@ -352,7 +355,7 @@ def test_packed_kernel_matches_list_reference(case, pick, extra):
     product = list_phi_product(folded, m)
     verdict = not any(product)
     assert packed_verdict(hist, m) == verdict
-    assert next(cyclo._phi_contents(hist, [m])) == math.gcd(*product)
+    assert next(cyclo._phi_contents(hist, [m], {m})) == math.gcd(*product)
     shift = folded[pick % m] + extra
     assert divides_order([c - shift for c in folded], m) == verdict
 
@@ -360,8 +363,11 @@ def test_packed_kernel_matches_list_reference(case, pick, extra):
 def test_phi_contents_small():
     # d = 1 has no prime divisor, so its content is the total, the value at
     # t = 1; mod 2 the histogram is constant, mod 4 the product by 1 - t**2
-    # is (-3, -9, 3, 9)
-    assert list(cyclo._phi_contents([3, 0, 6, 9], [1, 2, 4])) == [18, 0, 3]
+    # is (-3, -9, 3, 9); a nonzero product outside gcds reads 1, a zero one 0
+    hist, members = [3, 0, 6, 9], [1, 2, 4]
+    assert list(cyclo._phi_contents(hist, members, {1, 2, 4})) == [18, 0, 3]
+    assert list(cyclo._phi_contents(hist, members, {4})) == [1, 0, 3]
+    assert list(cyclo._phi_contents(hist, members, ())) == [1, 0, 1]
 
 
 def tiled(rng, length, period, top):
@@ -407,10 +413,47 @@ def test_shared_folds_match_list_reference(members, blocks):
                     )
                     packed[m] = list(map(operator.sub, a_slots, b_slots))
                 assert packed == products
-                want = [not any(products[m]) for m in members]
-                assert list(cyclo._phi_divides_each(h, members)) == want
+                # each member's content, then 0 or 1 for each
                 want = [math.gcd(*products[m]) for m in members]
-                assert list(cyclo._phi_contents(h, members)) == want
+                assert list(cyclo._phi_contents(h, members, set(members))) == want
+                want = [int(any(products[m])) for m in members]
+                assert list(cyclo._phi_contents(h, members, ())) == want
+
+
+@contextlib.contextmanager
+def recorded_passes():
+    """The value passes of a scan, in the order it makes them: each one's
+    modulus and order, recorded through cyclo's name for _residue_counts,
+    then its members and the contents it read (those of the members in
+    gcds), through _phi_contents."""
+    passes, counts, contents = [], cyclo._residue_counts, cyclo._phi_contents
+
+    def record_pass(classes, modulus, order):
+        passes.append(SimpleNamespace(modulus=modulus, order=order))
+        return counts(classes, modulus, order)
+
+    def record_contents(hist, members, gcds):
+        got = list(contents(hist, members, gcds))
+        passes[-1].members = list(members)
+        passes[-1].read = {m: c for m, c in zip(members, got) if m in gcds}
+        return iter(got)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclo, "_residue_counts", record_pass)
+        patch.setattr(cyclo, "_phi_contents", record_contents)
+        yield passes
+
+
+def sieve_outcome(classes, candidates):
+    """The scheduler's sieve at multiplicity 1: the candidates that reach an
+    exact test (an order-0 member above the sieve's limit) or pass their own
+    sieve content, and {M: content} for every content it read."""
+    with recorded_passes() as passes:
+        found = cyclo._multiplicities(classes, candidates, 1)
+    assert all(p.order == 0 and p.members for p in passes)
+    reached = {m for p in passes for m in p.members if m > cyclo._SIEVE_LIMIT}
+    content = {M: c for p in passes for M, c in p.read.items()}
+    return [m for m in candidates if m in reached or found[m]], content
 
 
 def test_sieve_tests_two_through_the_weight_gcd():
@@ -419,7 +462,7 @@ def test_sieve_tests_two_through_the_weight_gcd():
     # prime, so nothing survives
     classes = descent._value_counts(beta_table(1))
     assert [(w, list(v)) for w, v in classes] == [(1, [1])]
-    survivors, content = cyclo._sieve(classes, list(range(2, 200)))
+    survivors, content = sieve_outcome(classes, list(range(2, 200)))
     assert survivors == [] and content[1] == 1
     # at n = 5 the class weights are 4 and 2, so g = 2 divides every
     # coefficient and each test reads its content mod 2p: the total 16 is not
@@ -430,7 +473,7 @@ def test_sieve_tests_two_through_the_weight_gcd():
     classes = descent._value_counts(beta_table(5))
     assert [w for w, _ in classes] == [4, 2]
     want = ([2], {1: 16, 2: 0, 3: 2, 4: 4, 8: 2})
-    assert cyclo._sieve(classes, [2, 3, 4, 8, 9, 16]) == want
+    assert sieve_outcome(classes, [2, 3, 4, 8, 9, 16]) == want
 
 
 def spread(folded):
@@ -510,47 +553,6 @@ def reference_scan(table, bound, max_mult, policy):
     return tuple((m, k) for m, k in rows if k)
 
 
-def first_fit(candidates, cap):
-    """Groups by testing every open group in order."""
-    groups, moduli = [], []
-    for m in candidates:
-        for i, modulus in enumerate(moduli):
-            if math.lcm(modulus, m) <= cap:
-                groups[i].append(m)
-                moduli[i] = math.lcm(modulus, m)
-                break
-        else:
-            groups.append([m])
-            moduli.append(m)
-    return groups
-
-
-@st.composite
-def candidate_lists(draw):
-    cap = draw(st.integers(min_value=1, max_value=400))
-    kind = draw(st.sampled_from(["range", "heuristic", "random"]))
-    bound = draw(st.integers(min_value=2, max_value=2 * cap + 2))
-    if kind == "range":
-        return list(range(2, bound + 1)), cap
-    if kind == "heuristic":
-        return heuristic_candidates(draw(st.integers(1, 23)), bound), cap
-    picks = draw(st.sets(st.integers(min_value=2, max_value=bound), max_size=300))
-    return sorted(picks), cap
-
-
-@given(candidate_lists())
-def test_candidate_groups(case):
-    candidates, cap = case
-    groups = cyclo._group_candidates(candidates, cap)
-    assert sorted(m for g in groups for m in g) == sorted(candidates)
-    for g in groups:
-        modulus = math.lcm(*g)
-        assert all(modulus % m == 0 for m in g)
-        assert modulus <= max(cap, max(g))
-        assert len(g) == 1 or modulus <= cap
-    assert groups == first_fit(candidates, cap)
-
-
 def reference_sieve(table, candidates):
     """The candidates that pass every sieve test, each test the content of
     the list product over the table's residues mod t**M - 1, M = m / p**j,
@@ -598,7 +600,7 @@ def reference_sieve(table, candidates):
 def test_sieve_matches_reference_sieve(n, signed, policy, bound):
     table = beta_table(n, signed=signed)
     candidates = heuristic_candidates(n, bound) if policy == "heuristic" else range(2, bound + 1)
-    survivors, content = cyclo._sieve(descent._value_counts(table), list(candidates))
+    survivors, content = sieve_outcome(descent._value_counts(table), list(candidates))
     want, reference_content = reference_sieve(table, candidates)
     assert survivors == want
     assert content == {d: reference_content(d) for d in content}
@@ -606,53 +608,40 @@ def test_sieve_matches_reference_sieve(n, signed, policy, bound):
 
 
 def scan_shapes(table, bound, policy):
-    """The shapes one scan takes, by name: its value passes, each recorded
-    as the scan makes it through cyclo's name for _residue_counts, the
-    sieve's passes and its survivors and contents, read off its return
-    value, and the members of each exact pass, read off the packed kernel;
-    each against the pass length N (the number of values in the table's
-    weighted classes, below _GROUP_CAP at these sizes), and the rows the
-    scan finds."""
-    passes, sieved, exact = [], [], []
-    counts, sieve, kernel = cyclo._residue_counts, cyclo._sieve, cyclo._phi_divides_each
-
-    def record_pass(classes, modulus, order):
-        passes.append((modulus, order))
-        return counts(classes, modulus, order)
-
-    def record_sieve(classes, candidates):
-        sieved.append((sieve(classes, candidates), len(passes)))
-        return sieved[-1][0]
-
-    def record_kernel(hist, members):
-        exact.append((passes[-1][1], list(members)))
-        return kernel(hist, members)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cyclo, "_residue_counts", record_pass)
-        patch.setattr(cyclo, "_sieve", record_sieve)
-        patch.setattr(cyclo, "_phi_divides_each", record_kernel)
+    """The shapes one scan takes, by name, read off its value passes (see
+    recorded_passes) against the pass length N, the number of values in
+    the table's weighted classes, and off the rows the scan finds.  Each
+    pass is first held to the grouping invariants: every member divides
+    its modulus, the lcm of the members, and a pass of more than one member
+    stays within min(N, _GROUP_CAP).  A member whose content the pass reads
+    is a sieve modulus (the sieve's tests read contents, the rest only
+    verdicts); every other member is an exact test."""
+    with recorded_passes() as passes:
         rows = factor_scan(table, max_index=bound, policy=policy).factors
-    ((survivors, content), sieve_passes), = sieved
-    assert len(passes) == sieve_passes + len(exact)
-    classes = descent._value_counts(table)
-    size = sum(len(values) for _, values in classes)
+    size = sum(len(values) for _, values in descent._value_counts(table))
+    for p in passes:
+        assert p.members and p.modulus == math.lcm(*p.members)
+        assert len(p.members) == 1 or p.modulus <= min(size, cyclo._GROUP_CAP)
+    exact = [[m for m in p.members if m not in p.read] for p in passes]
     shapes = set()
-    if sieve_passes < len(content):
+    if any(len(p.read) > 1 for p in passes):
         shapes.add("shared sieve pass")
-    if any(M > size for M in content):
+    if any(M > size for p in passes for M in p.read):
         shapes.add("lone sieve pass above N")
-    if any(len(g) > 1 for _, g in exact):
+    if any(len(g) > 1 for g in exact):
         shapes.add("shared exact pass")
-    if any(g[0] > size for _, g in exact):
+    if any(m > size for g in exact for m in g):
         shapes.add("lone exact pass above N")
-    if not survivors:
+    if any(p.read and g for p, g in zip(passes, exact)):
+        shapes.add("an exact order-0 test shares a sieve pass")
+    if not rows and not any(exact):
         shapes.add("no survivor")
-    order0 = {m: i for i, (order, g) in enumerate(exact) if order == 0 for m in g}
-    if any(m in content and m not in order0 for m in survivors):
+    zeros = {M for p in passes for M, c in p.read.items() if c == 0}
+    if any(m in zeros for m, _ in rows):
         shapes.add("order 0 read from a sieve content")
-    later = (g for order, g in exact if order)
-    if any(len({order0[m] for m in g if m in order0}) > 1 for g in later):
+    order0 = {m: i for i, p in enumerate(passes) if p.order == 0 for m in p.members}
+    later = (p.members for p in passes if p.order)
+    if any(len({order0[m] for m in g}) > 1 for g in later):
         shapes.add("one order-k pass shared by survivors of two order-0 groups")
     if any(k >= 2 for _, k in rows):
         shapes.add("order 2 reached")
@@ -716,12 +705,14 @@ FROM_CONTENT = "order 0 read from a sieve content"
             10, True, "exhaustive", 100, {"shared exact pass", FROM_CONTENT},
             id="signed10-exhaustive-100",
         ),
-        # N = 16384: order 0 tests 1120 with 2080 and 1248 alone, above the
-        # sieve's moduli; 1248 and 2080 then share one order-1 pass mod 6240
+        # N = 16384: the exact order-0 test of 1120 shares a sieve pass mod
+        # 14560 with 520, above the sieve's moduli; 1024, 1536 and 2048 share
+        # one mod 6144, and 1248 and 2080 one mod 6240 at orders 0 and 1
         pytest.param(
             15, True, "heuristic", 2080,
             {
                 "shared exact pass",
+                "an exact order-0 test shares a sieve pass",
                 FROM_CONTENT,
                 "one order-k pass shared by survivors of two order-0 groups",
                 "factor at the bound",
@@ -768,13 +759,15 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
 # Groups stay within _GROUP_CAP = 2**17 as well as N; only n = 20 (N =
 # 131,328) and n = 23 (N = 1,049,600) have N above it.  n = 23 made 28 passes
 # with the sieve run eagerly, without p = 2 and on the p-free parts alone,
-# and 20 with those groups up to N, 16 of them mod more than 2**17.
+# and 20 with those groups up to N, 16 of them mod more than 2**17.  Signed
+# 14 made 32 while the sieve ran to its end before any exact test, so an
+# exact order-0 test never shared a sieve pass.
 @pytest.mark.parametrize(
     "n,signed,policy,bound,passes",
     [
         (20, False, "heuristic", 300, 7),
         (16, False, "heuristic", 10_000, 24),
-        (14, True, "heuristic", 10_000, 32),
+        (14, True, "heuristic", 10_000, 31),
         (12, False, "exhaustive", 3000, 308),
         pytest.param(23, False, "heuristic", 10_000, 13, marks=pytest.mark.golden),
     ],
