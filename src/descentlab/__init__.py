@@ -10,11 +10,10 @@ __version__ = "1.0.0"
 # each CLI command loads only the modules it runs.
 _EXPORTS = {
     "errors": ("CacheError", "ContractViolationError", "DescentLabError", "ResourceLimitError"),
-    "numbers": ("euler_number", "multinomial", "signed_euler_number"),
+    "numbers": ("euler_number", "signed_euler_number"),
     "descent": (
-        "DescentTable", "alpha", "alpha_signed", "beta_table",
-        "brute_force_table", "load_table", "mod_p_prediction", "residue_histogram", "rho",
-        "save_table",
+        "DescentTable", "beta_table", "brute_force_table", "load_table", "mod_p_prediction",
+        "residue_histogram", "rho", "save_table",
     ),
     "qsym": (
         "QSymPoly", "f_boolean", "f_cubical_B", "m_to_l", "odd_fundamental_count",
@@ -24,7 +23,7 @@ _EXPORTS = {
         "AbPoly", "CdPoly", "MacmahonCheck", "NotInSpanError", "ab_index", "ab_to_cd",
         "cd_to_ab", "macmahon_multiplication_check", "omega", "signed_sum",
     ),
-    "cyclo": ("FactorReport", "IntPoly", "cyclotomic", "divides_order", "eval_special", "factor_scan"),
+    "cyclo": ("FactorReport", "IntPoly", "cyclotomic", "divides_order", "factor_scan"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

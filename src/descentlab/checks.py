@@ -10,7 +10,8 @@ them.
 
 Every library call goes through a module attribute (``descent.beta_table``,
 ``cyclo.factor_scan``, ...), so a caller that wraps those attributes sees
-what the checks spend.
+what the checks spend.  A suite reads residue data mod t**m - 1 through one
+reader, :func:`_reader`, which takes each table's value classes once.
 """
 
 from __future__ import annotations
@@ -79,6 +80,23 @@ def _verdict(name: str, bad: list, detail: str, label: str) -> CheckResult:
     A check that takes no n is made only when ``--n`` is absent.
     """
     return CheckResult(name, not bad, detail + (f"; {label} {bad}" if bad else ""))
+
+
+def _reader(signed: bool = False) -> Callable[..., list[int]]:
+    """``counts(n, m, order=0)``: the residue counts mod m at ``order`` of
+    the table of n of one kind, as ``descent.residue_histogram`` gives them.
+
+    A suite makes its own reader, which takes each table's value classes
+    once and keeps them only as long as the suite runs.
+    """
+    classes: dict[int, list] = {}
+
+    def counts(n: int, m: int, order: int = 0) -> list[int]:
+        if n not in classes:
+            classes[n] = descent._value_counts(descent.beta_table(n, signed))
+        return descent._residue_counts(classes[n], m, order)
+
+    return counts
 
 
 def _aggregate(
@@ -213,10 +231,10 @@ def _symmetry(at, only) -> list[CheckResult]:
 def _mod4(at, only) -> list[CheckResult]:
     out = []
     for signed, ns in ((False, at.unsigned), (True, at.signed)):
+        counts = _reader(signed)
         for n in _keep(only, ns):
-            table = descent.beta_table(n, signed)
-            c = descent.residue_histogram(table, 4)
-            expect = 1 << (table.universe - 1)
+            c = counts(n, 4)
+            expect = 1 << (n - 1 if signed else n - 2)  # half of the 2**universe subsets
             ok = c[0] == 0 and c[2] == 0 and c[1] == expect and c[3] == expect
             out.append(
                 CheckResult(
@@ -260,10 +278,10 @@ def _modp(at, only) -> list[CheckResult]:
     full=dict(cases=((5, 5), (6, 3), (9, 3), (10, 5), (14, 7), (18, 3))),
 )
 def _mod2p(at, only) -> list[CheckResult]:
-    out = []
+    out, counts = [], _reader()
     for n, p in _keep(only, at.cases):
         m = 2 * p
-        c = descent.residue_histogram(descent.beta_table(n), m)
+        c = counts(n, m)
         expect = 1 << (n - 3)
         allowed = {1, m - 1, p - 1, p + 1}
         stray = sum(c[r] for r in range(m) if r not in allowed)
@@ -322,17 +340,21 @@ def _congruent(counts, terms: dict[int, int]) -> bool:
     ),
 )
 def _theoremq(at, only) -> list[CheckResult]:
+    counts = _reader()
+    # the value at -1 is the even count minus the odd one, and the value at i
+    # pairs the counts mod 4 likewise
     out = _aggregate(
         "theoremQ.minus1", only, at.minus1,
         "value at -1 matches 2^n(1/2 - rho)", "mismatches at",
         lambda ns: [
             n
-            for n in ns
-            if cyclo.eval_special(descent.beta_table(n), -1) != (1 << (n - 1)) - 2 * _odd_count(n)
+            for n, c in ((n, counts(n, 2)) for n in ns)
+            if c[0] - c[1] != (1 << (n - 1)) - 2 * _odd_count(n)
         ],
     )
     for n in _keep(only, at.imag):
-        got = cyclo.eval_special(descent.beta_table(n), "i")
+        c = counts(n, 4)
+        got = (c[0] - c[2], c[1] - c[3])
         out.append(
             CheckResult(
                 f"theoremQ.imag.n{n}", got == (0, 0), f"value at i = {got}"
@@ -345,7 +367,7 @@ def _theoremq(at, only) -> list[CheckResult]:
     for kind, tag, instances in kinds:
         for n, q in _keep(only, instances):
             m = 2 * numbers.prime_divisors(q)[0]
-            hist = descent.residue_histogram(descent.beta_table(n), m)
+            hist = counts(n, m)
             coeff = (_odd_count(q) - (1 << (q - 2))) << (n - q)
             out.append(
                 CheckResult(
@@ -358,15 +380,14 @@ def _theoremq(at, only) -> list[CheckResult]:
     # with the wrong prime are blocked by the value at -1
     odd_pp = [3, 5, 7, 9, 11, 13, 25, 27]
     for n in _keep(only, at.controls):
-        table = descent.beta_table(n)
-        hits = [q for q in odd_pp if cyclo.divides_order(table, q, 0)]
+        hits = [q for q in odd_pp if cyclo.divides_order(counts(n, q), q)]
         detail = f"no odd prime power index divides (tried {odd_pp})"
         out.append(_verdict(f"theoremQ.oddcontrol.n{n}", hits, detail, "hits"))
         if n in (4, 8, 16):
             blocked = odd_pp
         else:
             blocked = [5, 25, 7, 11, 13]
-        hits = [2 * q for q in blocked if cyclo.divides_order(table, 2 * q, 0)]
+        hits = [2 * q for q in blocked if cyclo.divides_order(counts(n, 2 * q), 2 * q)]
         detail = f"no blocked doubled index divides (tried {[2 * q for q in blocked]})"
         out.append(_verdict(f"theoremQ.evencontrol.n{n}", hits, detail, "hits"))
     for n in _keep(only, at.landmark):
@@ -399,22 +420,20 @@ def _theoremq(at, only) -> list[CheckResult]:
     ),
 )
 def _squares(at, only) -> list[CheckResult]:
-    out = []
+    out, counts = [], _reader()
     for n, m in _keep(only, at.pairs):
-        table = descent.beta_table(n)
-        ok = cyclo.divides_order(table, m, 0) and cyclo.divides_order(table, m, 1)
+        ok = all(cyclo.divides_order(counts(n, m, k), m) for k in (0, 1))
         out.append(CheckResult(f"squares.phi{m}.n{n}", ok, f"Phi_{m}^2 divides"))
     return out
 
 
 @_suite(desk=dict(ps=(3, 5, 7)), full=dict(ps=(3, 5, 7, 11, 13)))
 def _signed4p(at, only) -> list[CheckResult]:
-    out = []
+    out, counts = [], _reader(signed=True)
     for p in _keep(only, at.ps):
-        table = descent.beta_table(p, signed=True)
         m = 4 * p
-        once = cyclo.divides_order(table, m, 0)
-        twice = once and cyclo.divides_order(table, m, 1)
+        once = cyclo.divides_order(counts(p, m), m)
+        twice = once and cyclo.divides_order(counts(p, m, 1), m)
         out.append(
             CheckResult(
                 f"signed4p.p{p}",
@@ -432,13 +451,12 @@ def _derivative(at, only) -> list[CheckResult]:
     # (-1)**((p-1)/2) * 2**(p-1) * p * E_{p-1} * (t - t**(4p-1)), a value of
     # magnitude 2**p * p * E_{p-1}
     magnitudes = {3: 24, 5: 800, 7: 54656}
-    out = []
+    out, counts = [], _reader(signed=True)
     for p in _keep(only, at.ps):
-        table = descent.beta_table(p, signed=True)
         m = 4 * p
-        first = descent.residue_histogram(table, m, 1)
-        once = cyclo.divides_order(table, m, 0)
-        twice = once and cyclo.divides_order(first, m, 1)
+        first = counts(p, m, 1)
+        once = cyclo.divides_order(counts(p, m), m)
+        twice = once and cyclo.divides_order(first, m)
         magnitude = (1 << p) * p * numbers.euler_number(p - 1)
         coeff = (-1) ** ((p - 1) // 2) * magnitude // 2
         ok = (

@@ -83,7 +83,6 @@ __all__ = [
     "IntPoly",
     "cyclotomic",
     "divides_order",
-    "eval_special",
     "FactorReport",
     "factor_scan",
     "heuristic_candidates",
@@ -275,21 +274,6 @@ def divides_order(source, m: int, order: int = 0) -> bool:
     # every (1 - t**s) zeroes a constant vector, so the lift keeps the verdict
     low = min(min(source), 0)
     return not next(_phi_contents([c - low for c in source], [m], ()))
-
-
-def eval_special(table: DescentTable, point) -> int | tuple[int, int]:
-    """The descent polynomial at -1 or at the imaginary unit, exactly.
-
-    At -1 it is the even-odd gap of the beta values; at "i" it is returned
-    as an integer pair (real, imaginary).
-    """
-    if point == -1:
-        c = residue_histogram(table, 2, 0)
-        return c[0] - c[1]
-    if point == "i":
-        c = residue_histogram(table, 4, 0)
-        return (c[0] - c[2], c[1] - c[3])
-    raise ContractViolationError(f"supported points are -1 and 'i'; got {point!r}")
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
-from .numbers import as_mask, euler_number, mask_to_composition, multinomial
-from .numbers import prime_divisors, signed_euler_number
+from .numbers import as_mask, euler_number, prime_divisors, signed_euler_number
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -75,8 +74,6 @@ __all__ = [
     "DEFAULT_LIMITS",
     "BRUTE_FORCE_LIMITS",
     "DescentTable",
-    "alpha",
-    "alpha_signed",
     "beta_table",
     "brute_force_table",
     "beta_parity_bitset",
@@ -206,35 +203,6 @@ class DescentTable:
                 f"table for n={self.n} signed={self.signed} needs "
                 f"{self.stored} slots of {width} bytes, got {len(self.data)} bytes"
             )
-
-
-def alpha(n: int, S) -> int:
-    """Number of permutations of {1, ..., n} with descent set contained in S.
-
-    Equals the multinomial coefficient of the gap composition of S in n.
-    """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    mask = as_mask(S, n - 1)
-    return multinomial(n, mask_to_composition(mask, n))
-
-
-def alpha_signed(n: int, S) -> int:
-    """Number of signed permutations of {1, ..., n} with descent set in S.
-
-    Descents are read with a leading zero, so S ranges over {1, ..., n}.  The
-    runs between consecutive elements of S can be filled independently; the
-    run containing the leading zero forces its signs, every other run is
-    sign-free, giving multinomial(n; g0 - 1, g1, ..., gk) * 2**(n + 1 - g0)
-    for the gap composition (g0, ..., gk) of S in n + 1.
-    """
-    if n < 1:
-        raise ContractViolationError(f"n must be >= 1, got {n}")
-    mask = as_mask(S, n)
-    gamma = mask_to_composition(mask, n + 1)
-    first = gamma[0]
-    rest = gamma[1:] if first == 1 else (first - 1,) + gamma[1:]
-    return multinomial(n, rest) << (n + 1 - first)
 
 
 def _subset_transform(vals: list, op) -> None:

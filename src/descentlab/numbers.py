@@ -3,21 +3,18 @@
 Everything here is exact.  A subset of {1, ..., n} is a plain int bitmask,
 bit i - 1 set when i is a member, mirrored (i to n + 1 - i) by reversing its
 bits; a composition is a plain tuple of parts, converted to and from the mask
-of its partial sums.  Also here: multinomial coefficients, primes, and the
-two zigzag counting sequences (Euler numbers and their signed analogue).
+of its partial sums.  Also here: primes and the two zigzag counting
+sequences (Euler numbers and their signed analogue).
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import ContractViolationError
 
 __all__ = [
     "as_mask",
-    "multinomial",
     "prime_divisors",
     "mask_to_composition",
     "composition_to_mask",
@@ -48,26 +45,6 @@ def as_mask(S, universe: int | None = None) -> int:
             f"mask {bits:#x} does not fit in universe of size {universe}"
         )
     return bits
-
-
-def multinomial(n: int, gamma: Iterable[int]) -> int:
-    """Multinomial coefficient n! / (g1! g2! ... gk!).
-
-    The parts must be nonnegative and sum to ``n``.
-    """
-    parts = tuple(gamma)
-    if n < 0:
-        raise ContractViolationError(f"n must be >= 0, got {n}")
-    if any(p < 0 for p in parts):
-        raise ContractViolationError(f"parts must be >= 0, got {parts}")
-    if sum(parts) != n:
-        raise ContractViolationError(f"parts {parts} do not sum to {n}")
-    out = 1
-    remaining = n
-    for p in parts:
-        out *= math.comb(remaining, p)
-        remaining -= p
-    return out
 
 
 def prime_divisors(m: int) -> tuple[int, ...]:

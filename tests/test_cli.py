@@ -1,11 +1,14 @@
+import ast
 import doctest
 import os
 import resource
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -408,6 +411,33 @@ def test_verify_fails_on_a_wrong_value(capsys, monkeypatch, suite, failed, summa
     assert out.splitlines()[-1] == f"verify: {summary} checks passed (desk scale)"
 
 
+def test_each_suite_reads_a_table_once(monkeypatch):
+    # the value classes, which every residue count of a table is read from,
+    # are taken at most once per table in one suite call
+    reads = []
+    value_counts = descent._value_counts
+
+    def counted(table):
+        reads.append((table.n, table.signed))
+        return value_counts(table)
+
+    monkeypatch.setattr(descent, "_value_counts", counted)
+    monkeypatch.setattr(cyclo, "_value_counts", counted)  # factor_scan's copy
+    twice = {}
+    for name, suite in checks.SUITES.items():
+        reads.clear()
+        assert all(r.ok for r in suite("desk")), name
+        twice[name] = sorted(key for key, k in Counter(reads).items() if k > 1)
+    assert twice == dict.fromkeys(checks.SUITES, [])
+
+
+def test_squares_fail_where_phi_divides_once():
+    # Phi_2 divides the rows of 3 and 7 once, Phi_10 the rows of 5 and 6
+    pairs = ((3, 2), (7, 2), (5, 10), (6, 10))
+    results = checks.SUITES["squares"].body(SimpleNamespace(pairs=pairs), None)
+    assert [r.ok for r in results] == [False] * len(pairs)
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert (code, out) == (2, "")
@@ -688,7 +718,7 @@ def test_top_level_names_load_their_own_module():
     # the README tour's import, from a package that has loaded nothing yet
     loaded = _loaded_after(
         f"import sys\nimport descentlab\nassert {_LOADED} == ['descentlab']\n"
-        f"from descentlab import beta_table, rho, alpha\nprint(*{_LOADED})"
+        f"from descentlab import beta_table, rho\nprint(*{_LOADED})"
     )
     assert loaded == ["descentlab", "descentlab.descent", "descentlab.errors", "descentlab.numbers"]
 
@@ -703,6 +733,25 @@ def test_every_top_level_name_is_its_modules_own():
             assert getattr(descentlab, name) is getattr(importlib.import_module(f"descentlab.{module}"), name)
     with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
         descentlab.frobnicate
+
+
+def test_every_top_level_name_is_used_beyond_its_tests():
+    # a public name stays only while a route, a check, the CLI or the bench
+    # uses it: some library module other than __init__.py, or some bench
+    # script, names it
+    import descentlab
+
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "descentlab").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in sources + sorted((root / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = [name for names in descentlab._EXPORTS.values() for name in names]
+    assert [name for name in exported if name not in used] == []
 
 
 # The summary over the stored half at full scale, in a fresh process: the

@@ -22,7 +22,6 @@ from descentlab.cyclo import (
     IntPoly,
     cyclotomic,
     divides_order,
-    eval_special,
     factor_scan,
     format_report,
     heuristic_candidates,
@@ -254,18 +253,6 @@ def test_divides_order_accepts_prepared_histogram():
     for bad in ([1, 2], (1, 2, 3, 4, 5), None):  # wrong length, or no counts
         with pytest.raises(ContractViolationError):
             divides_order(bad, 4, 0)
-
-
-def test_eval_special():
-    t8 = beta_table(8)
-    assert eval_special(t8, "i") == (0, 0)
-    t15 = beta_table(15)
-    assert eval_special(t15, -1) == 1536
-    # 2^n (1/2 - rho(n)) with rho(15) = 29/64
-    assert eval_special(t15, -1) == (1 << 15) * (32 - 29) // 64
-    for point in (1, 1j, 2):  # no check evaluates these
-        with pytest.raises(ContractViolationError):
-            eval_special(t8, point)
 
 
 @given(residue_vectors(), st.integers(-3, 3), st.integers(-3, 3))

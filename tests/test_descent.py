@@ -16,8 +16,6 @@ from descentlab.descent import (
     BRUTE_FORCE_LIMITS,
     DEFAULT_LIMITS,
     DescentTable,
-    alpha,
-    alpha_signed,
     beta_parity_bitset,
     beta_table,
     brute_force_table,
@@ -43,7 +41,7 @@ from descentlab.errors import (
     DescentLabError,
     ResourceLimitError,
 )
-from descentlab.numbers import euler_number, signed_euler_number
+from descentlab.numbers import euler_number, mask_to_composition, signed_euler_number
 
 # hand-enumerated before the closed forms were written
 BETA_3 = (1, 2, 2, 1)
@@ -64,16 +62,6 @@ def test_beta_specific_value():
     # beta_9({4}) = C(9,4) - C(9,9) ... inclusion-exclusion by hand: 125
     assert beta_table(9).value({4}) == 125
     assert beta_table(9).value(1 << 3) == 125
-
-
-def test_alpha_values():
-    assert alpha(4, set()) == 1
-    assert alpha(4, {1, 2, 3}) == math.factorial(4)
-    assert alpha(6, {2, 3}) == 60  # multinomial(6; 2,1,3)
-    assert alpha_signed(2, {1}) == 4
-    assert alpha_signed(2, {2}) == 4
-    assert alpha_signed(2, {1, 2}) == 8
-    assert alpha_signed(5, set()) == 1
 
 
 def test_table_sums_and_maxima():
@@ -303,6 +291,20 @@ SMALL_TABLES = [(n, False) for n in range(1, 15)] + [(n, True) for n in range(1,
 TIER_1_TABLES = [(n, False) for n in range(1, 17)] + [(n, True) for n in range(1, 15)]
 
 
+def alpha_reference(n: int, mask: int, signed: bool = False) -> int:
+    """alpha_n(S), the permutations of n with descent set inside S, in closed
+    form: n! over the factorials of the gaps of S in n.  Signed, the gaps are
+    taken in n + 1 with the leading zero in the first, g0, and each of the
+    n + 1 - g0 entries of the later runs carries a free sign."""
+    gaps = mask_to_composition(mask, n + 1 if signed else n)
+    if signed:
+        gaps = (gaps[0] - 1, *gaps[1:])
+    out = math.factorial(n)
+    for g in gaps:
+        out //= math.factorial(g)
+    return out << (n - gaps[0] if signed else 0)
+
+
 def alpha_width(n: int, signed: bool) -> int:
     """Bytes per slot of the alpha route: enough for its largest value, n!
     (signed: n! 2**n), whatever width the library stores a table in."""
@@ -389,10 +391,17 @@ def test_table_sums_over_subsets_to_alpha(monkeypatch, block):
 
 
 def test_alpha_table_matches_alpha():
+    # hand counts, S as a mask
+    assert alpha_reference(4, 0) == 1
+    assert alpha_reference(4, 0b111) == math.factorial(4)
+    assert alpha_reference(6, 0b110) == 60  # 6! / (2! 1! 3!)
+    assert alpha_reference(2, 0b01, signed=True) == 4
+    assert alpha_reference(2, 0b10, signed=True) == 4
+    assert alpha_reference(2, 0b11, signed=True) == 8
+    assert alpha_reference(5, 0, signed=True) == 1
     for n, signed in TIER_1_TABLES:
-        count = alpha_signed if signed else alpha
         got = _unpack(alpha_table(n, signed), alpha_width(n, signed))
-        assert got == [count(n, mask) for mask in range(len(got))], (n, signed)
+        assert got == [alpha_reference(n, mask, signed) for mask in range(len(got))], (n, signed)
 
 
 def test_brute_force_tables_satisfy_the_top_element_recursion():

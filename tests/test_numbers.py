@@ -11,7 +11,6 @@ from descentlab.numbers import (
     euler_number,
     mask_to_composition,
     prime_divisors,
-    multinomial,
     signed_euler_number,
 )
 
@@ -32,24 +31,6 @@ def test_as_mask_int_and_iterable_forms():
     for bad in (-1, {0}, {1.5}):
         with pytest.raises(ContractViolationError):
             as_mask(bad)
-
-
-def test_multinomial_values():
-    assert multinomial(0, ()) == 1
-    assert multinomial(4, (2, 2)) == 6
-    assert multinomial(6, (1, 2, 3)) == 60
-    assert multinomial(23, (11, 12)) == 1352078
-    with pytest.raises(ContractViolationError):
-        multinomial(5, (2, 2))
-
-
-@given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=5))
-def test_multinomial_matches_factorials(parts):
-    n = sum(parts)
-    denom = 1
-    for p in parts:
-        denom *= math.factorial(p)
-    assert multinomial(n, parts) == math.factorial(n) // denom
 
 
 def test_prime_divisors():
