@@ -251,29 +251,29 @@ class MacmahonCheck:
         return self.lhs == self.printed_rhs
 
 
-def macmahon_multiplication_check(m: int, n: int, u, v) -> MacmahonCheck:
-    """Evaluate both sides of the descent product identity for u, v.
+def macmahon_multiplication_check(m: int, n: int) -> list[MacmahonCheck]:
+    """Evaluate both sides of the descent product identity for every u, v,
+    u-major, from one build each of beta_{m+n}, beta_m and beta_n.
 
-    u is a subset of {1, ..., m-1}, v of {1, ..., n-1}.  The left side sums
-    beta_{m+n} over the two subsets agreeing with u and the shifted v, with
-    position m optional.
+    u ranges over the subsets of {1, ..., m-1}, v over those of
+    {1, ..., n-1}.  The left side sums beta_{m+n} over the two subsets
+    agreeing with u and the shifted v, with position m optional.
     """
     if m < 1 or n < 1:
         raise ContractViolationError(f"need m, n >= 1, got {m}, {n}")
-    mu = as_mask(u, m - 1)
-    mv = as_mask(v, n - 1)
-    big = beta_table(m + n)
-    base = mu | (mv << m)
-    lhs = big.value(base) + big.value(base | (1 << (m - 1)))
-    bm = beta_table(m).value(mu)
-    bn = beta_table(n).value(mv)
+    big, left, right = (beta_table(k).values for k in (m + n, m, n))
     binomial = math.comb(m + n, m)
-    return MacmahonCheck(
-        m=m,
-        n=n,
-        u=mu,
-        v=mv,
-        lhs=lhs,
-        product_rhs=binomial * bm * bn,
-        printed_rhs=binomial * bm + bn,
-    )
+    free = 1 << (m - 1)
+    return [
+        MacmahonCheck(
+            m=m,
+            n=n,
+            u=u,
+            v=v,
+            lhs=big[u | v << m] + big[u | v << m | free],
+            product_rhs=binomial * bm * bn,
+            printed_rhs=binomial * bm + bn,
+        )
+        for u, bm in enumerate(left)
+        for v, bn in enumerate(right)
+    ]

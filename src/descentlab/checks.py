@@ -194,12 +194,12 @@ def _parity(at, only) -> list[CheckResult]:
     return out
 
 
-def _mirror_ok(n: int, signed: bool) -> bool:
-    """Whether the upper half a table reads from its mirror is the one the
-    top-element recursion gives from its lower half and the next smaller
-    table: beta_n(S' + {n-1}) = n beta_(n-1)(S') - beta_n(S') unsigned, and
-    beta^B_n(S' + {n}) = 2n beta^B_(n-1)(S') - beta^B_n(S') signed."""
-    values = descent.beta_table(n, signed).values
+def _mirror_ok(values: tuple[int, ...], n: int, signed: bool) -> bool:
+    """Whether the upper half the table of n with ``values`` reads from its
+    mirror is the one the top-element recursion gives from its lower half
+    and the next smaller table: beta_n(S' + {n-1}) = n beta_(n-1)(S') -
+    beta_n(S') unsigned, and beta^B_n(S' + {n}) = 2n beta^B_(n-1)(S') -
+    beta^B_n(S') signed."""
     smaller = descent.beta_table(n - 1, signed).values
     c, half = (2 * n if signed else n), len(smaller)
     return values[half:] == tuple(c * b - v for b, v in zip(smaller, values[:half]))
@@ -214,12 +214,12 @@ def _symmetry(at, only) -> list[CheckResult]:
         out.append(
             CheckResult(
                 f"symmetry.unsigned.n{n}",
-                _mirror_ok(n, False) and rev_ok,
+                _mirror_ok(values, n, False) and rev_ok,
                 "complement and reversal invariance",
             )
         )
     for n in _keep(only, at.ns):
-        ok = _mirror_ok(n, True)
+        ok = _mirror_ok(descent.beta_table(n, True).values, n, True)
         out.append(CheckResult(f"symmetry.signed.n{n}", ok, "complement invariance"))
     return out
 
@@ -256,12 +256,8 @@ def _modp(at, only) -> list[CheckResult]:
     out = []
     for n, q in _keep(only, at.pairs):
         p = numbers.prime_divisors(q)[0]
-        table = descent.beta_table(n)
-        bad = sum(
-            1
-            for mask, v in enumerate(table.values)
-            if descent.mod_p_prediction(n, q, mask) != v % p
-        )
+        values = zip(descent.mod_p_prediction(n, q), descent.beta_table(n).values, strict=True)
+        bad = sum(1 for r, v in values if r != v % p)
         out.append(
             CheckResult(
                 f"modp.n{n}.q{q}",
@@ -538,16 +534,13 @@ def _structure(at, only) -> list[CheckResult]:
     )
     # the product checks take no n, so --n selects none of them
     if only is None:
-        bad_pairs = 0
-        total_pairs = 0
-        for m in range(1, at.product_top):
-            for n2 in range(1, at.product_top - m + 1):
-                for u in range(1 << (m - 1)):
-                    for v in range(1 << (n2 - 1)):
-                        chk = abcd.macmahon_multiplication_check(m, n2, u, v)
-                        total_pairs += 1
-                        if not chk.product_holds:
-                            bad_pairs += 1
+        cases = [
+            chk.product_holds
+            for m in range(1, at.product_top)
+            for n2 in range(1, at.product_top - m + 1)
+            for chk in abcd.macmahon_multiplication_check(m, n2)
+        ]
+        bad_pairs, total_pairs = cases.count(False), len(cases)
         out.append(
             CheckResult(
                 "structure.product",
@@ -555,7 +548,7 @@ def _structure(at, only) -> list[CheckResult]:
                 f"product identity holds on all {total_pairs} cases with m+n<={at.product_top}",
             )
         )
-        misprint = abcd.macmahon_multiplication_check(1, 1, 0, 0)
+        (misprint,) = abcd.macmahon_multiplication_check(1, 1)
         out.append(
             CheckResult(
                 "structure.product.misprint",
@@ -646,8 +639,6 @@ def _tables(at, only) -> list[CheckResult]:
         golden = cyclo.load_golden(signed)
         for n in _keep(only, ns):
             report = cyclo.factor_scan(descent.beta_table(n, signed), max_index=at.bound)
-            # _table's lru_cache(maxsize=8) would otherwise keep the earlier big tables
-            descent._table.cache_clear()
             want = tuple((m, k) for m, k in golden[n].factors if m <= at.bound)
             ok = report.factors == want
             out.append(

@@ -459,9 +459,11 @@ def format_report(report: FactorReport, include_scan_info: bool = True) -> str:
 def parse_report_line(line: str) -> FactorReport:
     """Parse a line produced by :func:`format_report`, scan info optional.
 
-    What it never writes is refused: a bound below 2, a signed flag other
-    than 0 or 1, an empty factor list not written '-', a multiplicity below
-    1, indexes out of ascending order, or an index above the line's bound.
+    What it never writes is refused: a header key other than n, signed,
+    policy and bound, or one given twice, a policy other than heuristic or
+    exhaustive, a bound below 2, a signed flag other than 0 or 1, an empty
+    factor list not written '-', a multiplicity below 1, indexes out of
+    ascending order, or an index above the line's bound.
     """
     head, sep, body = line.partition(":")
     if not sep:
@@ -469,7 +471,7 @@ def parse_report_line(line: str) -> FactorReport:
     fields: dict[str, str] = {}
     for token in head.split():
         key, eq, value = token.partition("=")
-        if not eq:
+        if not eq or key not in ("n", "signed", "policy", "bound") or key in fields:
             raise ContractViolationError(f"bad header token {token!r} in {line!r}")
         fields[key] = value
     try:
@@ -481,6 +483,8 @@ def parse_report_line(line: str) -> FactorReport:
     if "bound" in fields and bound < 2:
         raise ContractViolationError(f"bound must be >= 2 in {line!r}")
     policy = fields.get("policy", "golden")
+    if "policy" in fields and policy not in ("heuristic", "exhaustive"):
+        raise ContractViolationError(f"unknown policy {policy!r} in {line!r}")
     factors = []
     body = body.strip()
     if not body:

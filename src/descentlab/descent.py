@@ -205,23 +205,6 @@ class DescentTable:
             )
 
 
-def _subset_transform(vals: list, op) -> None:
-    """vals[S] <- op(vals[S], vals[S - {b}]) for every element b of S, in place.
-
-    ``operator.add`` gives the subset zeta transform (sums over subsets) and
-    ``operator.sub`` its inverse, the subset Moebius inversion, the basis
-    change of :func:`descentlab.qsym.m_to_l`.  The zeta transform mod 2 is
-    :func:`_xor_zeta_chunks`, which never holds a whole list.
-    """
-    size = len(vals)
-    step = 1
-    while step < size:
-        for lo in range(0, size, step * 2):
-            mid = lo + step
-            vals[mid : mid + step] = map(op, vals[mid : mid + step], vals[lo:mid])
-        step *= 2
-
-
 def _tile(run: int, total: int) -> int:
     """``total`` bits of alternating runs of ``run`` ones and ``run`` zeros,
     starting with ones at bit 0.
@@ -290,8 +273,16 @@ def _pack(values: list[int], width: int) -> bytes:
     return bytes(buf)
 
 
-@lru_cache(maxsize=8)
-def _table(n: int, signed: bool) -> DescentTable:
+def beta_table(n: int, signed: bool = False) -> DescentTable:
+    """Exact table of beta_n(S) over all subsets, built on each call.
+
+    Nothing else keeps the table: a caller that reads it twice holds it,
+    and it is freed when its last holder drops it.  Size doubles per unit
+    of n, so n above its kind's ceiling in ``DEFAULT_LIMITS`` (24
+    unsigned, 18 signed) is refused.
+    """
+    _check_n(n, "signed" if signed else "unsigned", f"beta_table(n={n}, signed={signed})")
+    signed = bool(signed)
     # Run i of the table of universe u, the slots [2**i, 2**(i+1)) of the
     # masks with top element i + 1, is the whole table of universe i times
     # one binomial, minus the run's own prefix (see the module docstring).
@@ -320,16 +311,6 @@ def _table(n: int, signed: bool) -> DescentTable:
                     run -= int.from_bytes(view[base + at : base + end], "little")
                     view[base + lo + at : base + lo + end] = run.to_bytes(end - at, "little")
     return DescentTable(n=n, signed=signed, data=buf.getvalue())
-
-
-def beta_table(n: int, signed: bool = False) -> DescentTable:
-    """Exact table of beta_n(S) over all subsets.
-
-    Size doubles per unit of n, so n above its kind's ceiling in
-    ``DEFAULT_LIMITS`` (24 unsigned, 18 signed) is refused.
-    """
-    _check_n(n, "signed" if signed else "unsigned", f"beta_table(n={n}, signed={signed})")
-    return _table(n, bool(signed))
 
 
 def _enumerate_counts(n: int, signed: bool) -> list[int]:
@@ -599,30 +580,32 @@ def _prime_power_base(q: int) -> int:
     return primes[0]
 
 
-def mod_p_prediction(n: int, q: int, S) -> int:
-    """beta_n(S) mod p predicted from the smaller table beta_{n/q}.
+def mod_p_prediction(n: int, q: int) -> list[int]:
+    """beta_n(S) mod p predicted for every mask S of {1, ..., n-1}, entry k
+    for mask k, from one build of the smaller table beta_{n/q}.
 
-    Requires q a prime power dividing n, with p its prime base.  Writing
-    S/q for the elements of S divisible by q scaled down by q, the value is
-    (-1)**|S minus the multiples of q| * beta_{n/q}(S/q) reduced mod p.
+    Requires q a prime power dividing n, with p its prime base, and n
+    within the unsigned ceiling, since the list is as long as the table of
+    n.  Writing S/q for the elements of S divisible by q scaled down by q,
+    entry S is (-1)**|S minus the multiples of q| * beta_{n/q}(S/q)
+    reduced mod p.
     """
     p = _prime_power_base(q)
     if n < 1 or n % q != 0:
         raise ContractViolationError(f"q={q} must divide n={n}")
-    mask = as_mask(S, n - 1)
-    r = n // q
-    scaled = 0
-    outside = 0
-    while mask:
-        e = (mask & -mask).bit_length()
-        mask &= mask - 1
-        if e % q == 0:
-            scaled |= 1 << (e // q - 1)
+    _check_n(n, "unsigned", f"mod_p_prediction(n={n}, q={q})")
+    small = beta_table(n // q).values
+    # element e doubles the masks so far: those with bit e - 1 follow those
+    # without, their sign flipped, or their scaled mask given e / q
+    scaled, signs = [0], [1]
+    for e in range(1, n):
+        if e % q:
+            scaled += scaled
+            signs += [-s for s in signs]
         else:
-            outside += 1
-    small = beta_table(r).value(scaled)
-    sign = -1 if outside % 2 else 1
-    return (sign * small) % p
+            scaled += [k | 1 << (e // q - 1) for k in scaled]
+            signs += signs
+    return [s * small[k] % p for s, k in zip(signs, scaled)]
 
 
 def _write_lines(table: DescentTable, f) -> None:

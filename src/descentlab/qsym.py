@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .descent import _check_n, _subset_transform, _xor_zeta_chunks
+from .descent import _check_n, _xor_zeta_chunks
 from .errors import ContractViolationError, ResourceLimitError
 from .numbers import composition_to_mask
 
@@ -81,7 +81,12 @@ def m_to_l(p: QSymPoly) -> QSymPoly:
     if p.basis != "M":
         raise ContractViolationError(f"expected M basis, got {p.basis!r}")
     vals = list(p.coeffs)
-    _subset_transform(vals, operator.sub)
+    step = 1
+    while step < len(vals):  # vals[S] -= vals[S - {b}] for each element b of S
+        for lo in range(0, len(vals), 2 * step):
+            mid = lo + step
+            vals[mid : mid + step] = map(operator.sub, vals[mid : mid + step], vals[lo:mid])
+        step *= 2
     return dataclasses.replace(p, basis="L", coeffs=tuple(vals))
 
 

@@ -156,7 +156,7 @@ def test_has_odd_run():
 
 
 def test_macmahon_printed_reading_fails_somewhere():
-    chk = macmahon_multiplication_check(1, 1, 0, 0)
+    (chk,) = macmahon_multiplication_check(1, 1)
     assert isinstance(chk, MacmahonCheck)
     assert (chk.m, chk.n, chk.u, chk.v) == (1, 1, 0, 0)
     assert chk.lhs == 2

@@ -147,7 +147,7 @@ def test_table_out_of_memory_maps_to_3(capsys, monkeypatch):
     def build(n, signed):
         raise MemoryError
 
-    monkeypatch.setattr(descent, "_table", build)
+    monkeypatch.setattr(descent, "beta_table", build)
     code, out, err = run(capsys, "table", "--n", "20")
     assert code == 3
     assert out == ""
@@ -313,6 +313,8 @@ def test_factors_golden_file_malformed(tmp_path, capsys, monkeypatch):
         "n=8 signed=0 bound=x: Phi_4^2", "n=8 signed=0 bound=1: -", "n=8 signed=0 bound=-4: -",
         "n=8 signed=7: -", "n=8 signed=0: Phi_4^0 Phi_28", "n=8 signed=0: Phi_28 Phi_4^2",
         "n=8 signed=0 bound=100: Phi_4^2 Phi_28 Phi_200", "n=8 signed=0:",
+        "n=3 n=8 signed=0: Phi_4^2 Phi_28", "n=8 signed=0 size=4: Phi_4^2 Phi_28",
+        "n=8 signed=0 policy=frob bound=100: Phi_4^2 Phi_28",
     ]:
         recorded.write_text(line + "\n")
         code, out, err = run(capsys, "factors", "--n", "8", "--golden", str(recorded))
@@ -821,8 +823,8 @@ def test_rho_31_peak_rss_subprocess(tmp_path):
 # halves and copied it peaked at about 49 MB, with the values as boxed ints
 # and histograms as long as the pass at about 105 MB, and with a Counter
 # over the stored half at about 153 MB.  The tables suite scans every shipped
-# row, dropping each table after it, and peaks about as high; holding the
-# last eight tables it peaked at about 66 MB.
+# row, and no table outlives its scan, since beta_table keeps none, so it
+# peaks about as high; holding the last eight tables it peaked at about 66 MB.
 @pytest.mark.golden
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 @pytest.mark.parametrize(

@@ -727,10 +727,7 @@ def counted_scan(monkeypatch, n, signed, **kwargs):
         return counts(*args)
 
     monkeypatch.setattr(cyclo, "_residue_counts", counting)
-    try:
-        return factor_scan(beta_table(n, signed=signed), **kwargs), calls
-    finally:
-        descent._table.cache_clear()
+    return factor_scan(beta_table(n, signed=signed), **kwargs), calls
 
 
 # Value passes per scan.  The same scans made 14, 57, 69 and 866 passes while
@@ -865,6 +862,7 @@ def test_parse_report_line_rejects_garbage():
         "n=3 signed=0 bound=x: -", "n=3 signed=0 bound=1: -", "n=3 signed=0 bound=-4: -",
         "n=3 signed=7: -", "n=3 signed=00: -", "n=3 signed=0: Phi_2^0", "n=3 signed=0: Phi_2^-1",
         "n=3 signed=0: Phi_4 Phi_2", "n=3 signed=0: Phi_2 Phi_2^2", "n=3 signed=0: Phi_1",
+        "n=3 n=4 signed=0: -", "n=3 signed=0 size=4: -", "n=3 signed=0 policy=frob bound=60: -",
     ]:
         with pytest.raises(ContractViolationError):
             parse_report_line(bad)
@@ -929,8 +927,5 @@ def test_golden_tables_load():
 @pytest.mark.golden
 def test_exhaustive_scan_matches_golden_23():
     golden = load_golden(False)[23]
-    try:
-        report = factor_scan(beta_table(23), max_index=golden.bound, policy="exhaustive")
-    finally:
-        descent._table.cache_clear()
+    report = factor_scan(beta_table(23), max_index=golden.bound, policy="exhaustive")
     assert report.factors == golden.factors

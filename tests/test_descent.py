@@ -4,6 +4,7 @@ import os
 import random
 import stat
 import threading
+import weakref
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -77,6 +78,13 @@ def test_table_sums_and_maxima():
     assert [_slot_width(23, False), _slot_width(22, False), _slot_width(18, True)] == [8, 7, 8]
 
 
+def test_a_table_is_freed_when_its_caller_drops_it():
+    # nothing but the caller holds a built table: a memo that kept it would
+    # keep the weak reference alive
+    table = weakref.ref(beta_table(12))
+    assert table() is None
+
+
 def test_universe_and_value_lookup():
     t = beta_table(4)
     assert t.universe == 3
@@ -143,9 +151,11 @@ def test_residue_counts_match_weighted_falling_factorials(order):
 
 def test_mod_p_prediction_validates():
     with pytest.raises(ContractViolationError):
-        mod_p_prediction(9, 4, set())  # 4 does not divide 9
+        mod_p_prediction(9, 4)  # 4 does not divide 9
     with pytest.raises(ContractViolationError):
-        mod_p_prediction(12, 6, set())  # 6 is not a prime power
+        mod_p_prediction(12, 6)  # 6 is not a prime power
+    with pytest.raises(ResourceLimitError):
+        mod_p_prediction(32, 2)  # a list as long as a table above the ceiling
 
 
 def test_save_load_round_trip(tmp_path):
@@ -362,12 +372,12 @@ def packed_zeta(buf: bytearray, width: int, universe: int) -> None:
                 view[i * size : (i + 1) * size] = x.to_bytes(size, "little")
 
 
-def assert_zeta_is_alpha(n: int, signed: bool) -> None:
+def assert_zeta_is_alpha(t: DescentTable) -> None:
     """The whole table, read through chunks() so that the upper half is its
     mirror read, sums over subsets to closed-form alpha at every mask.  The
     zeta transform is invertible, so this pins every value.  The values are
     repacked into slots wide enough for alpha, the transform's largest."""
-    t = beta_table(n, signed=signed)
+    n, signed = t.n, t.signed
     alpha = alpha_table(n, signed)  # before the whole table: a lower peak
     width = alpha_width(n, signed)
     whole = bytearray()
@@ -386,8 +396,7 @@ def test_table_sums_over_subsets_to_alpha(monkeypatch, block):
     for n, signed in TIER_1_TABLES:
         if block is not None:
             monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
-        descent._table.cache_clear()  # build every table at this block size
-        assert_zeta_is_alpha(n, signed)
+        assert_zeta_is_alpha(beta_table(n, signed=signed))
 
 
 def test_alpha_table_matches_alpha():
@@ -444,18 +453,15 @@ def test_brute_force_table_refuses_asymmetric_counts(monkeypatch):
     "n, signed", [(n, False) for n in range(17, 24)] + [(n, True) for n in range(13, 19)]
 )
 def test_full_scale_table_sums_over_subsets_to_alpha(n, signed):
-    try:
-        assert_zeta_is_alpha(n, signed)
-        t = beta_table(n, signed=signed)
-        peak = max(max(block) for block in t.chunks(t.stored))
-        assert peak == (signed_euler_number(n) if signed else euler_number(n))
-        assert t.width == (peak.bit_length() + 7) // 8
-        whole: Counter = Counter()
-        for block in t.chunks():
-            whole.update(block)
-        assert weighted_multiset(descent._value_counts(t)) == whole
-    finally:
-        descent._table.cache_clear()
+    t = beta_table(n, signed=signed)
+    assert_zeta_is_alpha(t)
+    peak = max(max(block) for block in t.chunks(t.stored))
+    assert peak == (signed_euler_number(n) if signed else euler_number(n))
+    assert t.width == (peak.bit_length() + 7) // 8
+    whole: Counter = Counter()
+    for block in t.chunks():
+        whole.update(block)
+    assert weighted_multiset(descent._value_counts(t)) == whole
 
 
 @pytest.mark.parametrize("block", [3, 1 << 16])
