@@ -20,8 +20,8 @@ _EXPORTS = {
         "ordered_set_partitions", "product_monomial_singletons",
     ),
     "abcd": (
-        "AbPoly", "CdPoly", "MacmahonCheck", "NotInSpanError", "ab_index", "ab_to_cd",
-        "cd_to_ab", "macmahon_multiplication_check", "omega", "signed_sum",
+        "AbPoly", "CdPoly", "NotInSpanError", "ab_index", "ab_to_cd", "cd_to_ab",
+        "macmahon_multiplication_check", "omega", "signed_sum",
     ),
     "cyclo": ("FactorReport", "IntPoly", "cyclotomic", "divides_order", "factor_scan"),
 }

@@ -13,6 +13,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from .descent import DescentTable, beta_table
 from .errors import ContractViolationError, DescentLabError
@@ -30,7 +31,6 @@ __all__ = [
     "signed_sum",
     "has_odd_run",
     "cd_coefficient",
-    "MacmahonCheck",
     "macmahon_multiplication_check",
 ]
 
@@ -146,18 +146,18 @@ def ab_to_cd(p: AbPoly) -> CdPoly:
 
     Greedy: the word-order-minimal surviving ab-word forces its cd-parse
     (an a followed by b must open a d, a lone a must be a c, a leading b is
-    impossible), and subtracting that cd-word's expansion strictly raises the
-    minimal word, so the loop terminates.  Raises :class:`NotInSpanError`
-    with the stuck remainder when the input is outside the cd-span.
+    impossible), and that cd-word's expansion is the word itself and words
+    after it, so one pass in word order meets each lead once.  Raises
+    :class:`NotInSpanError` with the stuck remainder when the input is
+    outside the cd-span.
     """
     residual = list(p.coeffs)
     # word order (a before b, leftmost letter first) = reversed-bit order
     order = sorted(range(1 << p.degree), key=lambda m: reverse_mask(m, p.degree))
     terms: dict[str, int] = {}
-    while True:
-        lead = next((m for m in order if residual[m]), None)
-        if lead is None:
-            break
+    for lead in order:
+        if not residual[lead]:
+            continue
         word, b_start = _cd_letters(lead, p.degree)
         if b_start:
             stuck = AbPoly(p.degree, tuple(residual))
@@ -190,9 +190,10 @@ def prepend_a(p: AbPoly) -> AbPoly:
     return AbPoly(degree=p.degree + 1, coeffs=tuple(coeffs))
 
 
-def signed_sum(p: AbPoly, T) -> int:
-    """Sum of (-1)^|S intersect T| times the coefficient of the S-pattern."""
-    t = as_mask(T, p.degree)
+def signed_sum(p: AbPoly, t: int) -> int:
+    """Sum of (-1)^|S intersect T| times the coefficient of the S-pattern,
+    T the subset with mask ``t``."""
+    t = as_mask(t, p.degree)
     total = 0
     for mask, coeff in enumerate(p.coeffs):
         if coeff:
@@ -200,9 +201,10 @@ def signed_sum(p: AbPoly, T) -> int:
     return total
 
 
-def has_odd_run(T, universe: int | None = None) -> bool:
-    """True when some maximal block of consecutive elements of T has odd size."""
-    bits = as_mask(T, universe)
+def has_odd_run(t: int, universe: int | None = None) -> bool:
+    """True when some maximal block of consecutive elements of the subset
+    with mask ``t`` has odd size."""
+    bits = as_mask(t, universe)
     while bits:
         low = bits & -bits
         run = 0
@@ -223,57 +225,26 @@ def cd_coefficient(p: CdPoly, word: str) -> int:
     return p.terms.get(word, 0)
 
 
-@dataclass(frozen=True)
-class MacmahonCheck:
-    """Both readings of the descent product identity, with their values.
+def macmahon_multiplication_check(m: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """Both readings of the descent product identity for every u, v,
+    u-major, as ``(lhs, product, printed)`` triples, from one build each of
+    beta_{m+n}, beta_m and beta_n.
 
-    ``lhs`` counts permutations of m + n whose descent set restricts to u on
-    the first m positions and to the shift of v past them, position m free.
-    The product reading multiplies the two small counts by binom(m+n, m);
-    the misprinted reading adds instead of multiplying the second factor.
-    ``u`` and ``v`` are subset masks.
-    """
-
-    m: int
-    n: int
-    u: int
-    v: int
-    lhs: int
-    product_rhs: int
-    printed_rhs: int
-
-    @property
-    def product_holds(self) -> bool:
-        return self.lhs == self.product_rhs
-
-    @property
-    def printed_holds(self) -> bool:
-        return self.lhs == self.printed_rhs
-
-
-def macmahon_multiplication_check(m: int, n: int) -> list[MacmahonCheck]:
-    """Evaluate both sides of the descent product identity for every u, v,
-    u-major, from one build each of beta_{m+n}, beta_m and beta_n.
-
-    u ranges over the subsets of {1, ..., m-1}, v over those of
-    {1, ..., n-1}.  The left side sums beta_{m+n} over the two subsets
-    agreeing with u and the shifted v, with position m optional.
+    u ranges over the subset masks of {1, ..., m-1}, v over those of
+    {1, ..., n-1}.  ``lhs`` counts the permutations of m + n whose descent
+    set restricts to u on the first m positions and to the shift of v past
+    them, position m free.  ``product`` multiplies the two small counts by
+    binom(m+n, m); ``printed``, the misprinted reading, adds the second
+    count instead.  Bad m or n are refused on the call; the triples are
+    made as they are read.
     """
     if m < 1 or n < 1:
         raise ContractViolationError(f"need m, n >= 1, got {m}, {n}")
     big, left, right = (beta_table(k).values for k in (m + n, m, n))
     binomial = math.comb(m + n, m)
     free = 1 << (m - 1)
-    return [
-        MacmahonCheck(
-            m=m,
-            n=n,
-            u=u,
-            v=v,
-            lhs=big[u | v << m] + big[u | v << m | free],
-            product_rhs=binomial * bm * bn,
-            printed_rhs=binomial * bm + bn,
-        )
+    return (
+        (big[u | v << m] + big[u | v << m | free], binomial * bm * bn, binomial * bm + bn)
         for u, bm in enumerate(left)
         for v, bn in enumerate(right)
-    ]
+    )

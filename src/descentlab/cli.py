@@ -100,7 +100,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         if args.signed
         else numbers.euler_number(args.n)
     )
-    if args.out:
+    if args.out is not None:
         with _writing(args.out):
             descent.save_table(table, args.out)
     print(

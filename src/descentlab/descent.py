@@ -64,8 +64,8 @@ from itertools import chain, compress, islice, permutations, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import CacheError, ContractViolationError, DescentLabError, ResourceLimitError
-from .numbers import as_mask, euler_number, prime_divisors, signed_euler_number
+from .errors import CacheError, ContractViolationError, ResourceLimitError
+from .numbers import euler_number, prime_divisors, signed_euler_number
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -141,11 +141,11 @@ class DescentTable:
     element of the universe (the one mask, when the universe is empty):
     bytes [k * width, (k + 1) * width), read little-endian, are the count
     for the subset whose mask is k.  A mask k at or above ``stored`` is read
-    from the slot of its complement, 2**universe - 1 - k.  ``value(S)``
-    decodes one slot and ``chunks()`` yields the values of every mask in
-    mask order, in the cache-sized blocks of the build; ``values`` builds
-    the whole tuple, which at n = 23 is 4,194,304 ints, so only small
-    tables should be read through it.
+    from the slot of its complement, 2**universe - 1 - k.  ``chunks()``
+    yields the values of every mask in mask order, in the cache-sized
+    blocks of the build; ``values`` builds the whole tuple, ``values[k]``
+    for mask k, which at n = 23 is 4,194,304 ints, so only small tables
+    should be read through it.
     """
 
     n: int
@@ -165,13 +165,6 @@ class DescentTable:
     @property
     def width(self) -> int:
         return len(self.data) // self.stored
-
-    def value(self, S) -> int:
-        k = as_mask(S, self.universe)
-        if k >= self.stored:
-            k = (1 << self.universe) - 1 - k
-        width = self.width
-        return int.from_bytes(self.data[k * width : (k + 1) * width], "little")
 
     def chunks(self, stop: int | None = None) -> Iterator[list[int]]:
         """The values of the masks below ``stop`` (default all) in mask order,
@@ -313,9 +306,16 @@ def beta_table(n: int, signed: bool = False) -> DescentTable:
     return DescentTable(n=n, signed=signed, data=buf.getvalue())
 
 
-def _enumerate_counts(n: int, signed: bool) -> list[int]:
-    """The number of (signed) permutations with each descent set, counted
-    one permutation at a time, ``counts[k]`` for mask k."""
+def brute_force_table(n: int, signed: bool = False) -> tuple[int, ...]:
+    """The counts of a table by direct enumeration of all (signed)
+    permutations, ``counts[k]`` for mask k, every mask counted.
+
+    Exists as an independent oracle for the closed-form route, which reads
+    its upper half through the complement symmetry that these counts never
+    assume; refuses n above 9 (unsigned) or 7 (signed).
+    """
+    kind = "signed" if signed else "unsigned"
+    _check_n(n, kind, f"brute_force_table(n={n}, signed={signed})", BRUTE_FORCE_LIMITS)
     if not signed:
         counts = [0] * (1 << (n - 1))
         for pi in permutations(range(1, n + 1)):
@@ -336,25 +336,7 @@ def _enumerate_counts(n: int, signed: bool) -> list[int]:
                         mask |= 1 << i
                     prev = v
                 counts[mask] += 1
-    return counts
-
-
-def brute_force_table(n: int, signed: bool = False) -> DescentTable:
-    """The same table by direct enumeration of all (signed) permutations.
-
-    Exists as an independent oracle for the closed-form route; refuses
-    n above 9 (unsigned) or 7 (signed).  Every mask is counted, and the
-    counts must be complement symmetric before the lower half is kept.
-    """
-    kind = "signed" if signed else "unsigned"
-    _check_n(n, kind, f"brute_force_table(n={n}, signed={signed})", BRUTE_FORCE_LIMITS)
-    counts = _enumerate_counts(n, signed)
-    if counts != counts[::-1]:
-        raise DescentLabError(
-            f"enumerated table for n={n} signed={signed} is not complement symmetric"
-        )
-    half = counts[: max(len(counts) // 2, 1)]
-    return DescentTable(n=n, signed=signed, data=_pack(half, _slot_width(n, signed)))
+    return tuple(counts)
 
 
 def _xor_zeta_chunks(positions: Iterable[int], universe: int) -> Iterator[int]:

@@ -24,27 +24,18 @@ __all__ = [
 ]
 
 
-def as_mask(S, universe: int | None = None) -> int:
-    """Normalize a subset argument to a raw bitmask.
-
-    Accepts a raw ``int`` mask or an iterable of elements.  ``universe``
-    bounds the result when given.
-    """
-    if isinstance(S, int) and not isinstance(S, bool):
-        bits = S
-    else:
-        bits = 0
-        for e in S:
-            if not isinstance(e, int) or e < 1:
-                raise ContractViolationError(f"bad subset element {e!r}")
-            bits |= 1 << (e - 1)
-    if bits < 0:
-        raise ContractViolationError(f"negative mask {bits}")
-    if universe is not None and bits >> universe:
+def as_mask(mask: int, universe: int | None = None) -> int:
+    """Check a subset bitmask: a non-negative ``int`` (not a bool) that,
+    when ``universe`` is given, has no bit at or above it."""
+    if not isinstance(mask, int) or isinstance(mask, bool):
+        raise ContractViolationError(f"a subset is an int mask, got {mask!r}")
+    if mask < 0:
+        raise ContractViolationError(f"negative mask {mask}")
+    if universe is not None and mask >> universe:
         raise ContractViolationError(
-            f"mask {bits:#x} does not fit in universe of size {universe}"
+            f"mask {mask:#x} does not fit in universe of size {universe}"
         )
-    return bits
+    return mask
 
 
 def prime_divisors(m: int) -> tuple[int, ...]:

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import dataclasses
 import operator
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .descent import _check_n, _xor_zeta_chunks
@@ -90,21 +89,14 @@ def m_to_l(p: QSymPoly) -> QSymPoly:
     return dataclasses.replace(p, basis="L", coeffs=tuple(vals))
 
 
-@lru_cache(maxsize=None)
-def _quasi_shuffle(ga: tuple[int, ...], gb: tuple[int, ...]) -> tuple:
-    """Quasi-shuffle of two compositions, as ((composition, multiplicity), ...)."""
-    if not ga:
-        return ((gb, 1),)
-    if not gb:
-        return ((ga, 1),)
-    out: Counter = Counter()
-    for comp, c in _quasi_shuffle(ga[1:], gb):
-        out[(ga[0],) + comp] += c
-    for comp, c in _quasi_shuffle(ga, gb[1:]):
-        out[(gb[0],) + comp] += c
-    for comp, c in _quasi_shuffle(ga[1:], gb[1:]):
-        out[(ga[0] + gb[0],) + comp] += c
-    return tuple(out.items())
+def _shuffle_terms(comp: tuple[int, ...], a: int) -> Iterator[tuple[int, ...]]:
+    """The terms of the quasi-shuffle of ``comp`` with the one-part (a,):
+    a inserted before each part and at the end, then a added to each part.
+    A composition made twice is yielded twice."""
+    for i in range(len(comp) + 1):
+        yield comp[:i] + (a,) + comp[i:]
+    for i, part in enumerate(comp):
+        yield comp[:i] + (part + a,) + comp[i + 1 :]
 
 
 def ordered_set_partitions(k: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -169,8 +161,8 @@ def _times_monomial(coeffs: dict, a: int) -> dict[tuple[int, ...], int]:
     one quasi-shuffle of each composition with (a,)."""
     out: dict[tuple[int, ...], int] = defaultdict(int)
     for comp, c in coeffs.items():
-        for new, k in _quasi_shuffle(comp, (a,)):
-            out[new] += c * k
+        for new in _shuffle_terms(comp, a):
+            out[new] += c
     return out
 
 
@@ -203,8 +195,8 @@ def f_cubical_B(n: int) -> QSymPoly:
         nxt: dict[tuple[int, ...], int] = defaultdict(int)
         for comp, c in coeffs.items():
             nxt[(comp[0] + 1,) + comp[1:]] += c
-            for tail, k in _quasi_shuffle(comp[1:], (1,)):
-                nxt[comp[:1] + tail] += 2 * c * k
+            for tail in _shuffle_terms(comp[1:], 1):
+                nxt[comp[:1] + tail] += 2 * c
         coeffs = nxt
     out = [0] * (1 << n)
     for comp, c in coeffs.items():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from descentlab.abcd import (
     AbPoly,
     CdPoly,
-    MacmahonCheck,
     NotInSpanError,
     ab_index,
     ab_to_cd,
@@ -140,26 +141,40 @@ def test_top_alternating_cd_coefficient(p, expected):
 def test_signed_sum_b4_with_singleton_interval():
     # {2} is a maximal run of odd length inside {1,2,3}, so the sum vanishes
     p = ab_index(beta_table(4))
-    assert signed_sum(p, {2}) == 0
     assert signed_sum(p, 0b010) == 0
     # T = {1, 2} has one even run; nothing forces a zero and indeed
-    assert signed_sum(p, {1, 2}) == -8
+    assert signed_sum(p, 0b011) == -8
 
 
 def test_has_odd_run():
-    assert has_odd_run({2}, 3)
-    assert not has_odd_run({1, 2}, 3)
-    assert has_odd_run({1, 2, 3}, 3)
-    assert not has_odd_run(set(), 3)
-    assert has_odd_run({1, 2, 4}, 4)
+    assert has_odd_run(0b010, 3)
+    assert not has_odd_run(0b011, 3)
+    assert has_odd_run(0b111, 3)
+    assert not has_odd_run(0, 3)
+    assert has_odd_run(0b1011, 4)
     assert not has_odd_run(0b11011, 6)
+    # a negative int has no lowest run to end at
+    with pytest.raises(ContractViolationError):
+        has_odd_run(-2)
 
 
 def test_macmahon_printed_reading_fails_somewhere():
-    (chk,) = macmahon_multiplication_check(1, 1)
-    assert isinstance(chk, MacmahonCheck)
-    assert (chk.m, chk.n, chk.u, chk.v) == (1, 1, 0, 0)
-    assert chk.lhs == 2
-    assert chk.product_rhs == 2
-    assert chk.printed_rhs == 3
-    assert chk.product_holds and not chk.printed_holds
+    # (lhs, product, printed) for u = v = 0, the only case at m = n = 1
+    assert list(macmahon_multiplication_check(1, 1)) == [(2, 2, 3)]
+
+
+def test_macmahon_cases_stream():
+    # bad sizes are refused on the call, before any case is read
+    for m, n in ((0, 1), (1, 0)):
+        with pytest.raises(ContractViolationError):
+            macmahon_multiplication_check(m, n)
+    # the 2**14 cases are made as they are read, so the three tables (about
+    # 1.4 MB) are most of what consuming them holds
+    tracemalloc.start()
+    try:
+        cases = sum(1 for _ in macmahon_multiplication_check(8, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cases == 1 << 14
+    assert peak < 2_500_000

@@ -1,5 +1,6 @@
 import ast
 import doctest
+import importlib
 import os
 import resource
 import shlex
@@ -110,10 +111,11 @@ def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
 def test_table_unwritable_path(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
-    code, out, err = run(capsys, "table", "--n", "5", "--out", str(blocker / "x.txt"))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error: cannot write")
+    for path in (str(blocker / "x.txt"), ""):
+        code, out, err = run(capsys, "table", "--n", "5", "--out", path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: cannot write")
     code, out, err = run(
         capsys, "factors", "--n", "5", "--max-index", "60", "--cache-dir", str(blocker / "cache")
     )
@@ -440,6 +442,22 @@ def test_squares_fail_where_phi_divides_once():
     assert [r.ok for r in results] == [False] * len(pairs)
 
 
+def test_oracle_fails_on_a_wrong_upper_half(monkeypatch):
+    # the closed form reads its upper half through the complement mirror;
+    # the enumerated counts never do, so a wrong upper half fails every
+    # table that has one (unsigned n = 1 has a one-mask universe)
+    values = descent.DescentTable.values
+
+    def upper_off_by_one(table):
+        whole = values.fget(table)
+        return whole[: table.stored] + tuple(v + 1 for v in whole[table.stored :])
+
+    monkeypatch.setattr(descent.DescentTable, "values", property(upper_off_by_one))
+    results = checks.SUITES["oracle"]("desk")
+    assert [r.name for r in results if r.ok] == ["oracle.unsigned.n1"]
+    assert len(results) == 14
+
+
 def test_verify_rejects_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert (code, out) == (2, "")
@@ -740,7 +758,8 @@ def test_every_top_level_name_is_its_modules_own():
 def test_every_top_level_name_is_used_beyond_its_tests():
     # a public name stays only while a route, a check, the CLI or the bench
     # uses it: some library module other than __init__.py, or some bench
-    # script, names it
+    # script, names it.  The public names are the top-level ones and each
+    # submodule's __all__.
     import descentlab
 
     root = Path(__file__).resolve().parents[1]
@@ -752,8 +771,10 @@ def test_every_top_level_name_is_used_beyond_its_tests():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    exported = [name for names in descentlab._EXPORTS.values() for name in names]
-    assert [name for name in exported if name not in used] == []
+    exported = {name for names in descentlab._EXPORTS.values() for name in names}
+    for path in sources:
+        exported.update(getattr(importlib.import_module(f"descentlab.{path.stem}"), "__all__", ()))
+    assert sorted(exported - used) == []
 
 
 # The summary over the stored half at full scale, in a fresh process: the
