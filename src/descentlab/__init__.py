@@ -12,8 +12,8 @@ _EXPORTS = {
     "errors": ("CacheError", "ContractViolationError", "DescentLabError", "ResourceLimitError"),
     "numbers": ("euler_number", "signed_euler_number"),
     "descent": (
-        "DescentTable", "beta_table", "brute_force_table", "load_table", "mod_p_prediction",
-        "residue_histogram", "rho", "save_table",
+        "DescentTable", "beta_table", "brute_force_table", "export_table", "load_table",
+        "mod_p_prediction", "residue_histogram", "rho", "save_table",
     ),
     "qsym": (
         "QSymPoly", "f_boolean", "f_cubical_B", "m_to_l", "odd_fundamental_count",

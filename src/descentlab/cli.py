@@ -50,7 +50,9 @@ def _get_table(args: argparse.Namespace) -> descent.DescentTable:
     # the ceiling is checked before the cache is read, so that a cached
     # table above it is refused as a build would be
     descent._check_n(n, "signed" if signed else "unsigned", f"beta_table(n={n}, signed={signed})")
-    path = args.cache_dir and os.path.join(args.cache_dir, f"table-v1-n{n}-s{int(signed)}.txt")
+    if args.cache_dir == "":
+        raise ContractViolationError("cannot write the cache: --cache-dir is empty")
+    path = args.cache_dir and os.path.join(args.cache_dir, f"table-v2-n{n}-s{int(signed)}.txt")
     if path and os.path.exists(path):
         try:
             table = descent.load_table(path)
@@ -102,7 +104,7 @@ def cmd_table(args: argparse.Namespace) -> int:
     )
     if args.out is not None:
         with _writing(args.out):
-            descent.save_table(table, args.out)
+            descent.export_table(table, args.out)
     print(
         f"n={table.n} signed={int(table.signed)} subsets={1 << table.universe} "
         f"sum={total} sum_ok={'yes' if total == expected_total else 'no'} "

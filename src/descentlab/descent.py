@@ -35,12 +35,13 @@ complements its descent set, so beta_n(S) = beta_n(complement of S): the
 upper half of a table, the masks with the top element of the universe, is
 the lower half in reverse slot order.  So a table holds only its lower
 half, and a mask in the upper half is read from the slot of its
-complement; nothing is copied.  Every path that reads a table (the
-``table`` summary, the value multiset behind the factor scan, the cache
-file) takes the cache-sized blocks of slots the build takes, so the
-2**(n-1) values never exist as Python ints all at once; the first two
-read only the stored half, and the second keeps one value per orbit of a
-second symmetry (see :func:`_value_counts`).
+complement; nothing is copied.  Every path that reads a table's values
+(the ``table`` summary, the value multiset behind the factor scan, a
+``table --out`` file) takes the cache-sized blocks of slots the build
+takes, so the 2**(n-1) values never exist as Python ints all at once; the
+first two read only the stored half, and the second keeps one value per
+orbit of a second symmetry (see :func:`_value_counts`).  A cache file holds
+the stored half's bytes, in hex.
 
 The parity route takes the subset zeta transform mod 2 of the few odd
 alpha positions with :func:`_xor_zeta_chunks`, which streams it one
@@ -55,12 +56,13 @@ from __future__ import annotations
 import math
 import os
 import sys
+import zlib
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from io import BytesIO
-from itertools import chain, compress, islice, permutations, repeat
+from itertools import chain, compress, permutations, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -80,6 +82,7 @@ __all__ = [
     "rho",
     "residue_histogram",
     "mod_p_prediction",
+    "export_table",
     "save_table",
     "load_table",
 ]
@@ -100,7 +103,7 @@ BRUTE_FORCE_LIMITS = {"unsigned": 9, "signed": 7}
 # candidate list and the histogram of a lone candidate are both that long.
 MAX_INDEX = 1_000_000
 
-CACHE_FORMAT = "descentlab-table v1"
+CACHE_FORMAT = "descentlab-table v2"
 # The table recursion, every read of a table and the mod-2 transform run
 # over blocks of at most this many bytes, small enough that a block and its
 # temporaries stay in the processor's cache.
@@ -246,8 +249,7 @@ def _pack(values: list[int], width: int) -> bytes:
     written eight bytes at a time.
 
     Each value must lie in [0, 2**(8 * width)), since a negative or wider
-    value would wrap silently: :func:`load_table` checks the values it
-    reads, and every other caller packs values that its width bounds.
+    value would wrap silently; every caller packs values its width bounds.
     """
     buf = bytearray(width * len(values))
     rest = values
@@ -590,30 +592,21 @@ def mod_p_prediction(n: int, q: int) -> list[int]:
     return [s * small[k] % p for s, k in zip(signs, scaled)]
 
 
-def _write_lines(table: DescentTable, f) -> None:
-    f.write(f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
-    for block in table.chunks():
-        f.write(("%d\n" * len(block)) % tuple(block))
-
-
-def save_table(table: DescentTable, path) -> None:
-    """Write a table cache file: a header line then one decimal per subset.
-
-    The lines are written in blocks to a new file beside ``path`` that then
-    replaces it, so ``path`` never holds part of a table.  A symbolic link
-    is followed, and a ``path`` that exists but is not a regular file, such
-    as /dev/stdout, is written in place.
-    """
+def _write_atomic(path, texts: Iterable[str]) -> None:
+    """Write ``texts`` to a new file beside ``path`` that then replaces it,
+    so ``path`` never holds part of a table.  A symbolic link is followed,
+    and a ``path`` that exists but is not a regular file, such as
+    /dev/stdout, is written in place."""
     path = Path(path)
     if path.exists() and not path.is_file():
         with open(path, "w") as f:
-            _write_lines(table, f)
+            f.writelines(texts)
         return
     path = path.resolve()
     tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "x") as f:
-            _write_lines(table, f)
+            f.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         if tmp.exists():
@@ -621,27 +614,36 @@ def save_table(table: DescentTable, path) -> None:
         raise
 
 
-def _parse_header(header: str, path) -> tuple[int, int]:
-    """n and the signed flag (0 or 1) from a cache file's first line.  An n
-    above its kind's ceiling is a malformation too, refused before any
-    value is sized."""
-    if not header:
-        raise CacheError(f"{path}: empty cache file")
-    line = header.rstrip("\n")
-    bad = CacheError(f"{path}: bad header {line!r}")
+def export_table(table: DescentTable, path) -> None:
+    """Write a table as text, as :func:`_write_atomic` writes: a
+    ``descentlab-table v1`` header, then one decimal per subset by mask."""
+    header = f"descentlab-table v1 n={table.n} signed={int(table.signed)}\n"
+    blocks = (("%d\n" * len(block)) % tuple(block) for block in table.chunks())
+    _write_atomic(path, chain([header], blocks))
+
+
+def save_table(table: DescentTable, path) -> None:
+    """Write a table cache file, as :func:`_write_atomic` writes: a header
+    with the CRC-32 of the table's bytes, then a hex line per stored slot."""
+    data, width = memoryview(table.data), table.width
+    head = f"{CACHE_FORMAT} n={table.n} signed={int(table.signed)} crc32={zlib.crc32(data):08x}\n"
+    step = _block(width) * width
+    lines = (data[at : at + step].hex("\n", width) + "\n" for at in range(0, len(data), step))
+    _write_atomic(path, chain([head], lines))
+
+
+def _parse_header(header: str, path) -> tuple[int, int, int]:
+    """n, the signed flag (0 or 1) and the CRC-32 from a cache file's first
+    line.  An n above its kind's ceiling is a malformation too, refused
+    before any slot is sized."""
+    bad = CacheError(f"{path}: bad header {header.rstrip()!r}")
     head = header.split()
-    if (
-        len(head) != 4
-        or " ".join(head[:2]) != CACHE_FORMAT
-        or not head[2].startswith("n=")
-        or not head[3].startswith("signed=")
-    ):
-        raise bad
-    try:
-        n = int(head[2][2:])
-        signed_flag = int(head[3][7:])
-    except ValueError as exc:
+    try:  # the fields are read by place, and must spell the header back
+        n, signed_flag, crc = int(head[2][2:]), int(head[3][7:]), int(head[4][6:], 16)
+    except (IndexError, ValueError) as exc:
         raise bad from exc
+    if header != f"{CACHE_FORMAT} n={n} signed={signed_flag} crc32={crc:08x}\n":
+        raise bad
     if n < 1 or signed_flag not in (0, 1):
         raise bad
     kind = "signed" if signed_flag else "unsigned"
@@ -649,65 +651,51 @@ def _parse_header(header: str, path) -> tuple[int, int]:
         _check_n(n, kind, f"{path}: header n={n} signed={signed_flag}")
     except ResourceLimitError as exc:
         raise CacheError(str(exc)) from exc
-    return n, signed_flag
+    return n, signed_flag, crc
 
 
 def load_table(path) -> DescentTable:
     """Read a cache file written by :func:`save_table`.
 
-    Raises :class:`CacheError` on any malformation, including a header n
-    above its kind's ceiling in ``DEFAULT_LIMITS``, bytes that are not text,
-    an upper half that is not the lower half reversed, and a value sum that
-    disagrees with the permutation count.  The values are parsed one
-    cache-sized block of slots at a time, as a table is read, so neither
-    the text nor the values are held whole: those of the lower half are
-    checked and packed, and each block of the upper half is compared with
-    the slots of its complements.  The lower half's values are checked for
-    their sign and for the slot width, where packing would wrap them.
+    The hex lines are decoded a cache-sized block at a time into the
+    buffer that becomes the table's bytes.  Raises :class:`CacheError` on
+    any malformation: a header other than save_table's or with an n above
+    its kind's ceiling in ``DEFAULT_LIMITS``, text that is not hex, lines
+    that do not spell one slot each, a slot count other than the table's,
+    a CRC-32 other than the header's (two swapped slots keep the sum but
+    not it), and a sum other than the permutation count.  Hex spells no
+    negative or over-wide value, and the upper half is never written, so
+    none is read.
     """
     try:
         with open(path, encoding="ascii") as f:
-            header = f.readline()
-            n, signed_flag = _parse_header(header, path)
-            expected = 1 << (n + signed_flag - 1)
-            stored = max(expected >> 1, 1)
+            n, signed_flag, crc = _parse_header(f.readline(), path)
+            universe = n + signed_flag - 1
             width = _slot_width(n, bool(signed_flag))
-            lower = BytesIO()
+            stored = 1 << max(universe - 1, 0)
+            buf = BytesIO(bytes(width * stored))  # filled in place, as in beta_table
             got = total = 0
-            negative = wide = unmirrored = False
-            try:
-                while block := list(map(int, islice(f, min(_block(width), stored - got)))):
-                    got += len(block)
-                    negative = negative or min(block) < 0
-                    wide = wide or max(block) >> 8 * width > 0
-                    total += sum(block)
-                    lower.write(_pack(block, width))
-                data = lower.getvalue()  # its bytes, not a copy
-                while block := list(map(int, islice(f, min(_block(width), expected - got)))):
-                    # masks [got, got + len) mirror slots [expected - got - len, expected - got)
-                    end = (expected - got) * width
-                    mirror = _unpack(data[end - len(block) * width : end], width)
-                    got += len(block)
-                    total += sum(block)
-                    unmirrored = unmirrored or block != mirror[::-1]
-            except ValueError as exc:  # undecodable bytes land here too
-                raise CacheError(f"{path}: non-integer table entry") from exc
+            with buf.getbuffer() as view:
+                # the text of up to a block of slot lines, read whole
+                while text := f.read(min(_block(width), stored - got) * (2 * width + 1)):
+                    block, lines = bytes.fromhex(text), text.count("\n")
+                    if len(block) != lines * width:
+                        raise CacheError(f"{path}: a slot line does not hold {width} bytes")
+                    view[got * width : (got + lines) * width] = block
+                    got += lines
+                    total += sum(_unpack(block, width))
             got += sum(1 for _ in f)
     except OSError as exc:
         raise CacheError(f"cannot read cache file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise CacheError(f"{path}: not a text cache file ({exc.reason})") from exc
-    if got != expected:
+    except ValueError as exc:  # a non-hex digit, or bytes that are not ASCII
+        raise CacheError(f"{path}: not a hex cache file ({exc})") from exc
+    if got != stored:
         raise CacheError(
-            f"{path}: expected {expected} values for n={n} signed={signed_flag}, "
-            f"got {got}"
+            f"{path}: expected {stored} slots for n={n} signed={signed_flag}, got {got}"
         )
-    if negative:
-        raise CacheError(f"{path}: negative table entry")
-    if wide:
-        raise CacheError(f"{path}: table entry wider than its {width}-byte slot")
-    if unmirrored:
-        raise CacheError(f"{path}: halves are not complements")
-    if total != math.factorial(n) << (n if signed_flag else 0):
+    data = buf.getvalue()  # its bytes, not a copy
+    if zlib.crc32(data) != crc:
+        raise CacheError(f"{path}: the slots' CRC-32 is not the header's")
+    if total * (2 if universe else 1) != math.factorial(n) << (n if signed_flag else 0):
         raise CacheError(f"{path}: table sum does not match the permutation count")
     return DescentTable(n=n, signed=bool(signed_flag), data=data)

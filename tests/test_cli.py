@@ -6,6 +6,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import zlib
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -62,7 +63,7 @@ def test_table_cache_round_trip(tmp_path, capsys):
     cache = str(tmp_path)
     code, _, err = run(capsys, "table", "--n", "6", "--cache-dir", cache)
     assert code == 0 and err == ""
-    path = tmp_path / "table-v1-n6-s0.txt"
+    path = tmp_path / "table-v2-n6-s0.txt"
     assert path.exists()
     before = path.read_text()
     # second run loads the cache and leaves the file untouched
@@ -80,35 +81,57 @@ def test_table_ignores_cache_env_var(tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+# the lower half of beta_5, one byte a slot, and a v2 cache file of it
+# whose header names the CRC-32 of ``crc_of`` (by default the slots written)
+BETA_5_LOWER = (1, 4, 9, 6, 9, 16, 11, 4)
+
+
+def _cache_5(slots, crc_of=None):
+    crc = zlib.crc32(bytes(slots if crc_of is None else crc_of))
+    return b"descentlab-table v2 n=5 signed=0 crc32=%08x\n" % crc + b"".join(
+        b"%02x\n" % v for v in slots
+    )
+
+
 @pytest.mark.parametrize(
     "content",
     [
         b"not a table\n",
         b"\xff\xfe\x00garbage",
-        # a header n above the ceiling is refused before 2**(n - 1) values
+        # a header n above the ceiling is refused before 2**(n - 2) slots
         # are sized
-        b"descentlab-table v1 n=100000000000000000000 signed=0\n",
-        b"descentlab-table v1 n=25 signed=0\n",
-        # the values of masks 1 and 2 swapped: the count and the sum match,
-        # but the upper half is no longer the lower half reversed
+        b"descentlab-table v2 n=100000000000000000000 signed=0 crc32=00000000\n",
+        b"descentlab-table v2 n=25 signed=0 crc32=00000000\n",
+        # the slots of masks 1 and 2 swapped: the count and the sum match,
+        # but the bytes are not those the CRC-32 was taken of
+        _cache_5((1, 9, 4, 6, 9, 16, 11, 4), crc_of=BETA_5_LOWER),
+        _cache_5(BETA_5_LOWER[:-1], crc_of=BETA_5_LOWER),  # the last line dropped
+        _cache_5(BETA_5_LOWER + (0,), crc_of=BETA_5_LOWER),
+        _cache_5(BETA_5_LOWER).replace(b"\n10\n", b"\n1g\n"),
+        _cache_5(BETA_5_LOWER).replace(b"\n10\n", b"\n1\n"),
+        # the sum is refused when the CRC-32 is of the bytes written
+        _cache_5((2,) + BETA_5_LOWER[1:]),
         b"descentlab-table v1 n=5 signed=0\n"
-        + b"".join(b"%d\n" % v for v in (1, 9, 4, 6, 9, 16, 11, 4, 4, 11, 16, 9, 6, 9, 4, 1)),
+        + b"".join(b"%d\n" % v for v in BETA_5_LOWER + BETA_5_LOWER[::-1]),
     ],
-    ids=["text", "binary", "huge-n", "header-above-ceiling", "swapped"],
+    ids=[
+        "text", "binary", "huge-n", "header-above-ceiling", "swapped", "last-line-dropped",
+        "extra-slot", "non-hex", "digit-short", "raised-slot", "v1-file",
+    ],
 )
 def test_table_corrupt_cache_recovers(tmp_path, capsys, content):
-    path = tmp_path / "table-v1-n5-s0.txt"
+    path = tmp_path / "table-v2-n5-s0.txt"
     path.write_bytes(content)
     code, out, err = run(capsys, "table", "--n", "5", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "warning: ignoring bad cache" in err
     assert "sum_ok=yes" in out
     # the bad file was replaced with a loadable one
-    assert path.read_text().startswith("descentlab-table v1")
+    assert path.read_bytes() == _cache_5(BETA_5_LOWER)
     assert descent.load_table(path) == descent.beta_table(5)
 
 
-def test_table_unwritable_path(tmp_path, capsys):
+def test_table_unwritable_path(tmp_path, capsys, monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n")
     for path in (str(blocker / "x.txt"), ""):
@@ -116,12 +139,17 @@ def test_table_unwritable_path(tmp_path, capsys):
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: cannot write")
-    code, out, err = run(
-        capsys, "factors", "--n", "5", "--max-index", "60", "--cache-dir", str(blocker / "cache")
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("usage error: cannot write")
+    # an empty --cache-dir is refused before the table is read or built
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    for command in (["table"], ["factors", "--max-index", "60"]):
+        for cache in (str(blocker / "cache"), ""):
+            code, out, err = run(capsys, *command, "--n", "5", "--cache-dir", cache)
+            assert code == 2, (command, cache)
+            assert out == ""
+            assert err.startswith("usage error: cannot write")
+    assert list(cwd.iterdir()) == []
     assert blocker.read_text() == "not a directory\n"
 
 
@@ -133,7 +161,7 @@ def test_table_respects_limits(tmp_path, capsys, monkeypatch):
     for command in (["table"], ["factors", "--max-index", "60"]):
         code, out, err = run(capsys, *command, "--n", "5", "--max-n", "5")
         assert (code, out) == (2, "")
-    descent.save_table(descent.beta_table(11), tmp_path / "table-v1-n11-s0.txt")
+    descent.save_table(descent.beta_table(11), tmp_path / "table-v2-n11-s0.txt")
     monkeypatch.setitem(descent.DEFAULT_LIMITS, "unsigned", 10)
     code, out, _ = run(capsys, "table", "--n", "10")
     assert code == 0 and "sum_ok=yes" in out
@@ -643,7 +671,7 @@ def test_cache_dir_used_by_factors(tmp_path, capsys):
     code, _, _ = run(capsys, "factors", "--n", "5", "--max-index", "60",
                      "--cache-dir", str(tmp_path))
     assert code == 0
-    assert (tmp_path / "table-v1-n5-s0.txt").exists()
+    assert (tmp_path / "table-v2-n5-s0.txt").exists()
 
 
 def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
@@ -667,9 +695,11 @@ def test_large_n_paths_stay_packed(tmp_path, capsys, monkeypatch):
     assert "golden match" in out
     cache = str(tmp_path)
     cold = run(capsys, "table", "--n", "12", "--signed", "--cache-dir", cache)
+    # the warm run reads the cache: a silent rebuild would not pass as a read
+    monkeypatch.setattr(descent, "beta_table", _no_build)
     warm = run(capsys, "table", "--n", "12", "--signed", "--cache-dir", cache)
     assert cold == warm and cold[0] == 0 and cold[2] == ""
-    assert (tmp_path / "table-v1-n12-s1.txt").exists()
+    assert (tmp_path / "table-v2-n12-s1.txt").exists()
     assert len(tables) == 4
     for table in tables:
         assert len(table.data) == table.width << (table.universe - 1)
@@ -881,15 +911,20 @@ def test_table_23_peak_rss_subprocess(tmp_path):
 # --n 22, whose lower half is 2**20 slots of E_22's 7 bytes, 7.3 MB,
 # peaks about 9 MB above --help.  A copy of the half into bytes peaked
 # 16 MB above it, blocks of 2**16 boxed values 15 MB, and two half-size
-# buffers with a copy 16 MB.
+# buffers with a copy 16 MB.  A cold run that writes the cache and a warm
+# one that reads it back into the half's one buffer stay within the same
+# bound.
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_table_22_peak_rss_over_launch_subprocess(tmp_path):
     code, _, err, idle = _peak_rss_run(tmp_path, "--help")
     assert (code, err) == (0, "")
-    code, out, err, peak = _peak_rss_run(tmp_path, "table", "--n", "22")
-    assert (code, err) == (0, "")
-    assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
-    assert peak - idle < 12 * 1024
+    cache = str(tmp_path / "cache")
+    runs = [("table", "--n", "22"), *[("table", "--n", "22", "--cache-dir", cache)] * 2]
+    for argv in runs:
+        code, out, err, peak = _peak_rss_run(tmp_path, *argv)
+        assert (code, err) == (0, "")
+        assert {"sum_ok=yes", "max_ok=yes"} <= set(out.split())
+        assert peak - idle < 12 * 1024, argv
 
 
 # The parity route at the size the benchmark runs, against a launch of

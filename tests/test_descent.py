@@ -5,6 +5,7 @@ import random
 import stat
 import threading
 import weakref
+import zlib
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -20,6 +21,7 @@ from descentlab.descent import (
     beta_parity_bitset,
     beta_table,
     brute_force_table,
+    export_table,
     load_table,
     mod_p_prediction,
     residue_histogram,
@@ -155,39 +157,54 @@ def test_mod_p_prediction_validates():
         mod_p_prediction(32, 2)  # a list as long as a table above the ceiling
 
 
+def _cache_text(n, signed, width, slots, stored=None):
+    # a cache file holding ``slots``, spelled from their values; its header
+    # names the CRC-32 of the ``stored``-slot buffer they fill (by default
+    # as many slots as they are)
+    stored = len(slots) if stored is None else stored
+    buffer = b"".join(v.to_bytes(width, "little") for v in slots[:stored])
+    crc = zlib.crc32(buffer.ljust(stored * width, b"\0"))
+    lines = "".join(v.to_bytes(width, "little").hex() + "\n" for v in slots)
+    return f"descentlab-table v2 n={n} signed={int(signed)} crc32={crc:08x}\n" + lines
+
+
+def _saved_text(table):
+    return _cache_text(table.n, table.signed, table.width, table.values[: table.stored])
+
+
 def test_save_load_round_trip(tmp_path):
-    # n = 18 has 131,072 values, more than one write block
-    for n, signed in [(5, True), (18, False)]:
+    # every table of n = 1..12, the empty universe and the one-slot tables
+    # among them, and n = 18, whose 65,536 slots take more than one block
+    path = tmp_path / "t.txt"
+    for n, signed in [(n, s) for n in range(1, 13) for s in (False, True)] + [(18, False)]:
         t = beta_table(n, signed=signed)
-        path = tmp_path / "t.txt"
         save_table(t, path)
-        assert path.read_text() == (
-            f"descentlab-table v1 n={n} signed={int(signed)}\n"
-            + "".join(f"{v}\n" for v in t.values)
-        )
-        assert load_table(path) == t
+        assert path.read_text() == _saved_text(t), (n, signed)
+        assert load_table(path) == t, (n, signed)
 
 
 def _join_writer(table, f):
     # the writer that one %-format per block replaced
-    f.write(f"{descent.CACHE_FORMAT} n={table.n} signed={int(table.signed)}\n")
+    f.write(f"descentlab-table v1 n={table.n} signed={int(table.signed)}\n")
     for block in table.chunks():
         f.write("\n".join(map(str, block)))
         f.write("\n")
 
 
 # blocks of 3 slots split the tables unevenly, and blocks of 2**16 slots
-# hold each of them whole
+# hold each of them whole; both writers go block by block
 @pytest.mark.parametrize("block", [3, 1 << 16])
 def test_save_table_bytes_match_the_join_writer(tmp_path, monkeypatch, block):
-    new, old = tmp_path / "new.txt", tmp_path / "old.txt"
+    new, old, cache = tmp_path / "new.txt", tmp_path / "old.txt", tmp_path / "cache.txt"
     for n, signed in [(n, False) for n in range(1, 13)] + [(n, True) for n in range(1, 10)]:
         monkeypatch.setattr(descent, "_CHUNK_BYTES", block * _slot_width(n, signed))
         t = beta_table(n, signed=signed)
-        save_table(t, new)
+        export_table(t, new)
         with open(old, "w") as f:
             _join_writer(t, f)
         assert new.read_bytes() == old.read_bytes(), (n, signed)
+        save_table(t, cache)
+        assert cache.read_text() == _saved_text(t), (n, signed)
 
 
 def test_save_table_failure_keeps_the_old_file(tmp_path, monkeypatch):
@@ -205,25 +222,25 @@ def test_save_table_failure_keeps_the_old_file(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
 
 
-def test_save_table_follows_a_symlink(tmp_path):
+def test_export_table_follows_a_symlink(tmp_path):
     target = tmp_path / "t.txt"
     target.write_text("old\n")
     link = tmp_path / "link.txt"
     link.symlink_to(target)
-    save_table(beta_table(4), link)
+    export_table(beta_table(4), link)
     assert link.is_symlink()
-    assert load_table(target) == beta_table(4)
+    assert target.read_text() == "descentlab-table v1 n=4 signed=0\n1\n3\n5\n3\n3\n5\n3\n1\n"
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_save_table_writes_into_a_pipe(tmp_path):
+def test_export_table_writes_into_a_pipe(tmp_path):
     # a path that is not a regular file is written, never replaced
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
     reader.start()
-    save_table(beta_table(4), fifo)
+    export_table(beta_table(4), fifo)
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert got == ["descentlab-table v1 n=4 signed=0\n1\n3\n5\n3\n3\n5\n3\n1\n"]
@@ -231,51 +248,44 @@ def test_save_table_writes_into_a_pipe(tmp_path):
 
 
 def test_load_rejects_corruption(tmp_path):
-    t = beta_table(4)
     path = tmp_path / "t.txt"
-    save_table(t, path)
-    good = path.read_text().splitlines()
-
-    cases = [
-        "",  # empty
-        "descentlab-table v2 n=4 signed=0\n" + "\n".join(good[1:]),
-        "\n".join([good[0]] + good[1:-1]),  # truncated
-        "\n".join([good[0]] + good[1:-1] + ["x"]),  # non-integer
-        "\n".join([good[0]] + good[1:-1] + ["-1"]),  # negative
-        # -1 in place of the last 1, the first 1 raised by 2: the sum is
-        # still 4!, and packed unchecked the -1 would wrap to 255
-        "\n".join([good[0], str(int(good[1]) + 2)] + good[2:-1] + ["-1"]),
-        "\n".join([good[0]] + good[1:-1] + ["99"]),  # wrong sum
-        "descentlab-table v1 n=4 signed=2\n" + "\n".join(good[1:]),
-    ]
-    for text in cases:
-        path.write_text(text)
-        with pytest.raises(CacheError):
-            load_table(path)
-    with pytest.raises(CacheError):
-        load_table(tmp_path / "missing.txt")
-    # two lower-half values swapped: the count and the sum still match
     save_table(beta_table(5), path)
-    lines = path.read_text().splitlines()
-    lines[2], lines[3] = lines[3], lines[2]
-    assert lines[2] != lines[3]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(CacheError, match="halves are not complements"):
+    good = path.read_text()
+    header = good.split("\n", 1)[0]
+    lower = list(beta_table(5).values[:8])  # 1, 4, 9, 6, 9, 16, 11, 4: one byte each
+    decimal = "descentlab-table v1 n=5 signed=0\n" + "".join(f"{v}\n" for v in beta_table(5).values)
+    # each file but the malformed headers fails one check alone: the
+    # slot-count cases keep the sum and name the CRC-32 of the buffer
+    # they fill, and the swapped and raised slots keep the slot count
+    cases = [
+        ("", "bad header"),
+        (good.replace("v2", "v1"), "bad header"),
+        (good.replace("signed=0", "signed=2"), "bad header"),
+        (good.replace(header.split()[-1], "crc32=-1"), "bad header"),
+        (decimal, "bad header"),  # the table --out format
+        (good.replace("n=5", "n=0"), "bad header"),
+        (_cache_text(5, 0, 1, lower[:-2] + [lower[-2] + lower[-1]], 8), "expected 8 slots .* got 7"),
+        (_cache_text(5, 0, 1, lower + [0], 8), "expected 8 slots .* got 9"),
+        (good[:-3] + "zz\n", "not a hex cache file"),
+        (good[:-2] + "\n", "not a hex cache file"),  # the last slot one hex digit short
+        (good.replace("\n09\n", "\n\n", 1), "does not hold 1 bytes"),  # a slot one byte short
+        (good.replace("\n04\n09\n", "\n09\n04\n", 1), "CRC-32"),  # two slots swapped
+        (_cache_text(5, 0, 1, [lower[0] + 1, *lower[1:]]), "sum does not match"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(CacheError, match=message):
+            load_table(path)
+    with pytest.raises(CacheError, match="cannot read"):
+        load_table(tmp_path / "missing.txt")
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    with pytest.raises(CacheError, match="not a hex cache file"):
         load_table(path)
-    # a lower slot and its mirror raised to 70000, past the 2-byte slots of
-    # n = 9, and other lower slots and their mirrors lowered to keep the sum
-    # 9!: every value is nonnegative and the halves mirror, but packed the
-    # 70000 would wrap
-    values = list(beta_table(9).values)
-    over, values[1] = 70000 - values[1], 70000
-    for k in sorted(range(2, 128), key=values.__getitem__, reverse=True):
-        take = min(over, values[k])
-        values[k] -= take
-        over -= take
-    values[128:] = values[127::-1]
-    assert over == 0 and sum(values) == math.factorial(9)
-    path.write_text("descentlab-table v1 n=9 signed=0\n" + "".join(f"{v}\n" for v in values))
-    with pytest.raises(CacheError, match="wider than its 2-byte slot"):
+    # a slot one byte short at a 2-byte width
+    save_table(beta_table(9), path)
+    wide = path.read_text()
+    path.write_text(wide.replace("\n0100\n", "\n01\n", 1))
+    with pytest.raises(CacheError, match="does not hold 2 bytes"):
         load_table(path)
 
 
